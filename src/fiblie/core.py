@@ -22,8 +22,8 @@ exceeding the cap raises rather than truncating.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Literal, NamedTuple
 
 RingMonomial = int
@@ -195,24 +195,45 @@ def pivot_bracket(i: int, j: int) -> Element:
     return Element(frozenset({Monomial(j + 1, _range_mask(i - 1, j - 3))}))
 
 
+def _pivot_groups(e: Element) -> dict[int, list[int]]:
+    """e = sum_n R_n v_n as pivot -> tail masks of R_n."""
+    groups: dict[int, list[int]] = {}
+    for n, tl in e.monomials:
+        groups.setdefault(n, []).append(tl)
+    return groups
+
+
+def _act(n: int, r: Iterable[int]) -> set[int]:
+    """v_n(r) for a ring element r."""
+    acc: set[int] = set()
+    for s in r:
+        for am in _action_masks(n, s):
+            _toggle(acc, am)
+    return acc
+
+
+def _apply_groups(groups: dict[int, list[int]], r: Iterable[int]) -> set[int]:
+    # e(r) = sum_n R_n v_n(r); v_n(r) = 0 once n exceeds every t-index of r
+    acc: set[int] = set()
+    top = max(r, default=0).bit_length() - 1
+    for n, tails in groups.items():
+        if n <= top:
+            acc ^= ring_mul(tails, _act(n, r))
+    return acc
+
+
 def apply(e: Element, r: RingElement) -> RingElement:
     """Apply the derivation e to the ring element r."""
-    acc: set[int] = set()
-    for n, tl in e.monomials:
-        for s in r:
-            for am in _action_masks(n, s):
-                if not (am & tl):
-                    _toggle(acc, am | tl)
-    return frozenset(acc)
+    return frozenset(_apply_groups(_pivot_groups(e), r))
 
 
-def ring_mul(r: RingElement, s: RingElement) -> RingElement:
+def ring_mul(r: Iterable[int], s: Iterable[int]) -> RingElement:
     """Product in R; colliding t-indices annihilate."""
+    s = tuple(s)
     acc: set[int] = set()
     for a in r:
-        for b in s:
-            if not (a & b):
-                _toggle(acc, a | b)
+        # b -> a | b is injective on the b disjoint from a
+        acc ^= {a | b for b in s if not a & b}
     return frozenset(acc)
 
 
@@ -243,35 +264,39 @@ def bracket(e1: Element, e2: Element) -> Element:
     return Element(frozenset(acc))
 
 
-def _square_mono(m: Monomial, acc: set[Monomial]) -> None:
-    # (r v_n)^2 = r v_n(r) v_n + r^2 v_n^2, and r^2 = 0 unless r = 1
-    n, r = m
-    if r == 0:
-        _check_index(n - 1)
-        _toggle(acc, Monomial(n + 2, 1 << (n - 1)))
-        return
-    if r & (r - 1):
-        # at least two tail factors: every Leibniz term of r*v_n(r) collides
-        return
-    j = r.bit_length() - 1
-    if n > j:
-        return
-    if n == j:
-        _toggle(acc, Monomial(n, r))
-        return
-    am = _range_mask(n - 1, j - 2)
-    _toggle(acc, Monomial(n, am | r))
-
-
 def square(e: Element) -> Element:
-    """p-th power (p = 2): sum of monomial squares plus pairwise brackets."""
-    acc: set[Monomial] = set()
-    mons = list(e.monomials)
-    for m in mons:
-        _square_mono(m, acc)
-    for m1, m2 in combinations(mons, 2):
-        _bracket_mono(m1, m2, acc)
-    return Element(frozenset(acc))
+    """p-th power (p = 2) through the pivot grouping e = sum_n R_n v_n:
+
+        e^2 = sum_m e(R_m) v_m + sum_{n<m} R_n R_m [v_n, v_m] + sum_{1 in R_n} v_n^2
+
+    so each v_n(R_m) is computed once per pivot pair.
+    """
+    groups = _pivot_groups(e)
+    acc: defaultdict[int, set[int]] = defaultdict(set)
+    for m, tails in groups.items():
+        acc[m] ^= _apply_groups(groups, tails)
+        if 0 in tails:
+            # (1 v_m)^2 = t_{m-1} v_{m+2}; r^2 = 0 for every other tail
+            acc[m + 2] ^= {_range_mask(m - 1, m - 1)}
+    pivots = sorted(groups)
+    for i, n in enumerate(pivots):
+        rn = groups[n]
+        for m in pivots[i + 1 :]:
+            rm = groups[m]
+            # [v_n, v_m] = P v_{m+1} with P = t_{n-1} ... t_{m-3}; as in
+            # _bracket_mono, P meets the ceiling once two tails are disjoint
+            if m - 3 >= LIMITS.index_ceiling and any(
+                not a & b for a in rn for b in rm
+            ):
+                _check_index(m - 3)
+            pmask = ((1 << (m - n - 1)) - 1) << (n - 1)
+            ra = [a for a in rn if not a & pmask]
+            rb = [b for b in rm if not b & pmask]
+            if ra and rb:
+                acc[m + 1] ^= {q | pmask for q in ring_mul(ra, rb)}
+    return Element(
+        frozenset(Monomial(p, tl) for p, tails in acc.items() for tl in tails)
+    )
 
 
 def power_2k(e: Element, k: int, limit: int | None = None) -> Element:

@@ -19,7 +19,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import Element, FibLieError, Monomial, ZERO, bracket, power_2k
+from .core import (
+    Element,
+    FibLieError,
+    Monomial,
+    ZERO,
+    _check_index,
+    bracket,
+    power_2k,
+)
 
 
 class ParseError(FibLieError):
@@ -159,6 +167,8 @@ def parse(text: str) -> Node:
 
 
 def _eval_atom(node: Atom) -> Element:
+    for i in node.tails:
+        _check_index(i)
     mask = 0
     for i in node.tails:
         bit = 1 << i

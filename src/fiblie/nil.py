@@ -102,7 +102,7 @@ def shift_structure_check(e: Element, max_steps: int | None = None) -> bool:
 
 
 def pivot_interval(n: int, m: int) -> Element:
-    """The conjectured extremal element v_n + v_{n+1} + ... + v_m."""
+    """The test family v_n + v_{n+1} + ... + v_m of the index bound."""
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
     return element(monomial(k) for k in range(n, m + 1))
@@ -123,7 +123,9 @@ def conjecture_scan(
 ) -> list[ScanRow]:
     """Exact indices of v_n + ... + v_m against the bound m - n + 2.
 
-    Output only; whether the bound is always attained is an open question.
+    The bound is not attained in general: for n = 1 the index stays below it
+    at m = 4 and at every m >= 8 computed so far (the table in README.md).
+    By tau-invariance of the index, row (n, m) equals row (1, m - n + 1).
     """
     rows = []
     for n in range(n_range[0], n_range[1] + 1):

@@ -32,6 +32,15 @@ def test_eval_error_exit_code():
     assert code == 2
 
 
+def test_eval_rejects_tail_index_beyond_ceiling():
+    code, out = run_cli("eval", "t200*v3")
+    assert code == 2 and out == ""
+    code, out = run_cli("eval", "t2*t2*t200*v3")
+    assert code == 2
+    code, out = run_cli("eval", "t2*t2*v3")
+    assert code == 0 and out.strip() == "0"
+
+
 def test_basis_csv_schema_and_determinism():
     code, out1 = run_cli("basis", "--max-n", "6")
     code2, out2 = run_cli("basis", "--max-n", "6")

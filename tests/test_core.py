@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiblie.basis import enumerate_W_upto
 from fiblie.core import (
+    Element,
     IndexCeilingError,
+    Monomial,
     MonomialLimitError,
     RING_ONE,
     RING_ZERO,
     ZERO,
+    _bracket_mono,
+    _check_index,
+    _range_mask,
+    _toggle,
     apply,
     bracket,
     element,
@@ -31,6 +40,7 @@ from fiblie.core import (
 )
 
 W8 = [m for level in enumerate_W_upto(8, "restricted") for m in level]
+W9 = [m for level in enumerate_W_upto(9, "restricted") for m in level]
 
 elements = st.lists(st.sampled_from(W8), min_size=0, max_size=3).map(element)
 ring_elems = st.lists(
@@ -117,6 +127,10 @@ def test_index_ceiling():
         tau(parse_element("t100*v200"), 30)
     with pytest.raises(IndexCeilingError):
         pivot_bracket(1, 200)
+    with pytest.raises(IndexCeilingError):
+        square(v(129))  # v_129^2 = t_128 v_131
+    with pytest.raises(IndexCeilingError):
+        square(v(1) + v(200))  # [v_1, v_200] = t_0 ... t_197 v_201
 
 
 def test_canonical_order_and_roundtrip():
@@ -182,3 +196,72 @@ def test_derivation_law(e, r, s):
 @given(elements)
 def test_print_parse_roundtrip(e):
     assert parse_element(format_element(e)) == e
+
+
+# --- oracle: the monomial-pairwise square (sum of monomial squares plus
+# the bracket of every unordered monomial pair) -----------------------------
+
+
+def _square_mono(m: Monomial, acc: set[Monomial]) -> None:
+    # (r v_n)^2 = r v_n(r) v_n + r^2 v_n^2, and r^2 = 0 unless r = 1
+    n, r = m
+    if r == 0:
+        _check_index(n - 1)
+        _toggle(acc, Monomial(n + 2, 1 << (n - 1)))
+        return
+    if r & (r - 1):
+        # at least two tail factors: every Leibniz term of r*v_n(r) collides
+        return
+    j = r.bit_length() - 1
+    if n > j:
+        return
+    if n == j:
+        _toggle(acc, Monomial(n, r))
+        return
+    am = _range_mask(n - 1, j - 2)
+    _toggle(acc, Monomial(n, am | r))
+
+
+def pairwise_square(e: Element) -> Element:
+    """p-th power (p = 2): sum of monomial squares plus pairwise brackets."""
+    acc: set[Monomial] = set()
+    mons = list(e.monomials)
+    for m in mons:
+        _square_mono(m, acc)
+    for m1, m2 in combinations(mons, 2):
+        _bracket_mono(m1, m2, acc)
+    return Element(frozenset(acc))
+
+
+def test_square_matches_pairwise_oracle_on_pivot_intervals():
+    for m in range(1, 8):
+        e = element(monomial(k) for k in range(1, m + 1))
+        while e:
+            sq = square(e)
+            assert sq == pairwise_square(e)
+            e = sq
+
+
+def test_square_matches_pairwise_oracle_on_random_elements():
+    rng = random.Random(2410)
+    for _ in range(1000):
+        e = element(rng.sample(W9, rng.randint(1, 8)))
+        assert square(e) == pairwise_square(e)
+
+
+def _random_ring_element(rng: random.Random) -> frozenset[int]:
+    return frozenset(
+        ring_monomial(rng.sample(range(12), rng.randint(0, 4)))
+        for _ in range(rng.randint(1, 4))
+    )
+
+
+def test_square_and_bracket_match_the_derivation_definition():
+    # e^2 and [a, b] as derivations of R: e(e(r)) and a(b(r)) + b(a(r))
+    rng = random.Random(832)
+    for _ in range(1000):
+        a = element(rng.sample(W9, rng.randint(1, 4)))
+        b = element(rng.sample(W9, rng.randint(1, 4)))
+        r = _random_ring_element(rng)
+        assert apply(square(a), r) == apply(a, apply(a, r))
+        assert apply(bracket(a, b), r) == apply(a, apply(b, r)) ^ apply(b, apply(a, r))

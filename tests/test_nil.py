@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -80,6 +81,21 @@ def test_tau_invariance_of_index():
         base = nil_index(e).index
         for k in (1, 2, 5):
             assert nil_index(tau(e, k)).index == base
+
+
+def test_interval_indices_below_the_bound():
+    # indices of v_1 + ... + v_m; the bound m + 1 is missed at m = 4, 8, 9
+    got = [r.index for r in conjecture_scan((1, 1), 9)]
+    assert got == [2, 3, 4, 4, 6, 7, 8, 7, 7]
+
+
+def test_nil_index_runtime_guard():
+    # squaring by pivot groups; the monomial-pairwise square needs about a minute here
+    start = time.perf_counter()
+    report = nil_index(pivot_interval(1, 10))
+    elapsed = time.perf_counter() - start
+    assert (report.index, report.peak_monomials) == (8, 5232)
+    assert elapsed < 5.0
 
 
 def test_bound_constants():
