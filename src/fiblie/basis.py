@@ -107,11 +107,18 @@ def build_W_recursive(n: int) -> set[Monomial]:
     return out
 
 
-def classify_fig1(m: Monomial) -> Literal["green", "blue"]:
-    """blue when the monomial arose as [v_{n-3}, W_{n-1}] (t_{n-4} present),
-    green when it arose as [v_{n-2}, W_{n-1}]."""
-    if is_basis_monomial(m) != "standard" or m.pivot < 4:
-        raise BasisFormError(f"expected a standard monomial of length >= 4, got {m}")
+def colour(m: Monomial) -> Literal["red", "square", "green", "blue"]:
+    """Figure 1 colour of a basis monomial: red for a bare pivot, square for
+    a pivot square; otherwise blue when the monomial arose as
+    [v_{n-3}, W_{n-1}] (t_{n-4} present), green when it arose as
+    [v_{n-2}, W_{n-1}]."""
+    form = is_basis_monomial(m)
+    if form == "non-basis":
+        raise BasisFormError(f"expected a basis monomial, got {m}")
+    if m.tail == 0:
+        return "red"
+    if form == "square":
+        return "square"
     return "blue" if m.tail >> (m.pivot - 4) & 1 else "green"
 
 

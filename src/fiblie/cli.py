@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import basis as basis_mod
 from . import expr, figures, homology as homology_mod, nil as nil_mod
@@ -22,7 +24,8 @@ from .core import FibLieError, format_element, format_ring_monomial
 from .grading import gr, weight
 
 
-def _emit_rows(header: list[str], rows: list[list], fmt: str, out) -> None:
+def _emit_rows(header: list[str], rows: Iterable[list], fmt: str, out) -> None:
+    """Write rows as CSV, each as soon as it is produced, or as one JSON document."""
     if fmt == "json":
         json.dump(
             {"rows": [dict(zip(header, row)) for row in rows]},
@@ -38,18 +41,11 @@ def _emit_rows(header: list[str], rows: list[list], fmt: str, out) -> None:
 
 
 def _cmd_basis(args) -> int:
-    rows = []
-    for level in basis_mod.enumerate_W_upto(args.max_n, args.kind):
-        for m in level:
-            if m.tail == 0:
-                colour = "red"
-            elif level.square == m:
-                colour = "square"
-            elif m.pivot >= 4:
-                colour = basis_mod.classify_fig1(m)
-            else:
-                colour = "red"
-            rows.append([level.n, format_ring_monomial(m.tail), m.pivot, colour])
+    rows = (
+        [level.n, format_ring_monomial(m.tail), m.pivot, basis_mod.colour(m)]
+        for level in basis_mod.enumerate_W_upto(args.max_n, args.kind)
+        for m in level
+    )
     _emit_rows(["length", "tail", "pivot", "colour"], rows, args.format, sys.stdout)
     return 0
 
@@ -170,33 +166,28 @@ def _cmd_presentation(args) -> int:
     return 0 if ok else 1
 
 
+def _strip_row(m) -> list:
+    a, b = gr(m)
+    wv = weight(m)
+    return [
+        format_ring_monomial(m.tail),
+        m.pivot,
+        a,
+        b,
+        f"{float(wv.wt):.6f}",
+        f"{float(wv.swt):.6f}",
+        str(wv.wt),
+        str(wv.swt),
+        basis_mod.colour(m),
+    ]
+
+
 def _cmd_strip(args) -> int:
-    rows = []
-    for level in basis_mod.enumerate_W_upto(args.max_n, args.kind):
-        for m in level:
-            a, b = gr(m)
-            wv = weight(m)
-            if m.tail == 0:
-                colour = "red"
-            elif level.square == m:
-                colour = "square"
-            elif m.pivot >= 4:
-                colour = basis_mod.classify_fig1(m)
-            else:
-                colour = "red"
-            rows.append(
-                [
-                    format_ring_monomial(m.tail),
-                    m.pivot,
-                    a,
-                    b,
-                    f"{float(wv.wt):.6f}",
-                    f"{float(wv.swt):.6f}",
-                    str(wv.wt),
-                    str(wv.swt),
-                    colour,
-                ]
-            )
+    rows = (
+        _strip_row(m)
+        for level in basis_mod.enumerate_W_upto(args.max_n, args.kind)
+        for m in level
+    )
     _emit_rows(
         ["tail", "pivot", "a", "b", "wt", "swt", "wt_exact", "swt_exact", "colour"],
         rows,
@@ -337,10 +328,19 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "seed", None) is not None:
         verify_mod.set_seed(args.seed)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except FibLieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe; point stdout at devnull so the flush at
+        # interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import series
-from .basis import classify_fig1, enumerate_W, enumerate_W_upto
+from .basis import colour, enumerate_W, enumerate_W_upto
 from .core import format_ring_monomial
 from .grading import gr, weight
 
@@ -88,12 +88,10 @@ def figure1(max_n: int, outdir: Path) -> FigureFiles:
         for m in level:
             key = tuple(gr(m))
             cell = cells.setdefault(key, [0, 0])
-            if m.tail == 0:
+            c = colour(m)
+            if c == "red":  # a bare pivot: marks the cell, counts as green
                 pivots.add(key)
-            if m.pivot >= 4:
-                cell[0 if classify_fig1(m) == "green" else 1] += 1
-            else:
-                cell[0] += 1
+            cell[1 if c == "blue" else 0] += 1
     rows = []
     for (a, b), (green, blue) in sorted(cells.items()):
         wt = a * PHI + b * PHI**2
@@ -103,8 +101,8 @@ def figure1(max_n: int, outdir: Path) -> FigureFiles:
     _write_csv(csv_path, ["a", "b", "count", "green", "blue", "pivot", "wt", "swt"], rows)
     pts = []
     for a, b, count, green, blue, is_pivot, _, _ in rows:
-        colour = "red" if is_pivot else _mix(green, blue)
-        pts.append((float(a), float(b), 2.0 * math.sqrt(count), colour))
+        fill = "red" if is_pivot else _mix(green, blue)
+        pts.append((float(a), float(b), 2.0 * math.sqrt(count), fill))
     amax = max(r[0] for r in rows)
     strip_lines = [
         (0.0, -(PHI**3), float(amax), PHI * amax - PHI**3, "red"),

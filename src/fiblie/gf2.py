@@ -32,12 +32,6 @@ def rank(rows: list[int], n_cols: int) -> int:
     return rk
 
 
-def kernel_dim(rows: list[int], n_cols: int) -> int:
-    """dim ker of the map whose matrix rows are the images of basis vectors:
-    (number of rows) - rank."""
-    return len(rows) - rank(rows, n_cols)
-
-
 class Span:
     """Incremental GF(2) row span keyed by lowest set bit."""
 

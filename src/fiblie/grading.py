@@ -149,11 +149,6 @@ def gr(m: Monomial) -> Multidegree:
     return Multidegree(a, b)
 
 
-def total_degree(m: Monomial) -> int:
-    a, b = gr(m)
-    return a + b
-
-
 def weight(m: Monomial) -> WeightVector:
     wt = lambda_power(m.pivot)
     for j in ring_indices(m.tail):
@@ -210,28 +205,6 @@ def local_nilpotency_bound(gens: Sequence[Monomial], cap: int = 10**6) -> int:
     raise FibLieError("nilpotency bound search exceeded cap")
 
 
-def weight_growth(
-    x: GoldenInt, kind: basis_mod.Kind = "lie", max_level: int = 64
-) -> int:
-    """Number of basis monomials of weight <= x, by exact comparison."""
-    if x.sign() < 0:
-        raise ValueError("threshold must be >= 0")
-    count = 0
-    n = 1
-    while True:
-        # wt(W~_n) > lambda^(n-1), so once lambda^(n-1) >= x no level contributes
-        if (lambda_power(n - 1) - x).sign() >= 0:
-            return count
-        if n > max_level:
-            raise LevelCeilingError(
-                f"level ceiling {max_level} reached before weight threshold {x}"
-            )
-        for m in basis_mod.enumerate_W(n, kind):
-            if (weight(m).wt - x).sign() <= 0:
-                count += 1
-        n += 1
-
-
 def degree_growth(series, upto: int) -> dict[int, int]:
     """s(n) = dim of the degree-n component, read off one-variable Hilbert data."""
     if series.bound < upto:
@@ -245,10 +218,15 @@ def degree_growth(series, upto: int) -> dict[int, int]:
 #
 # Exhaustive checks over W_{<=24} touch ~4 million monomials; these helpers
 # reproduce gr()/weight() per level as numpy int64 arrays in tail-mask order.
-# All quantities stay far below 2^63 for levels <= 40 (asserted), so the
-# arithmetic, and in particular the sign test, remains exact.
+# All quantities stay far below 2^63 for levels <= 40 (checked, FibLieError
+# otherwise), so the arithmetic, and in particular the sign test, remains exact.
 
 _INT64_SAFE = 1 << 30
+
+
+def _check_int64_safe(magnitude: int) -> None:
+    if magnitude >= _INT64_SAFE:
+        raise FibLieError(f"magnitude {magnitude} leaves the exact int64 range (< 2^30)")
 
 
 _LEVEL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -260,10 +238,10 @@ def level_multidegree_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     if cached is not None:
         return cached
     width = basis_mod.tail_width(n)
+    pa, pb = gr_pivot(n)
+    _check_int64_safe(abs(pa) + abs(pb))
     size = 1 << width
     masks = np.arange(size, dtype=np.int64)
-    pa, pb = gr_pivot(n)
-    assert abs(pa) + abs(pb) < _INT64_SAFE
     a = np.full(size, pa, dtype=np.int64)
     b = np.full(size, pb, dtype=np.int64)
     for j in range(width):
@@ -289,8 +267,7 @@ def golden_sign_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact sign of a + b*lambda, elementwise."""
     p = 2 * a + b
     q = b
-    assert int(np.abs(p).max(initial=0)) < _INT64_SAFE
-    assert int(np.abs(q).max(initial=0)) < _INT64_SAFE
+    _check_int64_safe(max(int(np.abs(p).max(initial=0)), int(np.abs(q).max(initial=0))))
     d = p * p - 5 * q * q
     out = np.zeros(a.shape, dtype=np.int64)
     qpos = q > 0

@@ -119,10 +119,6 @@ def differential(n: int, degree: Multidegree) -> ChainSlice:
     return ChainSlice(n, degree, rows_basis, tuple(rows), len(target))
 
 
-def chain_dim(n: int, degree: Multidegree) -> int:
-    return len(chain_basis(n, Multidegree(*degree)))
-
-
 def homology_dim(n: int, degree: Multidegree) -> int:
     """dim Ker d_n - rank d_{n+1} on the slice."""
     degree = Multidegree(*degree)
@@ -170,9 +166,6 @@ def euler_crosscheck(
 class HomologyTable:
     entries: dict[tuple[int, int, int], int]
     frontier: int
-
-    def h_dims(self, n: int) -> dict[tuple[int, int], int]:
-        return {(a, b): d for (k, a, b), d in self.entries.items() if k == n}
 
 
 def inside_homology_strip(n: int, a: int, b: int) -> bool:
@@ -227,15 +220,11 @@ def wedge_stratification_ok(wedge: Wedge) -> bool:
     if not wedge:
         return True
     n = len(wedge)
-    m = max(series_level(mon) for mon in wedge)
+    m = max(mon.pivot for mon in wedge)
     wt = wedge_weight(wedge)
     lo = lambda_power(m - 1)
     hi = lambda_power(m) * n
     return (wt - lo).sign() > 0 and (wt - hi).sign() <= 0
-
-
-def series_level(m: Monomial) -> int:
-    return m.pivot
 
 
 @dataclass

@@ -5,7 +5,7 @@ The free Lie algebra is realised inside the free associative algebra on
 x1, x2 (noncommutative GF(2) polynomials, words as bitsets): Lyndon-word
 standard bracketings expand triangularly with leading word the Lyndon
 word itself, so they stay independent over GF(2).  The relation ideal is
-closed degree by degree under bracketing with the Lyndon basis.
+closed degree by degree under bracketing with the two generators.
 """
 
 from __future__ import annotations
@@ -136,7 +136,8 @@ def necklace_dim(n: int, q: int = 2) -> int:
         return result
 
     total = sum(mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    assert total % n == 0
+    if total % n:
+        raise FibLieError(f"Witt sum {total} is not divisible by {n}")
     return total // n
 
 
@@ -189,7 +190,8 @@ def free_lie(degree: int) -> FreeLieBasis:
     for w in fl.words:
         t = bracketing(w)
         p = tree_poly(t)
-        assert min(p) == w, "Lyndon bracketing lost its leading word"
+        if min(p) != w:
+            raise FibLieError(f"Lyndon bracketing of {w} lost its leading word")
         fl.trees[w] = t
         fl.polys[w] = p
     return fl
@@ -255,7 +257,7 @@ def quotient_dims(
 ) -> dict[int, int]:
     """Dimensions per total degree of (free Lie algebra)/(ideal generated by
     the relations), the ideal closed degree by degree under bracketing
-    with Lyndon basis elements."""
+    with the generators x1, x2 (enough, since ad [a,b] = [ad a, ad b])."""
     if fl is None:
         fl = free_lie(degree)
     indexes = {d: _word_index(d) for d in range(1, degree + 1)}
@@ -273,13 +275,11 @@ def quotient_dims(
         d = tree_degree(t)
         if d <= degree:
             insert(tree_poly(t), d)
-    for d in range(1, degree + 1):
-        for d_low in range(1, d):
-            d_gen = d - d_low
-            gens = fl.by_degree(d_gen)
-            for p in list(layer_polys[d_low]):
-                for w in gens:
-                    insert(lie_bracket_poly(p, fl.polys[w]), d)
+    gens = [fl.polys[(1,)], fl.polys[(2,)]]
+    for d in range(2, degree + 1):
+        for p in layer_polys[d - 1]:
+            for x in gens:
+                insert(lie_bracket_poly(p, x), d)
     dims = {}
     free_dims = fl.dims()
     for d in range(1, degree + 1):

@@ -128,18 +128,6 @@ def level_multidegree_counts(n: int) -> dict[tuple[int, int], int]:
     return dd
 
 
-def level_degree_counts(n: int) -> dict[int, int]:
-    """Total-degree distribution of W_n."""
-    dd: dict[int, int] = {fib(n): 1}
-    for j in range(max(n - 3, 0)):
-        drop = fib(j)
-        nd = dict(dd)
-        for d, c in dd.items():
-            nd[d - drop] = nd.get(d - drop, 0) + c
-        dd = nd
-    return dd
-
-
 def square_multidegree(n: int) -> tuple[int, int]:
     """Multidegree of the pivot square t_{n-3} v_n = v_{n-2}^2, n >= 3."""
     a, b = gr_pivot(n - 2)
@@ -223,16 +211,7 @@ def hilbert_recursive(upto: int, bound: int = 40) -> LatticeSeries:
 
 def hilbert_one_var(bound: int, kind: Kind = "lie") -> OneVarSeries:
     """One-variable Hilbert series (dimension per total degree in generators)."""
-    out: dict[int, int] = {}
-    for n in levels_for_degree(bound):
-        for d, c in level_degree_counts(n).items():
-            if d <= bound:
-                out[d] = out.get(d, 0) + c
-        if kind == "restricted" and n >= 3:
-            a, b = square_multidegree(n)
-            if a + b <= bound:
-                out[a + b] = out.get(a + b, 0) + 1
-    return OneVarSeries(out, bound)
+    return hilbert_lie(bound, kind).one_var()
 
 
 # --- the enveloping-series operator ------------------------------------------
@@ -366,7 +345,8 @@ def euler_product_1var(bound: int) -> OneVarSeries:
     out = [0] * (bound + 1)
     out[0] = 1
     for n in levels_for_degree(bound):
-        for d, mult in sorted(level_degree_counts(n).items()):
+        for (a, b), mult in level_multidegree_counts(n).items():
+            d = a + b
             if d > bound:
                 continue
             for _ in range(mult):

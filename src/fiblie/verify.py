@@ -67,16 +67,16 @@ def _timed(name: str, fn: Callable[[], tuple[bool, str]], diagnostic: bool = Fal
 def criterion_basis_counts() -> CheckResult:
     def run() -> tuple[bool, str]:
         for n in range(3, 25):
-            count = 0
-            for _ in basis_mod.enumerate_W(n).masks:
-                count += 1
+            count = len(basis_mod.enumerate_W(n))
             if count != 1 << (n - 3):
                 return False, f"|W_{n}| = {count}, expected {1 << (n - 3)}"
-            restricted = basis_mod.enumerate_W(n, "restricted")
-            extra = sum(1 for _ in restricted) - count
+            # independent count: the subset-sum fold over the tail factors
+            folded = sum(series_mod.level_multidegree_counts(n).values())
+            if folded != 1 << (n - 3):
+                return False, f"multidegree fold of W_{n} counts {folded}"
+            extra = len(basis_mod.enumerate_W(n, "restricted")) - count
             if extra != 1:
                 return False, f"|W~_{n}| - |W_{n}| = {extra}, expected 1"
-            # validity is exhaustive where cheap, sampled above
             if n <= 14:
                 from .core import is_basis_monomial
 

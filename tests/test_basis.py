@@ -7,7 +7,7 @@ import pytest
 from fiblie.basis import (
     BasisFormError,
     build_W_recursive,
-    classify_fig1,
+    colour,
     count_upto,
     decompose_W,
     enumerate_W,
@@ -46,12 +46,18 @@ def test_recursive_step_matches_by_hand():
     assert build_W_recursive(3) == {Monomial(4, 0), Monomial(4, 1)}
 
 
-def test_classify_fig1():
-    assert classify_fig1(monomial(5)) == "green"
-    assert classify_fig1(monomial(4, [0])) == "blue"
-    assert classify_fig1(monomial(5, [0])) == "green"
+def test_colour():
+    assert colour(monomial(1)) == "red"
+    assert colour(monomial(5)) == "red"
+    assert colour(monomial(4, [0])) == "blue"
+    assert colour(monomial(5, [0])) == "green"
+    assert colour(monomial(5, [1])) == "blue"
+    assert colour(monomial(3, [0])) == "square"  # t0*v3 = v1^2
+    assert colour(monomial(5, [2])) == "square"
     with pytest.raises(BasisFormError):
-        classify_fig1(monomial(3, [0]))
+        colour(monomial(3, [1]))
+    with pytest.raises(BasisFormError):
+        colour(monomial(5, [0, 2]))
 
 
 def test_decompose_small():

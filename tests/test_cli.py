@@ -5,9 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import fiblie
 from fiblie.cli import main
 
 
@@ -116,3 +120,19 @@ def test_euler_csv():
     rows = list(csv.DictReader(io.StringIO(out)))
     coeffs = {(int(r["a"]), int(r["b"])): int(r["coefficient"]) for r in rows}
     assert coeffs[(0, 0)] == 1 and coeffs[(1, 0)] == -1 and coeffs[(3, 1)] == 1
+
+
+def test_closed_pipe_exits_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(fiblie.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fiblie.cli", "basis", "--max-n", "16"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"length,tail,pivot,colour\r\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiblie.basis import enumerate_W, enumerate_W_upto
-from fiblie.core import ZERO, bracket, element, monomial, parse_element
+from fiblie.core import FibLieError, ZERO, bracket, element, monomial, parse_element
 from fiblie.grading import (
     GoldenInt,
     LAMBDA,
+    LevelCeilingError,
     Multidegree,
     count_weights_at_most,
     degree_growth,
@@ -26,7 +27,6 @@ from fiblie.grading import (
     strip_check,
     weight,
     weight_coords,
-    weight_growth,
     weight_growth_levels,
     weight_pairs_from_multidegree,
 )
@@ -144,6 +144,23 @@ def test_local_nilpotency_bound():
         local_nilpotency_bound([])
 
 
+def weight_growth(x: GoldenInt, kind: str = "lie", max_level: int = 64) -> int:
+    """Test oracle: the scalar twin of count_weights_at_most, one exact
+    GoldenInt comparison per basis monomial."""
+    if x.sign() < 0:
+        raise ValueError("threshold must be >= 0")
+    count = 0
+    n = 1
+    while True:
+        # wt(W~_n) > lambda^(n-1), so once lambda^(n-1) >= x no level contributes
+        if (lambda_power(n - 1) - x).sign() >= 0:
+            return count
+        if n > max_level:
+            raise LevelCeilingError(f"level ceiling {max_level} reached")
+        count += sum((weight(m).wt - x).sign() <= 0 for m in enumerate_W(n, kind))
+        n += 1
+
+
 def test_weight_growth_examples():
     assert weight_growth(lambda_power(2)) == 2
     for n in range(3, 12):
@@ -156,6 +173,16 @@ def test_vectorised_counts_match_scalar():
     for x in (lambda_power(5), GoldenInt(30, 0), GoldenInt(7, 3)):
         levels = weight_growth_levels(x)
         assert count_weights_at_most(levels, x) == weight_growth(x)
+
+
+def test_oversized_weights_raise_instead_of_overflowing():
+    with pytest.raises(FibLieError):
+        count_weights_at_most([5], GoldenInt(1 << 40, 0))
+    with pytest.raises(FibLieError):
+        golden_sign_array(np.array([1 << 30]), np.array([0]))
+    # level 45 has 2^42 monomials: the range check must come before allocation
+    with pytest.raises(FibLieError):
+        level_multidegree_arrays(45)
 
 
 def test_level_arrays_match_scalar_gr():

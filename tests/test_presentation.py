@@ -5,17 +5,24 @@ from __future__ import annotations
 import pytest
 
 from fiblie.core import ZERO, bracket, format_element, v
+from fiblie import gf2
 from fiblie.presentation import (
+    RELATION_TREES,
+    _word_index,
     evaluate,
     free_lie,
     left_normed,
+    lie_bracket_poly,
     lyndon_words,
     necklace_dim,
+    poly_vec,
     presentation_report,
     quotient_dims,
     relation_shifts_check,
     relations_vanish,
+    shifted_relation_trees,
     standard_factorization,
+    tree_degree,
     tree_poly,
 )
 
@@ -103,8 +110,6 @@ def test_free_lie_rejects_bad_degree():
 
 def test_quotient_against_evaluation_kernel_oracle():
     # independent route: rank of the evaluation map per degree
-    from fiblie import gf2
-
     fl = free_lie(7)
     assign = {1: v(1), 2: v(2)}
     report = presentation_report(7)
@@ -120,11 +125,37 @@ def test_quotient_against_evaluation_kernel_oracle():
 
 
 def test_shifted_relations_vanish_and_extend_the_ideal():
-    from fiblie.presentation import shifted_relation_trees
-
     assign = {1: v(1), 2: v(2)}
     for tree in shifted_relation_trees(2):
         assert evaluate(tree, assign) == ZERO
     base = quotient_dims(shifted_relation_trees(0), 8)
     with_shift = quotient_dims(shifted_relation_trees(1), 8)
     assert with_shift[8] <= base[8]
+
+
+def quotient_dims_all_lyndon(relation_trees, degree):
+    """Test oracle: the ideal closed under bracketing each layer with every
+    Lyndon basis element of every lower degree."""
+    fl = free_lie(degree)
+    indexes = {d: _word_index(d) for d in range(1, degree + 1)}
+    spans = {d: gf2.Span() for d in range(1, degree + 1)}
+    layer_polys = {d: [] for d in range(1, degree + 1)}
+
+    def insert(p, d):
+        if p and spans[d].add(poly_vec(p, indexes[d])):
+            layer_polys[d].append(p)
+
+    for t in relation_trees:
+        if tree_degree(t) <= degree:
+            insert(tree_poly(t), tree_degree(t))
+    for d in range(1, degree + 1):
+        for d_low in range(1, d):
+            for p in list(layer_polys[d_low]):
+                for w in fl.by_degree(d - d_low):
+                    insert(lie_bracket_poly(p, fl.polys[w]), d)
+    return {d: fl.dims().get(d, 0) - len(spans[d]) for d in range(1, degree + 1)}
+
+
+def test_generator_closure_matches_all_lyndon_oracle():
+    for relations in (RELATION_TREES, shifted_relation_trees(1), shifted_relation_trees(2)):
+        assert quotient_dims(relations, 10) == quotient_dims_all_lyndon(relations, 10)
