@@ -8,6 +8,7 @@ from .core import (
     Element,
     FibLieError,
     IndexCeilingError,
+    InputError,
     LIMITS,
     Monomial,
     MonomialLimitError,
@@ -33,6 +34,7 @@ __all__ = [
     "FibLieError",
     "GoldenInt",
     "IndexCeilingError",
+    "InputError",
     "LIMITS",
     "Monomial",
     "MonomialLimitError",

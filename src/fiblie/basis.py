@@ -15,6 +15,7 @@ from typing import Iterator, Literal
 from .core import (
     Element,
     FibLieError,
+    InputError,
     Monomial,
     bracket,
     is_basis_monomial,
@@ -43,7 +44,7 @@ class BasisLevel:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("level index must be >= 1")
+            raise InputError("level index must be >= 1")
         from .core import IndexCeilingError, LIMITS
 
         if tail_width(self.n) > LIMITS.index_ceiling:
@@ -81,7 +82,7 @@ def enumerate_W(n: int, kind: Kind = "lie") -> BasisLevel:
 def enumerate_W_upto(n: int, kind: Kind = "lie") -> list[BasisLevel]:
     """Levels 1..n."""
     if n < 1:
-        raise ValueError("level index must be >= 1")
+        raise InputError("level index must be >= 1")
     return [BasisLevel(k, kind) for k in range(1, n + 1)]
 
 
@@ -93,7 +94,7 @@ def build_W_recursive(n: int) -> set[Monomial]:
     """W_{n+1} built as [v_{n-1}, W_n] plus [v_{n-2}, W_n] through the
     bracket engine; cross-validates against direct enumeration."""
     if n < 3:
-        raise ValueError("recursive construction starts at level 3")
+        raise InputError("recursive construction starts at level 3")
     out: set[Monomial] = set()
     lower = v(n - 1)
     adder = v(n - 2)
@@ -136,7 +137,7 @@ class Decomposition:
 
 def decompose_W(n: int) -> Decomposition:
     if n < 2:
-        raise ValueError("decomposition needs n >= 2")
+        raise InputError("decomposition needs n >= 2")
     head: list[Monomial] = []
     shifted: list[Monomial] = []
     t0_shifted: list[Monomial] = []

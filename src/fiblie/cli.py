@@ -20,7 +20,7 @@ from . import expr, figures, homology as homology_mod, nil as nil_mod
 from . import presentation as pres_mod
 from . import series as series_mod
 from . import verify as verify_mod
-from .core import FibLieError, format_element, format_ring_monomial
+from .core import FibLieError, InputError, format_element, format_ring_monomial
 from .grading import gr, weight
 
 
@@ -105,6 +105,8 @@ def _cmd_nil_scan(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     if args.method == "recursive":
+        if args.kind != "lie":
+            raise InputError("the functional recursion gives the Lie series only")
         upto = args.upto if args.upto else max(series_mod.levels_for_degree(args.degree))
         h = series_mod.hilbert_recursive(upto, args.degree)
     elif args.upto:

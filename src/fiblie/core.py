@@ -37,6 +37,10 @@ class FibLieError(Exception):
     """Base class for errors raised by this package."""
 
 
+class InputError(FibLieError, ValueError):
+    """An argument outside the domain of the function that received it."""
+
+
 class IndexCeilingError(FibLieError):
     """A t-index beyond the configured bitmask ceiling was requested."""
 
@@ -72,11 +76,11 @@ def ring_monomial(indices: Iterable[int]) -> RingMonomial:
     mask = 0
     for i in indices:
         if i < 0:
-            raise ValueError(f"negative t-index {i}")
+            raise InputError(f"negative t-index {i}")
         _check_index(i)
         bit = 1 << i
         if mask & bit:
-            raise ValueError(f"repeated t-index {i}")
+            raise InputError(f"repeated t-index {i}")
         mask |= bit
     return mask
 
@@ -99,7 +103,7 @@ class Monomial(NamedTuple):
 
 def monomial(pivot: int, indices: Iterable[int] = ()) -> Monomial:
     if pivot < 1:
-        raise ValueError(f"pivot index must be >= 1, got {pivot}")
+        raise InputError(f"pivot index must be >= 1, got {pivot}")
     return Monomial(pivot, ring_monomial(indices))
 
 
@@ -132,7 +136,7 @@ class Element:
     def pivot_range(self) -> tuple[int, int]:
         """(min, max) pivot index; raises on the zero element."""
         if not self.monomials:
-            raise ValueError("zero element has no pivot range")
+            raise InputError("zero element has no pivot range")
         pivots = [m.pivot for m in self.monomials]
         return min(pivots), max(pivots)
 
@@ -176,7 +180,7 @@ def _action_masks(n: int, smask: int) -> list[int]:
 def pivot_action(n: int, j: int) -> RingElement:
     """v_n(t_j) as a ring element."""
     if n < 1 or j < 0:
-        raise ValueError("need pivot >= 1 and t-index >= 0")
+        raise InputError("need pivot >= 1 and t-index >= 0")
     if n > j:
         return RING_ZERO
     if n == j:
@@ -187,7 +191,7 @@ def pivot_action(n: int, j: int) -> RingElement:
 def pivot_bracket(i: int, j: int) -> Element:
     """[v_i, v_j]; symmetric in characteristic 2, zero on the diagonal."""
     if i < 1 or j < 1:
-        raise ValueError("pivot indices must be >= 1")
+        raise InputError("pivot indices must be >= 1")
     if i == j:
         return ZERO
     if i > j:
@@ -302,7 +306,7 @@ def square(e: Element) -> Element:
 def power_2k(e: Element, k: int, limit: int | None = None) -> Element:
     """e^(2^k) by iterated squaring; k = 0 is the identity."""
     if k < 0:
-        raise ValueError("exponent count must be >= 0")
+        raise InputError("exponent count must be >= 0")
     cap = LIMITS.monomial_limit if limit is None else limit
     for _ in range(k):
         e = square(e)
@@ -316,7 +320,7 @@ def power_2k(e: Element, k: int, limit: int | None = None) -> Element:
 def tau(e: Element, k: int = 1) -> Element:
     """Shift endomorphism: every t-index and pivot index raised by k."""
     if k < 0:
-        raise ValueError("shift count must be >= 0")
+        raise InputError("shift count must be >= 0")
     if k == 0:
         return e
     out = set()
@@ -380,7 +384,7 @@ def parse_monomial(text: str) -> Monomial:
     compact = text.replace(" ", "")
     match = _MONO_RE.match(compact)
     if not match:
-        raise ValueError(f"malformed monomial {text!r}")
+        raise InputError(f"malformed monomial {text!r}")
     pivot = int(compact.rsplit("v", 1)[1])
     tails = [int(p[1:]) for p in compact.split("*")[:-1]]
     return monomial(pivot, tails)

@@ -1,35 +1,24 @@
 """GF(2) linear algebra on rows packed into Python ints.
 
-Bit i of a row is column i.  Elimination is deterministic: leftmost
-pivot column first, topmost available row as the pivot row.
+Bit i of a row is column i.  ``Span`` is the one eliminator: it keeps one
+reduced row per pivot, keyed by the row's lowest set bit, and reduces each
+incoming row against them.  ``rank`` is the size of the span the rows
+generate; ``rank_naive`` is an independent oracle for the tests.
 """
 
 from __future__ import annotations
 
+from .core import InputError
+
 
 def rank(rows: list[int], n_cols: int) -> int:
-    """Rank via Gaussian elimination on packed rows."""
-    work = [r for r in rows if r]
-    rk = 0
-    top = 0
-    for col in range(n_cols):
-        bit = 1 << col
-        pivot = None
-        for r in range(top, len(work)):
-            if work[r] & bit:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[top], work[pivot] = work[pivot], work[top]
-        for r in range(len(work)):
-            if r != top and (work[r] & bit):
-                work[r] ^= work[top]
-        rk += 1
-        top += 1
-        if top == len(work):
-            break
-    return rk
+    """Rank of the rows, each a packed row of n_cols columns."""
+    span = Span()
+    for row in rows:
+        if row >> n_cols:
+            raise InputError(f"row {row:#x} does not fit in {n_cols} columns")
+        span.add(row)
+    return len(span)
 
 
 class Span:

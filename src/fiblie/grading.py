@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import FibLieError, Monomial, ring_indices
+from .core import FibLieError, InputError, Monomial, ring_indices
 from . import basis as basis_mod
 
 
@@ -32,7 +32,7 @@ _FIB: list[int] = [0, 1]
 def fib(k: int) -> int:
     """Fibonacci numbers with F_1 = F_2 = 1, extended to F_-1 = 1, F_-2 = -1."""
     if k < -2:
-        raise ValueError("fib extended down to index -2 only")
+        raise InputError("fib extended down to index -2 only")
     if k == -1:
         return 1
     if k == -2:
@@ -110,14 +110,14 @@ LAMBDA = GoldenInt(0, 1)
 def parse_golden(text: str) -> GoldenInt:
     a_part, b_part = text.replace(" ", "").split("+", 1)
     if not b_part.endswith("*L"):
-        raise ValueError(f"malformed GoldenInt {text!r}")
+        raise InputError(f"malformed GoldenInt {text!r}")
     return GoldenInt(int(a_part), int(b_part[:-2]))
 
 
 def lambda_power(n: int) -> GoldenInt:
     """lambda^n = F_{n-1} + F_n * lambda, n >= 0."""
     if n < 0:
-        raise ValueError("negative lambda powers not needed; conjugate instead")
+        raise InputError("negative lambda powers not needed; conjugate instead")
     return GoldenInt(fib(n - 1), fib(n))
 
 
@@ -188,11 +188,11 @@ def local_nilpotency_bound(gens: Sequence[Monomial], cap: int = 10**6) -> int:
     """ceil(1/mu) for mu = min positive superweight of the generators,
     found by exact integer search on GoldenInt signs."""
     if not gens:
-        raise ValueError("need at least one generator")
+        raise InputError("need at least one generator")
     mus = [weight(m).swt for m in gens]
     for mu in mus:
         if mu.sign() <= 0:
-            raise ValueError("generators must come from the positive side")
+            raise InputError("generators must come from the positive side")
     mu = mus[0]
     for other in mus[1:]:
         if other < mu:
@@ -208,7 +208,7 @@ def local_nilpotency_bound(gens: Sequence[Monomial], cap: int = 10**6) -> int:
 def degree_growth(series, upto: int) -> dict[int, int]:
     """s(n) = dim of the degree-n component, read off one-variable Hilbert data."""
     if series.bound < upto:
-        raise ValueError(
+        raise InputError(
             f"Hilbert data truncated at {series.bound}, need degree {upto}"
         )
     return {n: series.coeffs.get(n, 0) for n in range(1, upto + 1)}

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import gf2, series
 from .basis import enumerate_W
-from .core import Element, Monomial, bracket
+from .core import Element, InputError, Monomial, bracket
 from .grading import (
     GoldenInt,
     LAMBDA,
@@ -44,31 +44,24 @@ def _pool(degree: Multidegree) -> tuple[tuple[Monomial, Multidegree], ...]:
 
 @lru_cache(maxsize=None)
 def chain_basis(n: int, degree: Multidegree) -> tuple[Wedge, ...]:
-    """Strictly increasing n-tuples of basis monomials with multidegree sum."""
+    """Strictly increasing n-tuples of basis monomials with multidegree sum.
+
+    An n-wedge is a first factor m from the pool followed by an (n-1)-wedge
+    of the remaining multidegree whose first factor exceeds m.  Every later
+    factor lies in the smaller pool, a subset in the same order, so the
+    wedges come out in lexicographic order.
+    """
     a, b = degree
     if a < 0 or b < 0 or n < 0:
-        raise ValueError("need n >= 0 and a nonnegative multidegree")
+        raise InputError("need n >= 0 and a nonnegative multidegree")
     if n == 0:
         return ((),) if (a, b) == (0, 0) else ()
-    pool = _pool(Multidegree(a, b))
-    out: list[Wedge] = []
-    stack: list[Monomial] = []
-
-    def extend(start: int, ra: int, rb: int, k: int) -> None:
-        if k == 0:
-            if ra == 0 and rb == 0:
-                out.append(tuple(stack))
-            return
-        for idx in range(start, len(pool)):
-            m, (ma, mb) = pool[idx]
-            if ma > ra or mb > rb:
-                continue
-            stack.append(m)
-            extend(idx + 1, ra - ma, rb - mb, k - 1)
-            stack.pop()
-
-    extend(0, a, b, n)
-    return tuple(out)
+    return tuple(
+        (m,) + rest
+        for m, (ma, mb) in _pool(Multidegree(a, b))
+        for rest in chain_basis(n - 1, Multidegree(a - ma, b - mb))
+        if not rest or rest[0] > m
+    )
 
 
 @dataclass(frozen=True)
@@ -124,8 +117,8 @@ def homology_dim(n: int, degree: Multidegree) -> int:
     degree = Multidegree(*degree)
     d_n = differential(n, degree)
     d_up = differential(n + 1, degree)
-    ker = len(d_n.basis) - gf2.rank(list(d_n.d_rows), max(d_n.n_cols, 1))
-    return ker - gf2.rank(list(d_up.d_rows), max(d_up.n_cols, 1))
+    ker = len(d_n.basis) - gf2.rank(list(d_n.d_rows), d_n.n_cols)
+    return ker - gf2.rank(list(d_up.d_rows), d_up.n_cols)
 
 
 def dd_is_zero(n: int, degree: Multidegree) -> bool:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .core import (
     Element,
     FibLieError,
+    InputError,
     MonomialLimitError,
     element,
     is_basis_element,
@@ -54,9 +55,9 @@ def nil_index(e: Element, cap: int = 64, limit: int | None = None) -> NilReport:
     from .core import LIMITS
 
     if not e:
-        raise ValueError("nil index of the zero element is undefined")
+        raise InputError("nil index of the zero element is undefined")
     if not is_basis_element(e):
-        raise ValueError("expected a basis-form element")
+        raise InputError("expected a basis-form element")
     mono_cap = LIMITS.monomial_limit if limit is None else limit
     lo, hi = e.pivot_range()
     bound = hi - lo + 2
@@ -85,7 +86,7 @@ def shift_structure_check(e: Element, max_steps: int | None = None) -> bool:
     if not e:
         return True
     if not is_basis_element(e):
-        raise ValueError("expected a basis-form element")
+        raise InputError("expected a basis-form element")
     lo, hi = e.pivot_range()
     steps = hi - lo + 2 if max_steps is None else max_steps
     power = e
@@ -104,7 +105,7 @@ def shift_structure_check(e: Element, max_steps: int | None = None) -> bool:
 def pivot_interval(n: int, m: int) -> Element:
     """The test family v_n + v_{n+1} + ... + v_m of the index bound."""
     if not 1 <= n <= m:
-        raise ValueError("need 1 <= n <= m")
+        raise InputError("need 1 <= n <= m")
     return element(monomial(k) for k in range(n, m + 1))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import gf2, series
-from .core import Element, FibLieError, bracket, power_2k, v
+from .core import Element, FibLieError, InputError, bracket, power_2k, v
 
 Word = tuple[int, ...]
 Poly = frozenset[Word]
@@ -62,7 +62,7 @@ def standard_factorization(w: Word) -> tuple[Word, Word]:
             best = i
             break
     if best is None:
-        raise ValueError(f"{w} has no Lyndon factorization")
+        raise InputError(f"{w} has no Lyndon factorization")
     return w[:best], w[best:]
 
 
@@ -163,7 +163,7 @@ class FreeLieBasis:
         """Structure constants: [b(w1), b(w2)] expanded in the Lyndon basis."""
         d = len(w1) + len(w2)
         if d > self.degree:
-            raise ValueError("bracket degree exceeds the table cap")
+            raise InputError("bracket degree exceeds the table cap")
         target = lie_bracket_poly(self.polys[w1], self.polys[w2])
         return self.express(target, d)
 
@@ -184,7 +184,7 @@ class FreeLieBasis:
 def free_lie(degree: int) -> FreeLieBasis:
     """Lyndon basis and expansion data up to the total degree cap."""
     if degree < 1:
-        raise ValueError("degree cap must be >= 1")
+        raise InputError("degree cap must be >= 1")
     fl = FreeLieBasis(degree)
     fl.words = lyndon_words(2, degree)
     for w in fl.words:

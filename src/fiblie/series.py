@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Literal
 
-from .core import FibLieError
+from .core import FibLieError, InputError
 from .grading import fib, gr_pivot, gr_tail
 
 Kind = Literal["lie", "restricted"]
@@ -190,7 +190,7 @@ def hilbert_recursive(upto: int, bound: int = 40) -> LatticeSeries:
     only leave N0^2 transiently; the result is asserted back inside.
     """
     if upto < 2:
-        raise ValueError("recursion starts at W_{<=2}")
+        raise InputError("recursion starts at W_{<=2}")
     coeffs: dict[tuple[int, int], int] = {(1, 0): 1, (0, 1): 1}
     for _ in range(upto - 2):
         substituted: dict[tuple[int, int], int] = {}
@@ -232,10 +232,10 @@ def e_operator(h: LatticeSeries, bound: int | None = None) -> LatticeSeries:
     if bound > h.bound:
         raise TruncationError(f"input truncated at {h.bound}, requested {bound}")
     if h[(0, 0)] != 0:
-        raise ValueError("input must have zero constant term")
+        raise InputError("input must have zero constant term")
     for key, c in h.coeffs.items():
         if c < 0:
-            raise ValueError(f"negative input coefficient at {key}")
+            raise InputError(f"negative input coefficient at {key}")
     out: dict[tuple[int, int], int] = {(0, 0): 1}
     points = _sorted_points(bound)
     for (fa, fb), mult in sorted(h.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])):
@@ -300,13 +300,13 @@ def e_operator_1var(h: OneVarSeries, bound: int | None = None) -> OneVarSeries:
     if bound > h.bound:
         raise TruncationError(f"input truncated at {h.bound}, requested {bound}")
     if h[0] != 0:
-        raise ValueError("input must have zero constant term")
+        raise InputError("input must have zero constant term")
     out = [0] * (bound + 1)
     out[0] = 1
     for d in sorted(h.coeffs):
         c = h.coeffs[d]
         if c < 0:
-            raise ValueError(f"negative input coefficient at degree {d}")
+            raise InputError(f"negative input coefficient at degree {d}")
         for _ in range(c):
             for n in range(d, bound + 1):
                 out[n] += out[n - d]
@@ -471,7 +471,7 @@ def euler_eval_check(
     for t_raw in ts:
         t = Fraction(t_raw).limit_denominator(10**6)
         if not Fraction(1, 2) <= t < 1:
-            raise ValueError("evaluation points must lie in [1/2, 1)")
+            raise InputError("evaluation points must lie in [1/2, 1)")
         value = float(sum(Fraction(c) * t**n for n, c in e_series.coeffs.items()))
         best_tail = math.inf
         for x in (0.8, 0.85, 0.9, 0.95):

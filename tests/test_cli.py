@@ -11,6 +11,8 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 import fiblie
 from fiblie.cli import main
 
@@ -78,6 +80,13 @@ def test_hilbert_recursive_matches_enumerated():
     assert rec == enum
 
 
+def test_hilbert_recursive_rejects_the_restricted_kind():
+    code, out = run_cli(
+        "hilbert", "--degree", "4", "--method", "recursive", "--kind", "restricted"
+    )
+    assert code == 2 and out == ""
+
+
 def test_presentation_exit_code():
     code, out = run_cli("presentation", "--max-degree", "7")
     assert code == 0
@@ -136,3 +145,30 @@ def test_closed_pipe_exits_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("homology", "--max-total-degree", "3", "--n", "-1"),
+        ("nil", "--element", "0"),
+        ("nil", "--element", "t5*v2"),
+        ("nil-scan", "--min", "0"),
+        ("basis", "--max-n", "0"),
+        ("presentation", "--max-degree", "0"),
+        ("hilbert", "--method", "recursive", "--upto", "1"),
+    ],
+)
+def test_input_errors_exit_2_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(fiblie.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fiblie.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import random
+import time
+
+import pytest
 
 from fiblie import gf2
-from fiblie.core import ZERO, bracket, element, monomial
+from fiblie.core import ZERO, InputError, bracket, element, monomial
 from fiblie.grading import GoldenInt, weight
 from fiblie.homology import (
     Multidegree,
+    _bracket_pair,
+    _pool,
     chain_basis,
     dd_is_zero,
     differential,
@@ -30,6 +35,42 @@ def test_chain_basis_examples():
     assert chain_basis(1, Multidegree(1, 1)) == ((monomial(3),),)
     assert chain_basis(0, Multidegree(0, 0)) == ((),)
     assert chain_basis(0, Multidegree(1, 0)) == ()
+
+
+def backtracking_chain_basis(n, degree):
+    """Oracle: depth-first search over the pool, keeping the remaining
+    multidegree and the next pool index on an explicit stack."""
+    a, b = degree
+    if n == 0:
+        return ((),) if (a, b) == (0, 0) else ()
+    pool = _pool(Multidegree(a, b))
+    out = []
+    stack = []
+
+    def extend(start, ra, rb, k):
+        if k == 0:
+            if ra == 0 and rb == 0:
+                out.append(tuple(stack))
+            return
+        for idx in range(start, len(pool)):
+            m, (ma, mb) = pool[idx]
+            if ma > ra or mb > rb:
+                continue
+            stack.append(m)
+            extend(idx + 1, ra - ma, rb - mb, k - 1)
+            stack.pop()
+
+    extend(0, a, b, n)
+    return tuple(out)
+
+
+def test_chain_basis_matches_backtracking_oracle():
+    # same wedges in the same order, for every n <= a+b <= 16
+    for d in range(17):
+        for a in range(d + 1):
+            degree = Multidegree(a, d - a)
+            for n in range(d + 1):
+                assert chain_basis(n, degree) == backtracking_chain_basis(n, degree)
 
 
 def test_differential_examples():
@@ -73,18 +114,25 @@ def test_euler_crosscheck():
 
 def test_rank_oracle_agreement():
     rng = random.Random(3)
-    for _ in range(120):
-        n_cols = rng.randrange(1, 12)
-        rows = [rng.getrandbits(n_cols) for _ in range(rng.randrange(0, 10))]
+    for _ in range(300):
+        n_cols = rng.randrange(0, 49)
+        rows = [rng.getrandbits(n_cols) for _ in range(rng.randrange(0, 49))]
         assert gf2.rank(rows, n_cols) == gf2.rank_naive(rows, n_cols)
-    # and on real differentials
-    for deg in (Multidegree(3, 2), Multidegree(2, 4), Multidegree(4, 3)):
-        for n in range(1, 6):
-            d = differential(n, deg)
-            if d.n_cols <= 64:
-                assert gf2.rank(list(d.d_rows), max(d.n_cols, 1)) == gf2.rank_naive(
-                    list(d.d_rows), max(d.n_cols, 1)
-                )
+    # and on every differential with a+b <= 12
+    for d in range(13):
+        for a in range(d + 1):
+            for n in range(1, d + 2):
+                s = differential(n, Multidegree(a, d - a))
+                rows = list(s.d_rows)
+                assert gf2.rank(rows, s.n_cols) == gf2.rank_naive(rows, s.n_cols)
+
+
+def test_rank_rejects_rows_wider_than_n_cols():
+    assert gf2.rank([0b011, 0b101], 3) == 2
+    with pytest.raises(InputError):
+        gf2.rank([0b011, 0b1000], 3)
+    with pytest.raises(InputError):
+        gf2.rank([1], 0)
 
 
 def test_gf2_span():
@@ -108,11 +156,15 @@ def test_homology_strip_and_table():
         assert d > 0
         if n >= 1:
             assert inside_homology_strip(n, a, b)
-    # margin outside the strip stays empty
-    for a in range(8):
-        for b in range(8):
-            if a + b <= 7 and not inside_homology_strip(2, a, b):
-                assert homology_dim(2, Multidegree(a, b)) == 0
+    # strip pruning hides nothing: every slice outside the strip is zero
+    outside = 0
+    for d in range(21):
+        for a in range(d + 1):
+            for n in range(1, d + 1):
+                if not inside_homology_strip(n, a, d - a):
+                    outside += 1
+                    assert homology_dim(n, Multidegree(a, d - a)) == 0
+    assert outside == 520
 
 
 def test_wedge_weight_additivity_and_stratification():
@@ -133,3 +185,15 @@ def test_paraboloid_report():
     phi = (1 + 5**0.5) / 2
     for xi, eta in rep.points:
         assert abs(eta) < rep.fitted_constant * xi**rep.theta_target * (1 + 1e-9)
+
+
+def test_homology_table_runtime_guard():
+    # wedges by recursion on the chain_basis cache; the backtracking search
+    # needs about 20 s here
+    for cached in (_pool, chain_basis, _bracket_pair, differential):
+        cached.cache_clear()  # a cold run, not the slices earlier tests built
+    start = time.perf_counter()
+    table = homology_table(24)
+    elapsed = time.perf_counter() - start
+    assert (len(table.entries), sum(table.entries.values())) == (192, 345)
+    assert elapsed < 10.0

@@ -50,9 +50,10 @@ def test_free_dims_vs_necklace_oracle():
 def test_bracket_table_properties():
     fl = free_lie(5)
     for w in fl.by_degree(2):
-        assert fl.bracket_in_basis(w, w) == set() or True  # [x, x] cannot appear
-    # [x, x] = 0 in the expansion
-    assert fl.express(tree_poly((1, 1)), 2) == set() or tree_poly((1, 1)) == frozenset()
+        assert fl.bracket_in_basis(w, w) == set()  # [w, w] = 0
+    # [x, x] = 0 as a Lie polynomial and in the basis
+    assert tree_poly((1, 1)) == frozenset()
+    assert fl.express(frozenset(), 2) == set()
     # degree additivity of table entries
     for w1 in fl.by_degree(1):
         for w2 in fl.by_degree(2):
