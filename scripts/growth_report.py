@@ -10,13 +10,14 @@ empirical enveloping-algebra exponent against theta ~ 0.5902.
 from __future__ import annotations
 
 import argparse
-import math
 
-from fiblie.grading import count_weights_at_most, lambda_power, weight_growth_levels
+from fiblie.grading import (
+    LOG_LAMBDA_2,
+    count_weights_at_most,
+    lambda_power,
+    weight_growth_levels,
+)
 from fiblie.series import THETA, enveloping_growth_report
-
-LAMBDA = (1 + 5**0.5) / 2
-THETA_PRIME = math.log(2) / math.log(LAMBDA)
 
 
 def main() -> None:
@@ -31,8 +32,8 @@ def main() -> None:
         gx = count_weights_at_most(weight_growth_levels(x), x)
         y = lambda_power(n) + lambda_power(n - 2)
         gy = count_weights_at_most(weight_growth_levels(y), y)
-        rx = gx / float(x) ** THETA_PRIME
-        ry = gy / float(y) ** THETA_PRIME
+        rx = gx / float(x) ** LOG_LAMBDA_2
+        ry = gy / float(y) ** LOG_LAMBDA_2
         print(f"{n:2d}  {rx:18.6f}   {ry:16.6f}")
     print()
     report = enveloping_growth_report(args.envelope_degree)

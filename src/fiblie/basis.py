@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Literal
 
 from .core import (
+    LIMITS,
     Element,
     FibLieError,
+    IndexCeilingError,
     InputError,
     Monomial,
     bracket,
@@ -45,8 +47,6 @@ class BasisLevel:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InputError("level index must be >= 1")
-        from .core import IndexCeilingError, LIMITS
-
         if tail_width(self.n) > LIMITS.index_ceiling:
             raise IndexCeilingError(
                 f"level {self.n} needs t-indices beyond ceiling {LIMITS.index_ceiling}"

@@ -20,7 +20,7 @@ from . import expr, figures, homology as homology_mod, nil as nil_mod
 from . import presentation as pres_mod
 from . import series as series_mod
 from . import verify as verify_mod
-from .core import FibLieError, InputError, format_element, format_ring_monomial
+from .core import FibLieError, InputError, bracket, format_element, format_ring_monomial
 from .grading import gr, weight
 
 
@@ -61,8 +61,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
-    from .core import bracket
-
     left = expr.eval_text(args.left)
     right = expr.eval_text(args.right)
     print(format_element(bracket(left, right)))

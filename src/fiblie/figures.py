@@ -14,9 +14,7 @@ from pathlib import Path
 from . import series
 from .basis import colour, enumerate_W, enumerate_W_upto
 from .core import format_ring_monomial
-from .grading import gr, weight
-
-PHI = (1 + 5**0.5) / 2
+from .grading import LAMBDA_FLOAT, gr, weight
 
 
 @dataclass
@@ -94,8 +92,8 @@ def figure1(max_n: int, outdir: Path) -> FigureFiles:
             cell[1 if c == "blue" else 0] += 1
     rows = []
     for (a, b), (green, blue) in sorted(cells.items()):
-        wt = a * PHI + b * PHI**2
-        swt = -a / PHI + b / PHI**2
+        wt = a * LAMBDA_FLOAT + b * LAMBDA_FLOAT**2
+        swt = -a / LAMBDA_FLOAT + b / LAMBDA_FLOAT**2
         rows.append([a, b, green + blue, green, blue, int((a, b) in pivots), wt, swt])
     csv_path = outdir / "fig1.csv"
     _write_csv(csv_path, ["a", "b", "count", "green", "blue", "pivot", "wt", "swt"], rows)
@@ -105,8 +103,8 @@ def figure1(max_n: int, outdir: Path) -> FigureFiles:
         pts.append((float(a), float(b), 2.0 * math.sqrt(count), fill))
     amax = max(r[0] for r in rows)
     strip_lines = [
-        (0.0, -(PHI**3), float(amax), PHI * amax - PHI**3, "red"),
-        (0.0, PHI**2, float(amax), PHI * amax + PHI**2, "red"),
+        (0.0, -(LAMBDA_FLOAT**3), float(amax), LAMBDA_FLOAT * amax - LAMBDA_FLOAT**3, "red"),
+        (0.0, LAMBDA_FLOAT**2, float(amax), LAMBDA_FLOAT * amax + LAMBDA_FLOAT**2, "red"),
     ]
     svg_path = outdir / "fig1.svg"
     _svg_scatter(svg_path, pts, strip_lines)
@@ -125,12 +123,12 @@ def figure2(n: int, outdir: Path) -> FigureFiles:
     csv_path = outdir / "fig2.csv"
     _write_csv(csv_path, ["tail", "pivot", "a", "b", "xi", "eta"], rows)
     pts = [(r[4], r[5], 1.6, "rgb(40,90,200)") for r in rows]
-    lo, hi = PHI ** (n - 1), PHI**n
+    lo, hi = LAMBDA_FLOAT ** (n - 1), LAMBDA_FLOAT**n
     border = [
-        (lo, -PHI, hi, -PHI, "red"),
+        (lo, -LAMBDA_FLOAT, hi, -LAMBDA_FLOAT, "red"),
         (lo, 1.0, hi, 1.0, "red"),
-        (lo, -PHI, lo, 1.0, "red"),
-        (hi, -PHI, hi, 1.0, "red"),
+        (lo, -LAMBDA_FLOAT, lo, 1.0, "red"),
+        (hi, -LAMBDA_FLOAT, hi, 1.0, "red"),
     ]
     svg_path = outdir / "fig2.svg"
     _svg_scatter(svg_path, pts, border)
@@ -142,7 +140,7 @@ def figure3(max_n: int, outdir: Path) -> FigureFiles:
     rows = []
     for level in enumerate_W_upto(max_n):
         n = level.n
-        lo, hi = PHI ** (n - 1), PHI**n
+        lo, hi = LAMBDA_FLOAT ** (n - 1), LAMBDA_FLOAT**n
         for m in level:
             wv = weight(m)
             u = (float(wv.wt) - lo) / (hi - lo)
@@ -151,7 +149,7 @@ def figure3(max_n: int, outdir: Path) -> FigureFiles:
     _write_csv(csv_path, ["length", "tail", "pivot", "u", "eta"], rows)
     pts = [(r[3], r[4], 1.4, "rgb(40,90,200)") for r in rows]
     border = [
-        (0.0, -PHI, 1.0, -PHI, "red"),
+        (0.0, -LAMBDA_FLOAT, 1.0, -LAMBDA_FLOAT, "red"),
         (0.0, 1.0, 1.0, 1.0, "red"),
     ]
     svg_path = outdir / "fig3.svg"
@@ -173,8 +171,8 @@ def figure4(degree: int, outdir: Path) -> FigureFiles:
     ]
     amax = max((r[0] for r in rows), default=1)
     strip_lines = [
-        (0.0, -(PHI**3), float(amax), PHI * amax - PHI**3, "red"),
-        (0.0, PHI**2, float(amax), PHI * amax + PHI**2, "red"),
+        (0.0, -(LAMBDA_FLOAT**3), float(amax), LAMBDA_FLOAT * amax - LAMBDA_FLOAT**3, "red"),
+        (0.0, LAMBDA_FLOAT**2, float(amax), LAMBDA_FLOAT * amax + LAMBDA_FLOAT**2, "red"),
     ]
     svg_path = outdir / "fig4.svg"
     _svg_scatter(svg_path, pts, strip_lines)

@@ -9,12 +9,21 @@ Floats appear only in growth-exponent diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from functools import lru_cache
+from itertools import chain
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from .core import FibLieError, InputError, Monomial, ring_indices
+from .core import (
+    LIMITS,
+    FibLieError,
+    InputError,
+    Monomial,
+    MonomialLimitError,
+    ring_indices,
+)
 from . import basis as basis_mod
 
 
@@ -25,6 +34,9 @@ class ZeroSignError(FibLieError):
 class LevelCeilingError(FibLieError):
     """Enumeration hit its level ceiling before reaching the threshold."""
 
+
+LAMBDA_FLOAT = (1 + 5**0.5) / 2
+LOG_LAMBDA_2 = math.log(2) / math.log(LAMBDA_FLOAT)  # ~ 1.44042
 
 _FIB: list[int] = [0, 1]
 
@@ -40,6 +52,21 @@ def fib(k: int) -> int:
     while len(_FIB) <= k:
         _FIB.append(_FIB[-1] + _FIB[-2])
     return _FIB[k]
+
+
+def golden_sign(a: int, b: int) -> int:
+    """Exact sign of a + b*lambda."""
+    p = 2 * a + b
+    q = b
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if q > 0:
+        if p >= 0:
+            return 1
+        return (5 * q * q > p * p) - (5 * q * q < p * p)
+    if p <= 0:
+        return -1
+    return (p * p > 5 * q * q) - (p * p < 5 * q * q)
 
 
 @dataclass(frozen=True, order=False)
@@ -71,17 +98,7 @@ class GoldenInt:
         return GoldenInt(self.a + self.b, -self.b)
 
     def sign(self) -> int:
-        p = 2 * self.a + self.b
-        q = self.b
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if q > 0:
-            if p >= 0:
-                return 1
-            return (5 * q * q > p * p) - (5 * q * q < p * p)
-        if p <= 0:
-            return -1
-        return (p * p > 5 * q * q) - (p * p < 5 * q * q)
+        return golden_sign(self.a, self.b)
 
     def __lt__(self, other: "GoldenInt") -> bool:
         return (self - other).sign() < 0
@@ -214,110 +231,67 @@ def degree_growth(series, upto: int) -> dict[int, int]:
     return {n: series.coeffs.get(n, 0) for n in range(1, upto + 1)}
 
 
-# --- vectorised per-level scans (exact int64 arithmetic) --------------------
+# --- per-level scans over the multidegree fold --------------------------------
 #
-# Exhaustive checks over W_{<=24} touch ~4 million monomials; these helpers
-# reproduce gr()/weight() per level as numpy int64 arrays in tail-mask order.
-# All quantities stay far below 2^63 for levels <= 40 (checked, FibLieError
-# otherwise), so the arithmetic, and in particular the sign test, remains exact.
-
-_INT64_SAFE = 1 << 30
+# wt = b + (a+b)*lambda and swt = (a+2b) - (a+b)*lambda depend on a monomial
+# only through its multidegree (a, b), so each scan tests every distinct
+# multidegree of W_n once and weighs it by its count.
 
 
-def _check_int64_safe(magnitude: int) -> None:
-    if magnitude >= _INT64_SAFE:
-        raise FibLieError(f"magnitude {magnitude} leaves the exact int64 range (< 2^30)")
-
-
-_LEVEL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_LEVEL_CACHE_MAX = 21  # levels above this are large; computed on demand
-
-
-def level_multidegree_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _LEVEL_CACHE.get(n)
-    if cached is not None:
-        return cached
-    width = basis_mod.tail_width(n)
-    pa, pb = gr_pivot(n)
-    _check_int64_safe(abs(pa) + abs(pb))
-    size = 1 << width
-    masks = np.arange(size, dtype=np.int64)
-    a = np.full(size, pa, dtype=np.int64)
-    b = np.full(size, pb, dtype=np.int64)
-    for j in range(width):
-        bit = (masks >> j) & 1
+@lru_cache(maxsize=32)
+def level_multidegree_counts(n: int) -> Mapping[tuple[int, int], int]:
+    """Multidegree distribution of W_n (subset-sum fold over tail factors);
+    W_n has F_n - 1 distinct multidegrees for n >= 3."""
+    if fib(n) > LIMITS.monomial_limit:
+        raise MonomialLimitError(
+            f"level {n} folds into up to F_{n} = {fib(n)} multidegrees "
+            f"(cap {LIMITS.monomial_limit})"
+        )
+    dd: dict[tuple[int, int], int] = {tuple(gr_pivot(n)): 1}
+    for j in range(basis_mod.tail_width(n)):
         ta, tb = gr_tail(j)
-        a += bit * ta
-        b += bit * tb
-    if n <= _LEVEL_CACHE_MAX:
-        _LEVEL_CACHE[n] = (a, b)
-    return a, b
-
-
-def weight_pairs_from_multidegree(
-    a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(wt, swt) as GoldenInt pairs: wt = y + (x+y)L, swt = (x+2y) - (x+y)L."""
-    wt_a, wt_b = b, a + b
-    swt_a, swt_b = a + 2 * b, -(a + b)
-    return wt_a, wt_b, swt_a, swt_b
-
-
-def golden_sign_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact sign of a + b*lambda, elementwise."""
-    p = 2 * a + b
-    q = b
-    _check_int64_safe(max(int(np.abs(p).max(initial=0)), int(np.abs(q).max(initial=0))))
-    d = p * p - 5 * q * q
-    out = np.zeros(a.shape, dtype=np.int64)
-    qpos = q > 0
-    qneg = q < 0
-    qzero = q == 0
-    out[qzero] = np.sign(p[qzero])
-    out[qpos & (p >= 0)] = 1
-    sel = qpos & (p < 0)
-    out[sel] = -np.sign(d[sel])
-    out[qneg & (p <= 0)] = -1
-    sel = qneg & (p > 0)
-    out[sel] = np.sign(d[sel])
-    return out
+        nd = dict(dd)
+        for (a, b), c in dd.items():
+            key = (a + ta, b + tb)
+            nd[key] = nd.get(key, 0) + c
+        dd = nd
+    return MappingProxyType(dd)
 
 
 def level_strip_violations(n: int, kind: basis_mod.Kind = "lie") -> int:
     """Count of level-n basis monomials outside -lambda < swt < 1 (exact)."""
-    a, b = level_multidegree_arrays(n)
+    counts = level_multidegree_counts(n).items()
     if kind == "restricted" and n >= 3:
-        sq = Monomial(n, 1 << (n - 3))
-        sa, sb = gr(sq)
-        a = np.concatenate([a, np.array([sa], dtype=np.int64)])
-        b = np.concatenate([b, np.array([sb], dtype=np.int64)])
-    _, _, sa_, sb_ = weight_pairs_from_multidegree(a, b)
-    # swt + lambda > 0  and  swt - 1 < 0
-    low = golden_sign_array(sa_, sb_ + 1)
-    high = golden_sign_array(sa_ - 1, sb_)
-    return int(np.count_nonzero((low <= 0) | (high >= 0)))
+        counts = chain(counts, [(gr(Monomial(n, 1 << (n - 3))), 1)])
+    return sum(
+        c
+        for (a, b), c in counts
+        # swt + lambda > 0  and  swt - 1 < 0
+        if golden_sign(a + 2 * b, 1 - a - b) <= 0
+        or golden_sign(a + 2 * b - 1, -a - b) >= 0
+    )
 
 
 def level_rectangle_violations(n: int) -> int:
     """Count of W_n monomials outside lambda^(n-1) < wt <= lambda^n (exact)."""
-    a, b = level_multidegree_arrays(n)
-    wa, wb, _, _ = weight_pairs_from_multidegree(a, b)
     lo = lambda_power(n - 1)
     hi = lambda_power(n)
-    above_lo = golden_sign_array(wa - lo.a, wb - lo.b)
-    below_hi = golden_sign_array(wa - hi.a, wb - hi.b)
-    return int(np.count_nonzero((above_lo <= 0) | (below_hi > 0)))
+    return sum(
+        c
+        for (a, b), c in level_multidegree_counts(n).items()
+        if golden_sign(b - lo.a, a + b - lo.b) <= 0
+        or golden_sign(b - hi.a, a + b - hi.b) > 0
+    )
 
 
 def count_weights_at_most(levels: Sequence[int], x: GoldenInt) -> int:
     """Exhaustive exact count of W-monomials with wt <= x over given levels."""
-    total = 0
-    for n in levels:
-        a, b = level_multidegree_arrays(n)
-        wa, wb, _, _ = weight_pairs_from_multidegree(a, b)
-        sgn = golden_sign_array(wa - x.a, wb - x.b)
-        total += int(np.count_nonzero(sgn <= 0))
-    return total
+    return sum(
+        c
+        for n in levels
+        for (a, b), c in level_multidegree_counts(n).items()
+        if golden_sign(b - x.a, a + b - x.b) <= 0
+    )
 
 
 def weight_growth_levels(x: GoldenInt, max_level: int = 64) -> list[int]:

@@ -10,6 +10,7 @@ are 1 and repeated wedge factors vanish.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,6 +20,7 @@ from .core import Element, InputError, Monomial, bracket
 from .grading import (
     GoldenInt,
     LAMBDA,
+    LAMBDA_FLOAT,
     Multidegree,
     gr,
     lambda_power,
@@ -172,6 +174,8 @@ def inside_homology_strip(n: int, a: int, b: int) -> bool:
 
 def homology_table(frontier: int, n_values: tuple[int, ...] | None = None) -> HomologyTable:
     """dim H_{n,(a,b)} for a+b <= frontier, scanning the homology strip."""
+    if frontier < 0:
+        raise InputError("the total-degree frontier must be >= 0")
     entries: dict[tuple[int, int, int], int] = {}
     for d in range(frontier + 1):
         for a in range(d + 1):
@@ -234,16 +238,13 @@ def paraboloid_report(
     """Envelope of nonzero entries in weight coordinates against
     |eta| < C xi^theta, theta ~ 0.5902.  The constant is unspecified in
     theory, so only the fitted exponent is reported."""
-    import math
-
-    phi = (1 + 5**0.5) / 2
     pts = []
     for key, val in entries.items():
         if val == 0:
             continue
         a, b = (key[-2], key[-1])
-        xi = a * phi + b * phi**2
-        eta = -a / phi + b / phi**2
+        xi = a * LAMBDA_FLOAT + b * LAMBDA_FLOAT**2
+        eta = -a / LAMBDA_FLOAT + b / LAMBDA_FLOAT**2
         if xi > 0:
             pts.append((xi, eta))
     theta = series.THETA

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    LIMITS,
     Element,
     FibLieError,
     InputError,
@@ -22,8 +23,8 @@ from .core import (
     monomial,
     square,
 )
+from .grading import LAMBDA_FLOAT
 
-LAMBDA_FLOAT = (1 + 5**0.5) / 2
 # N < C (m - n + 1) while a^(2^N) != 0, and exponent < C1 * senior-index
 EST_LOW_C = math.log(LAMBDA_FLOAT) / math.log(LAMBDA_FLOAT**2 / 2)  # ~ 1.787
 EST_UP_C1 = math.log(LAMBDA_FLOAT) / math.log(2 / LAMBDA_FLOAT)  # ~ 2.27
@@ -52,8 +53,6 @@ class NilReport:
 
 def nil_index(e: Element, cap: int = 64, limit: int | None = None) -> NilReport:
     """Minimal N with e^(2^N) = 0, by iterated squaring."""
-    from .core import LIMITS
-
     if not e:
         raise InputError("nil index of the zero element is undefined")
     if not is_basis_element(e):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Literal
 
 from .core import FibLieError, InputError
-from .grading import fib, gr_pivot, gr_tail
+from .grading import fib, gr_pivot, level_multidegree_counts
 
 Kind = Literal["lie", "restricted"]
 
@@ -36,6 +36,8 @@ class LatticeSeries:
     bound: int = 0
 
     def __post_init__(self) -> None:
+        if self.bound < 0:
+            raise InputError(f"truncation degree must be >= 0, got {self.bound}")
         self.coeffs = {
             k: c for k, c in self.coeffs.items() if c != 0 and k[0] + k[1] <= self.bound
         }
@@ -98,6 +100,8 @@ class OneVarSeries:
     bound: int = 0
 
     def __post_init__(self) -> None:
+        if self.bound < 0:
+            raise InputError(f"truncation degree must be >= 0, got {self.bound}")
         self.coeffs = {n: c for n, c in self.coeffs.items() if c != 0 and n <= self.bound}
 
     def __getitem__(self, n: int) -> int:
@@ -113,19 +117,6 @@ class OneVarSeries:
 
 
 # --- per-level degree data ---------------------------------------------------
-
-
-def level_multidegree_counts(n: int) -> dict[tuple[int, int], int]:
-    """Multidegree distribution of W_n (subset-sum fold over tail factors)."""
-    dd: dict[tuple[int, int], int] = {tuple(gr_pivot(n)): 1}
-    for j in range(max(n - 3, 0)):
-        ta, tb = gr_tail(j)
-        nd = dict(dd)
-        for (a, b), c in dd.items():
-            key = (a + ta, b + tb)
-            nd[key] = nd.get(key, 0) + c
-        dd = nd
-    return dd
 
 
 def square_multidegree(n: int) -> tuple[int, int]:
@@ -162,6 +153,8 @@ def levels_for_degree(degree: int, kind: Kind = "lie", max_level: int = 90) -> l
 
 def hilbert_enumerated(upto: int, kind: Kind = "lie", bound: int = 40) -> LatticeSeries:
     """Coefficient at (a,b): number of basis monomials of W_{<=upto} there."""
+    if upto < 1:
+        raise InputError("W_{<=n} needs n >= 1")
     out: dict[tuple[int, int], int] = {}
     for n in range(1, upto + 1):
         if min_level_degree(n) <= bound:
@@ -177,7 +170,8 @@ def hilbert_enumerated(upto: int, kind: Kind = "lie", bound: int = 40) -> Lattic
 
 def hilbert_lie(bound: int = 40, kind: Kind = "lie") -> LatticeSeries:
     """Hilbert series of the whole algebra, exact through the bound."""
-    deep = max(levels_for_degree(bound, kind), default=0)
+    # no level reaches degree 0, and W_{<=1} adds nothing there
+    deep = max(levels_for_degree(bound, kind), default=1)
     return hilbert_enumerated(deep, kind, bound)
 
 
@@ -372,7 +366,6 @@ def euler_inverse_check(bound: int = 40) -> bool:
 # --- growth diagnostics -------------------------------------------------------
 
 THETA = math.log(2) / math.log(1 + 5**0.5)  # lambda/(lambda+1) ~ 0.5902
-LOG_LAMBDA_2 = math.log(2) / math.log((1 + 5**0.5) / 2)  # ~ 1.44042
 
 
 @dataclass
@@ -392,6 +385,9 @@ class EnvelopingGrowthReport:
 def enveloping_growth_report(bound: int = 120) -> EnvelopingGrowthReport:
     """Partial sums of dim U(L) by degree and the empirical exponent
     ln ln gamma / ln n against theta ~ 0.5902.  Diagnostic only."""
+    if bound < 6:
+        # the smallest PBW witness degree is 2^(4-3) F_4 = 6
+        raise InputError("the enveloping growth report needs degree >= 6")
     h_u = e_operator_1var(hilbert_one_var(bound))
     gamma = h_u.partial_sums()
     theta_hat = []

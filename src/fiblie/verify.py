@@ -20,12 +20,27 @@ from . import homology as homology_mod
 from . import nil as nil_mod
 from . import presentation as pres_mod
 from . import series as series_mod
-from .core import Element, Monomial, ZERO, bracket, element, power_2k, square, v
+from .core import (
+    Element,
+    Monomial,
+    ZERO,
+    bracket,
+    element,
+    is_basis_monomial,
+    power_2k,
+    square,
+    v,
+)
 from .grading import (
     GoldenInt,
     LAMBDA,
+    LAMBDA_FLOAT,
+    LOG_LAMBDA_2,
     count_weights_at_most,
+    degree_growth,
+    fib,
     lambda_power,
+    level_multidegree_counts,
     level_rectangle_violations,
     level_strip_violations,
     local_nilpotency_bound,
@@ -33,9 +48,6 @@ from .grading import (
     weight,
     weight_growth_levels,
 )
-
-LAMBDA_F = (1 + 5**0.5) / 2
-THETA_PRIME = math.log(2) / math.log(LAMBDA_F)  # log_lambda 2 ~ 1.44042
 
 _DEFAULT_SEED = 20240
 
@@ -71,15 +83,13 @@ def criterion_basis_counts() -> CheckResult:
             if count != 1 << (n - 3):
                 return False, f"|W_{n}| = {count}, expected {1 << (n - 3)}"
             # independent count: the subset-sum fold over the tail factors
-            folded = sum(series_mod.level_multidegree_counts(n).values())
+            folded = sum(level_multidegree_counts(n).values())
             if folded != 1 << (n - 3):
                 return False, f"multidegree fold of W_{n} counts {folded}"
             extra = len(basis_mod.enumerate_W(n, "restricted")) - count
             if extra != 1:
                 return False, f"|W~_{n}| - |W_{n}| = {extra}, expected 1"
             if n <= 14:
-                from .core import is_basis_monomial
-
                 for m in basis_mod.enumerate_W(n):
                     if is_basis_monomial(m) != "standard":
                         return False, f"non-standard monomial enumerated: {m}"
@@ -242,13 +252,11 @@ def criterion_growth() -> CheckResult:
         levels_1000 = weight_growth_levels(GoldenInt(1002, 0))
         for t in range(2, 1002):
             got = count_weights_at_most(levels_1000, GoldenInt(t, 0))
-            low = t**THETA_PRIME / 8
-            high = 1 + t**THETA_PRIME / 2
+            low = t**LOG_LAMBDA_2 / 8
+            high = 1 + t**LOG_LAMBDA_2 / 2
             if not low <= got <= high:
                 return False, f"sandwich failed at threshold {t}: {got}"
         # s(F_n) = s(F_n + 1) = 2 under F_1 = F_2 = 1
-        from .grading import degree_growth, fib
-
         s_table = degree_growth(series_mod.hilbert_one_var(fib(20) + 1), fib(20) + 1)
         for n in range(4, 21):
             if s_table[fib(n)] != 2 or s_table[fib(n) + 1] != 2:
@@ -257,7 +265,7 @@ def criterion_growth() -> CheckResult:
                     f"s(F_{n}), s(F_{n}+1) = {s_table[fib(n)]}, {s_table[fib(n) + 1]}",
                 )
         # the two witness sequences of the no-limit argument
-        c_const = 13 / 2 ** (1 + math.log(LAMBDA_F**2 + 1, LAMBDA_F))
+        c_const = 13 / 2 ** (1 + math.log(LAMBDA_FLOAT**2 + 1, LAMBDA_FLOAT))
         if abs(c_const - 1.0197) > 1e-3:
             return False, f"witness constant C = {c_const}, expected ~1.0197"
         for n in range(7, 19):
@@ -270,7 +278,7 @@ def criterion_growth() -> CheckResult:
             expected_floor = 1 + (1 << (n - 2)) + (1 << (n - 3)) + (1 << (n - 5))
             if gy < expected_floor:
                 return False, f"second witness count {gy} < {expected_floor} at n = {n}"
-            if not gy > (c_const / 4) * float(y) ** THETA_PRIME:
+            if not gy > (c_const / 4) * float(y) ** LOG_LAMBDA_2:
                 return False, f"second witness bound failed at n = {n}"
         return True, "lambda-power counts, 1000-threshold sandwich, s(F_n) = 2, witnesses"
 

@@ -157,6 +157,12 @@ def test_closed_pipe_exits_without_traceback():
         ("basis", "--max-n", "0"),
         ("presentation", "--max-degree", "0"),
         ("hilbert", "--method", "recursive", "--upto", "1"),
+        ("envelope", "--growth", "--degree", "5"),
+        ("euler", "--degree", "-1"),
+        ("hilbert", "--degree", "-1"),
+        ("envelope", "--degree", "-1"),
+        ("hilbert", "--upto", "-3"),
+        ("homology", "--max-total-degree", "-1"),
     ],
 )
 def test_input_errors_exit_2_without_traceback(argv):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fiblie.basis import enumerate_W, enumerate_W_upto
 from fiblie.core import FibLieError, ZERO, bracket, element, monomial, parse_element
 from fiblie.grading import (
+    GOLDEN_ONE,
     GoldenInt,
     LAMBDA,
     LevelCeilingError,
@@ -17,10 +18,12 @@ from fiblie.grading import (
     count_weights_at_most,
     degree_growth,
     fib,
-    golden_sign_array,
+    golden_sign,
     gr,
     lambda_power,
-    level_multidegree_arrays,
+    level_multidegree_counts,
+    level_rectangle_violations,
+    level_strip_violations,
     local_nilpotency_bound,
     parse_golden,
     sign_split,
@@ -28,7 +31,6 @@ from fiblie.grading import (
     weight,
     weight_coords,
     weight_growth_levels,
-    weight_pairs_from_multidegree,
 )
 
 golden_ints = st.builds(
@@ -58,13 +60,12 @@ def test_golden_sign_float80_oracle():
     rng = np.random.default_rng(991)
     a = rng.integers(-(10**6), 10**6, size=1_000_000)
     b = rng.integers(-(10**6), 10**6, size=1_000_000)
-    exact = golden_sign_array(a, b)
     phi = (np.longdouble(1) + np.sqrt(np.longdouble(5))) / 2
     approx = np.sign(a.astype(np.longdouble) + b.astype(np.longdouble) * phi)
-    assert np.array_equal(exact, approx.astype(np.int64))
-    # the scalar implementation agrees with the vector one
+    exact = [golden_sign(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert exact == approx.astype(np.int64).tolist()
     for i in range(0, 1_000_000, 9973):
-        assert GoldenInt(int(a[i]), int(b[i])).sign() == int(exact[i])
+        assert GoldenInt(int(a[i]), int(b[i])).sign() == exact[i]
 
 
 def test_lambda_powers_and_parse():
@@ -169,31 +170,32 @@ def test_weight_growth_examples():
     assert weight_growth(lambda_power(4), "restricted") > weight_growth(lambda_power(4))
 
 
-def test_vectorised_counts_match_scalar():
-    for x in (lambda_power(5), GoldenInt(30, 0), GoldenInt(7, 3)):
-        levels = weight_growth_levels(x)
-        assert count_weights_at_most(levels, x) == weight_growth(x)
+def test_weight_counts_match_scalar():
+    # the thresholds lambda^n are attained weights, so `<` for `<=` shows
+    thresholds = [lambda_power(5), GoldenInt(7, 3)]
+    thresholds += [lambda_power(n) for n in range(13)]
+    thresholds += [lambda_power(n) - GOLDEN_ONE for n in range(13)]
+    thresholds += [GoldenInt(t, 0) for t in range(101)]
+    for x in thresholds:
+        assert count_weights_at_most(weight_growth_levels(x), x) == weight_growth(x), x
 
 
-def test_oversized_weights_raise_instead_of_overflowing():
+def test_oversized_weights_are_counted_exactly():
+    # Python ints have no range to leave: the count past 2^63 stays exact
+    assert count_weights_at_most([5], GoldenInt(1 << 70, 0)) == 4
+    # level 45 folds into F_45 - 1 multidegrees: the cap must stop it at once
     with pytest.raises(FibLieError):
-        count_weights_at_most([5], GoldenInt(1 << 40, 0))
-    with pytest.raises(FibLieError):
-        golden_sign_array(np.array([1 << 30]), np.array([0]))
-    # level 45 has 2^42 monomials: the range check must come before allocation
-    with pytest.raises(FibLieError):
-        level_multidegree_arrays(45)
+        level_multidegree_counts(45)
 
 
-def test_level_arrays_match_scalar_gr():
-    a, b = level_multidegree_arrays(8)
-    for i, m in enumerate(enumerate_W(8)):
-        assert (int(a[i]), int(b[i])) == tuple(gr(m))
-    wa, wb, sa, sb = weight_pairs_from_multidegree(a, b)
-    for i, m in enumerate(enumerate_W(8)):
-        wv = weight(m)
-        assert (int(wa[i]), int(wb[i])) == (wv.wt.a, wv.wt.b)
-        assert (int(sa[i]), int(sb[i])) == (wv.swt.a, wv.swt.b)
+def test_level_scans_match_scalar_counts():
+    for n in range(1, 13):
+        for kind in ("lie", "restricted"):
+            outside = sum(not strip_check(m) for m in enumerate_W(n, kind))
+            assert level_strip_violations(n, kind) == outside
+        lo, hi = lambda_power(n - 1), lambda_power(n)
+        outside = sum(not lo < weight(m).wt <= hi for m in enumerate_W(n))
+        assert level_rectangle_violations(n) == outside
 
 
 def test_level_stratification():

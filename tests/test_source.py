@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import fiblie
@@ -34,3 +35,21 @@ def _raises_value_error(node) -> bool:
 def test_package_raises_no_bare_value_error():
     # the CLI turns FibLieError into exit 2; InputError is also a ValueError
     assert _nodes(_raises_value_error) == []
+
+
+def test_package_imports_only_stdlib_at_module_level():
+    # fiblie has no runtime dependency, and no import hides inside a function
+    allowed = sys.stdlib_module_names | {"fiblie"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = [] if node.level else [node.module.split(".")[0]]
+            else:
+                continue
+            if node not in tree.body or not allowed.issuperset(roots):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
