@@ -19,9 +19,8 @@ from .core import (
     IndexCeilingError,
     InputError,
     Monomial,
-    bracket,
+    bracket_monomials,
     is_basis_monomial,
-    v,
 )
 
 Kind = Literal["lie", "restricted"]
@@ -96,15 +95,13 @@ def build_W_recursive(n: int) -> set[Monomial]:
     if n < 3:
         raise InputError("recursive construction starts at level 3")
     out: set[Monomial] = set()
-    lower = v(n - 1)
-    adder = v(n - 2)
+    gens = (Monomial(n - 1, 0), Monomial(n - 2, 0))
     for m in enumerate_W(n):
-        w = Element(frozenset({m}))
-        for gen in (lower, adder):
-            res = bracket(gen, w)
+        for gen in gens:
+            res = bracket_monomials(gen, m)
             if len(res) != 1:
-                raise BasisFormError(f"bracket of v with {m} is not a monomial: {res}")
-            out.update(res.monomials)
+                raise BasisFormError(f"bracket of v with {m} is not a monomial: {Element(res)}")
+            out.update(res)
     return out
 
 

@@ -259,6 +259,13 @@ def _bracket_mono(m1: Monomial, m2: Monomial, acc: set[Monomial]) -> None:
             _toggle(acc, Monomial(j + 1, pmask | rs))
 
 
+def bracket_monomials(m1: Monomial, m2: Monomial) -> frozenset[Monomial]:
+    """[m1, m2] as a set of monomials, without wrapping either in an Element."""
+    acc: set[Monomial] = set()
+    _bracket_mono(m1, m2, acc)
+    return frozenset(acc)
+
+
 def bracket(e1: Element, e2: Element) -> Element:
     """Lie bracket, bilinear over the monomials of both arguments."""
     acc: set[Monomial] = set()

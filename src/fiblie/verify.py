@@ -1,5 +1,6 @@
-"""Named verification suites: one function per acceptance criterion,
-shared by the CLI ``verify`` subcommand and the acceptance test module.
+"""Named verification suites: one check per acceptance criterion, shared by
+the CLI ``verify`` subcommand and the acceptance test module.  A check takes
+no arguments and returns ``(ok, detail)``; ``run_suites`` times it.
 
 Every check is exact unless stated otherwise; the only floating-point
 gates are the documented constants (tolerance 1e-3) and the two growth
@@ -25,6 +26,7 @@ from .core import (
     Monomial,
     ZERO,
     bracket,
+    bracket_monomials,
     element,
     is_basis_monomial,
     power_2k,
@@ -67,62 +69,52 @@ class CheckResult:
     diagnostic: bool = False
 
 
-def _timed(name: str, fn: Callable[[], tuple[bool, str]], diagnostic: bool = False) -> CheckResult:
-    start = time.perf_counter()
-    ok, detail = fn()
-    return CheckResult(name, ok, detail, time.perf_counter() - start, diagnostic)
+def _monomials_upto(n: int, kind: basis_mod.Kind = "lie") -> list[Monomial]:
+    """The basis monomials of levels 1..n in one list."""
+    return [m for level in basis_mod.enumerate_W_upto(n, kind) for m in level]
 
 
 # --- criterion 1: basis counts ------------------------------------------------
 
 
-def criterion_basis_counts() -> CheckResult:
-    def run() -> tuple[bool, str]:
-        for n in range(3, 25):
-            count = len(basis_mod.enumerate_W(n))
-            if count != 1 << (n - 3):
-                return False, f"|W_{n}| = {count}, expected {1 << (n - 3)}"
-            # independent count: the subset-sum fold over the tail factors
-            folded = sum(level_multidegree_counts(n).values())
-            if folded != 1 << (n - 3):
-                return False, f"multidegree fold of W_{n} counts {folded}"
-            extra = len(basis_mod.enumerate_W(n, "restricted")) - count
-            if extra != 1:
-                return False, f"|W~_{n}| - |W_{n}| = {extra}, expected 1"
-            if n <= 14:
-                for m in basis_mod.enumerate_W(n):
-                    if is_basis_monomial(m) != "standard":
-                        return False, f"non-standard monomial enumerated: {m}"
-        return True, "|W_n| = 2^(n-3) and |W~_n| = |W_n|+1 for n = 3..24"
-
-    return _timed("01-basis-counts", run)
+def criterion_basis_counts() -> tuple[bool, str]:
+    for n in range(3, 25):
+        count = len(basis_mod.enumerate_W(n))
+        if count != 1 << (n - 3):
+            return False, f"|W_{n}| = {count}, expected {1 << (n - 3)}"
+        # independent count: the subset-sum fold over the tail factors
+        folded = sum(level_multidegree_counts(n).values())
+        if folded != 1 << (n - 3):
+            return False, f"multidegree fold of W_{n} counts {folded}"
+        extra = len(basis_mod.enumerate_W(n, "restricted")) - count
+        if extra != 1:
+            return False, f"|W~_{n}| - |W_{n}| = {extra}, expected 1"
+        if n <= 14:
+            for m in basis_mod.enumerate_W(n):
+                if is_basis_monomial(m) != "standard":
+                    return False, f"non-standard monomial enumerated: {m}"
+    return True, "|W_n| = 2^(n-3) and |W~_n| = |W_n|+1 for n = 3..24"
 
 
 # --- criterion 2: recursive construction --------------------------------------
 
 
-def criterion_recursive_basis() -> CheckResult:
-    def run() -> tuple[bool, str]:
-        for n in range(3, 21):
-            built = basis_mod.build_W_recursive(n)
-            direct = set(basis_mod.enumerate_W(n + 1))
-            if built != direct:
-                return False, f"mismatch constructing W_{n + 1}"
-        return True, "[v_{n-1},W_n] + [v_{n-2},W_n] = W_{n+1} for n = 3..20"
-
-    return _timed("02-recursive-basis", run)
+def criterion_recursive_basis() -> tuple[bool, str]:
+    for n in range(3, 21):
+        built = basis_mod.build_W_recursive(n)
+        direct = set(basis_mod.enumerate_W(n + 1))
+        if built != direct:
+            return False, f"mismatch constructing W_{n + 1}"
+    return True, "[v_{n-1},W_n] + [v_{n-2},W_n] = W_{n+1} for n = 3..20"
 
 
 # --- criterion 3: relations ---------------------------------------------------
 
 
-def criterion_relations() -> CheckResult:
-    def run() -> tuple[bool, str]:
-        if not pres_mod.relation_shifts_check(10):
-            return False, "a relation or shift failed to vanish"
-        return True, "three relations, v_1^4, and all shifts through k = 10 vanish"
-
-    return _timed("03-relations", run)
+def criterion_relations() -> tuple[bool, str]:
+    if not pres_mod.relation_shifts_check(10):
+        return False, "a relation or shift failed to vanish"
+    return True, "three relations, v_1^4, and all shifts through k = 10 vanish"
 
 
 # --- criterion 4: Lie laws ----------------------------------------------------
@@ -133,361 +125,317 @@ def _random_element(rng: random.Random, pool: list[Monomial]) -> Element:
     return element(rng.sample(pool, k))
 
 
-def criterion_lie_laws(seed: int | None = None, trials: int = 10_000) -> CheckResult:
-    def run() -> tuple[bool, str]:
-        rng_seed = _DEFAULT_SEED if seed is None else seed
-        pool: list[Monomial] = []
-        for level in basis_mod.enumerate_W_upto(8, "restricted"):
-            pool.extend(level)
-        rng = random.Random(rng_seed)
-        for _ in range(trials):
-            e = _random_element(rng, pool)
-            if bracket(e, e) != ZERO:
-                return False, f"alternation failed on {e}"
-        for _ in range(trials):
-            a, b, c = (_random_element(rng, pool) for _ in range(3))
-            jac = (
-                bracket(bracket(a, b), c)
-                + bracket(bracket(b, c), a)
-                + bracket(bracket(c, a), b)
-            )
-            if jac != ZERO:
-                return False, f"Jacobi failed on {a}; {b}; {c}"
-        for _ in range(trials):
-            a, b = (_random_element(rng, pool) for _ in range(2))
-            if bracket(square(a), b) != bracket(a, bracket(a, b)):
-                return False, f"restricted identity failed on {a}; {b}"
-        return True, f"alternation, Jacobi, [a^2,b]=[a,[a,b]]: {trials} trials each"
-
-    return _timed("04-lie-laws", run)
+def criterion_lie_laws() -> tuple[bool, str]:
+    pool = _monomials_upto(8, "restricted")
+    rng = random.Random(_DEFAULT_SEED)
+    for _ in range(10_000):
+        e = _random_element(rng, pool)
+        if bracket(e, e) != ZERO:
+            return False, f"alternation failed on {e}"
+    for _ in range(10_000):
+        a, b, c = (_random_element(rng, pool) for _ in range(3))
+        jac = (
+            bracket(bracket(a, b), c)
+            + bracket(bracket(b, c), a)
+            + bracket(bracket(c, a), b)
+        )
+        if jac != ZERO:
+            return False, f"Jacobi failed on {a}; {b}; {c}"
+    for _ in range(10_000):
+        a, b = (_random_element(rng, pool) for _ in range(2))
+        if bracket(square(a), b) != bracket(a, bracket(a, b)):
+            return False, f"restricted identity failed on {a}; {b}"
+    return True, "alternation, Jacobi, [a^2,b]=[a,[a,b]]: 10000 trials each"
 
 
 # --- criterion 5: nillity -----------------------------------------------------
 
 
-def criterion_nillity(seed: int | None = None, samples: int = 500) -> CheckResult:
-    def run() -> tuple[bool, str]:
-        rng_seed = (_DEFAULT_SEED if seed is None else seed) + 5
-        pool6: list[Monomial] = []
-        for level in basis_mod.enumerate_W_upto(6):
-            pool6.extend(level)
-        checked = 0
-        for size in (1, 2, 3):
-            for combo in combinations(pool6, size):
-                e = element(combo)
-                if not e:
-                    continue
-                lo, hi = e.pivot_range()
-                if power_2k(e, hi - lo + 2) != ZERO:
-                    return False, f"e^(2^(m-n+2)) != 0 for {e}"
-                report = nil_mod.nil_index(e)
-                if report.index > report.bound:
-                    return False, f"index {report.index} > bound {report.bound} on {e}"
-                checked += 1
-        v1 = nil_mod.nil_index(v(1))
-        if v1.index != 2:
-            return False, f"nil index of v_1 is {v1.index}, expected exactly 2"
-        pool8: list[Monomial] = []
-        for level in basis_mod.enumerate_W_upto(8):
-            pool8.extend(level)
-        rng = random.Random(rng_seed)
-        reports = [v1]
-        for _ in range(samples):
-            e = element(rng.sample(pool8, rng.choice((2, 3))))
+def criterion_nillity() -> tuple[bool, str]:
+    checked = 0
+    for size in (1, 2, 3):
+        for combo in combinations(_monomials_upto(6), size):
+            e = element(combo)
             if not e:
                 continue
+            lo, hi = e.pivot_range()
+            if power_2k(e, hi - lo + 2) != ZERO:
+                return False, f"e^(2^(m-n+2)) != 0 for {e}"
             report = nil_mod.nil_index(e)
             if report.index > report.bound:
                 return False, f"index {report.index} > bound {report.bound} on {e}"
-            reports.append(report)
-        if not nil_mod.bound_constants_check(reports):
-            return False, "floating index estimates violated"
-        return True, f"{checked} exhaustive + {samples} random elements within bound"
-
-    return _timed("05-nillity", run)
+            checked += 1
+    v1 = nil_mod.nil_index(v(1))
+    if v1.index != 2:
+        return False, f"nil index of v_1 is {v1.index}, expected exactly 2"
+    pool8 = _monomials_upto(8)
+    rng = random.Random(_DEFAULT_SEED + 5)
+    reports = [v1]
+    for _ in range(500):
+        e = element(rng.sample(pool8, rng.choice((2, 3))))
+        if not e:
+            continue
+        report = nil_mod.nil_index(e)
+        if report.index > report.bound:
+            return False, f"index {report.index} > bound {report.bound} on {e}"
+        reports.append(report)
+    if not nil_mod.bound_constants_check(reports):
+        return False, "floating index estimates violated"
+    return True, f"{checked} exhaustive + 500 random elements within bound"
 
 
 # --- criterion 6: Hilbert recursion -------------------------------------------
 
 
-def criterion_hilbert_recursion(bound: int = 40) -> CheckResult:
-    def run() -> tuple[bool, str]:
-        for n in range(2, 21):
-            rec = series_mod.hilbert_recursive(n, bound)
-            enum = series_mod.hilbert_enumerated(n, "lie", bound)
-            if rec != enum:
-                return False, f"recursion disagrees with enumeration at W_<= {n}"
-        return True, f"functional recursion = enumeration for n <= 20, D = {bound}"
-
-    return _timed("06-hilbert-recursion", run)
+def criterion_hilbert_recursion() -> tuple[bool, str]:
+    for n in range(2, 21):
+        rec = series_mod.hilbert_recursive(n, 40)
+        enum = series_mod.hilbert_enumerated(n, "lie", 40)
+        if rec != enum:
+            return False, f"recursion disagrees with enumeration at W_<= {n}"
+    return True, "functional recursion = enumeration for n <= 20, D = 40"
 
 
 # --- criterion 7: Euler inversion ---------------------------------------------
 
 
-def criterion_euler_inversion(bound: int = 40) -> CheckResult:
-    def run() -> tuple[bool, str]:
-        bad = series_mod.euler_inverse_mismatch(bound)
-        if bad is not None:
-            return False, f"E * H(U) differs from 1 first at {bad}"
-        return True, f"E(L) * H(U(L)) = 1 through total degree {bound}"
-
-    return _timed("07-euler-inversion", run)
+def criterion_euler_inversion() -> tuple[bool, str]:
+    bad = series_mod.euler_inverse_mismatch(40)
+    if bad is not None:
+        return False, f"E * H(U) differs from 1 first at {bad}"
+    return True, "E(L) * H(U(L)) = 1 through total degree 40"
 
 
 # --- criterion 8: growth ------------------------------------------------------
 
 
-def criterion_growth() -> CheckResult:
-    def run() -> tuple[bool, str]:
-        # exact counts at lambda-power thresholds
-        for n in range(3, 21):
-            x = lambda_power(n)
-            levels = weight_growth_levels(x)
-            got = count_weights_at_most(levels, x)
-            if got != 1 + (1 << (n - 2)):
-                return False, f"gamma(lambda^{n}) = {got} != 1 + 2^{n - 2}"
-        # sandwich at 1000 integer thresholds (from 2: below wt(v_1) = lambda
-        # the weight growth function is still zero)
-        levels_1000 = weight_growth_levels(GoldenInt(1002, 0))
-        for t in range(2, 1002):
-            got = count_weights_at_most(levels_1000, GoldenInt(t, 0))
-            low = t**LOG_LAMBDA_2 / 8
-            high = 1 + t**LOG_LAMBDA_2 / 2
-            if not low <= got <= high:
-                return False, f"sandwich failed at threshold {t}: {got}"
-        # s(F_n) = s(F_n + 1) = 2 under F_1 = F_2 = 1
-        s_table = degree_growth(series_mod.hilbert_one_var(fib(20) + 1), fib(20) + 1)
-        for n in range(4, 21):
-            if s_table[fib(n)] != 2 or s_table[fib(n) + 1] != 2:
-                return (
-                    False,
-                    f"s(F_{n}), s(F_{n}+1) = {s_table[fib(n)]}, {s_table[fib(n) + 1]}",
-                )
-        # the two witness sequences of the no-limit argument
-        c_const = 13 / 2 ** (1 + math.log(LAMBDA_FLOAT**2 + 1, LAMBDA_FLOAT))
-        if abs(c_const - 1.0197) > 1e-3:
-            return False, f"witness constant C = {c_const}, expected ~1.0197"
-        for n in range(7, 19):
-            x = lambda_power(n)
-            gx = count_weights_at_most(weight_growth_levels(x), x)
-            if gx != 1 + (1 << n) // 4:
-                return False, f"first witness failed at n = {n}"
-            y = lambda_power(n) + lambda_power(n - 2)
-            gy = count_weights_at_most(weight_growth_levels(y), y)
-            expected_floor = 1 + (1 << (n - 2)) + (1 << (n - 3)) + (1 << (n - 5))
-            if gy < expected_floor:
-                return False, f"second witness count {gy} < {expected_floor} at n = {n}"
-            if not gy > (c_const / 4) * float(y) ** LOG_LAMBDA_2:
-                return False, f"second witness bound failed at n = {n}"
-        return True, "lambda-power counts, 1000-threshold sandwich, s(F_n) = 2, witnesses"
-
-    return _timed("08-growth", run)
+def criterion_growth() -> tuple[bool, str]:
+    # exact counts at lambda-power thresholds
+    for n in range(3, 21):
+        x = lambda_power(n)
+        levels = weight_growth_levels(x)
+        got = count_weights_at_most(levels, x)
+        if got != 1 + (1 << (n - 2)):
+            return False, f"gamma(lambda^{n}) = {got} != 1 + 2^{n - 2}"
+    # sandwich at 1000 integer thresholds (from 2: below wt(v_1) = lambda
+    # the weight growth function is still zero)
+    levels_1000 = weight_growth_levels(GoldenInt(1002, 0))
+    for t in range(2, 1002):
+        got = count_weights_at_most(levels_1000, GoldenInt(t, 0))
+        low = t**LOG_LAMBDA_2 / 8
+        high = 1 + t**LOG_LAMBDA_2 / 2
+        if not low <= got <= high:
+            return False, f"sandwich failed at threshold {t}: {got}"
+    # s(F_n) = s(F_n + 1) = 2 under F_1 = F_2 = 1
+    s_table = degree_growth(series_mod.hilbert_one_var(fib(20) + 1), fib(20) + 1)
+    for n in range(4, 21):
+        if s_table[fib(n)] != 2 or s_table[fib(n) + 1] != 2:
+            return (
+                False,
+                f"s(F_{n}), s(F_{n}+1) = {s_table[fib(n)]}, {s_table[fib(n) + 1]}",
+            )
+    # the two witness sequences of the no-limit argument
+    c_const = 13 / 2 ** (1 + math.log(LAMBDA_FLOAT**2 + 1, LAMBDA_FLOAT))
+    if abs(c_const - 1.0197) > 1e-3:
+        return False, f"witness constant C = {c_const}, expected ~1.0197"
+    for n in range(7, 19):
+        x = lambda_power(n)
+        gx = count_weights_at_most(weight_growth_levels(x), x)
+        if gx != 1 + (1 << n) // 4:
+            return False, f"first witness failed at n = {n}"
+        y = lambda_power(n) + lambda_power(n - 2)
+        gy = count_weights_at_most(weight_growth_levels(y), y)
+        expected_floor = 1 + (1 << (n - 2)) + (1 << (n - 3)) + (1 << (n - 5))
+        if gy < expected_floor:
+            return False, f"second witness count {gy} < {expected_floor} at n = {n}"
+        if not gy > (c_const / 4) * float(y) ** LOG_LAMBDA_2:
+            return False, f"second witness bound failed at n = {n}"
+    return True, "lambda-power counts, 1000-threshold sandwich, s(F_n) = 2, witnesses"
 
 
 # --- criterion 9: geometry ----------------------------------------------------
 
 
-def criterion_geometry(seed: int | None = None) -> CheckResult:
-    def run() -> tuple[bool, str]:
-        rng_seed = (_DEFAULT_SEED if seed is None else seed) + 9
-        # strip and rectangles, exhaustive and exact through level 24
-        for n in range(1, 25):
-            if level_strip_violations(n, "restricted"):
-                return False, f"strip violated within W~_{n}"
-            if level_rectangle_violations(n):
-                return False, f"rectangle violated within W_{n}"
-            top = weight(Monomial(n, 0)).wt
-            if (top - lambda_power(n)).sign() != 0:
-                return False, f"upper rectangle bound not attained at level {n}"
-            if n >= 4:
-                full = (1 << (n - 3)) - 1
-                bottom = weight(Monomial(n, full)).wt
-                if (bottom - (lambda_power(n - 1) + LAMBDA)).sign() != 0:
-                    return False, f"lower rectangle bound not attained at level {n}"
-        # plus/minus split closes under brackets (exhaustive through level 8)
-        mons8: list[Monomial] = []
-        for level in basis_mod.enumerate_W_upto(8):
-            mons8.extend(level)
-        plus, minus = sign_split(mons8)
-        for side in (plus, minus):
-            sign = weight(side[0]).swt.sign()
-            for m1, m2 in combinations(side, 2):
-                for m in bracket(
-                    Element(frozenset({m1})), Element(frozenset({m2}))
-                ).monomials:
-                    if weight(m).swt.sign() != sign:
-                        return False, f"bracket left its side: [{m1}, {m2}]"
-        # sampled positive-side subalgebras nilpotize within ceil(1/mu)
-        pool_plus = [
-            m
-            for m in sign_split(
-                [m for lvl in basis_mod.enumerate_W_upto(8, "restricted") for m in lvl]
-            )[0]
-            if (weight(m).swt * 6 - GoldenInt(1, 0)).sign() >= 0  # keeps N <= 6
-        ]
-        rng = random.Random(rng_seed)
-        for _ in range(25):
-            gens = [element([m]) for m in rng.sample(pool_plus, rng.choice((1, 2, 3)))]
-            n_bound = local_nilpotency_bound([m for g in gens for m in g.monomials])
-            layer = list(gens)
-            depth = 1
-            while layer and depth < n_bound:
-                nxt = []
-                for x in layer:
-                    for g in gens:
-                        res = bracket(x, g)
-                        if res:
-                            nxt.append(res)
-                layer = nxt
-                depth += 1
-            if layer and depth >= n_bound:
-                return False, f"{n_bound}-fold bracket survived for {gens}"
-        # the t_0 span is an abelian ideal: exhaustive pairs through level 8
-        a_mons = [m for m in mons8 if m.tail & 1]
-        for m1 in a_mons:
-            swt = weight(m1).swt
-            if not (swt.sign() < 0 and (swt + LAMBDA).sign() > 0):
-                return False, f"A-monomial {m1} outside (-lambda, 0)"
-            for m2 in a_mons:
-                if bracket(Element(frozenset({m1})), Element(frozenset({m2}))) != ZERO:
-                    return False, f"A-monomials bracketed nonzero: {m1}, {m2}"
-        # sampled A-pairs higher up
-        a_pool_12 = [
-            m
-            for lvl in basis_mod.enumerate_W_upto(12)
-            for m in lvl
-            if m.tail & 1
-        ]
-        for _ in range(200):
-            m1, m2 = rng.sample(a_pool_12, 2)
-            if bracket(Element(frozenset({m1})), Element(frozenset({m2}))) != ZERO:
+def criterion_geometry() -> tuple[bool, str]:
+    # strip and rectangles, exhaustive and exact through level 24
+    for n in range(1, 25):
+        if level_strip_violations(n, "restricted"):
+            return False, f"strip violated within W~_{n}"
+        if level_rectangle_violations(n):
+            return False, f"rectangle violated within W_{n}"
+        top = weight(Monomial(n, 0)).wt
+        if (top - lambda_power(n)).sign() != 0:
+            return False, f"upper rectangle bound not attained at level {n}"
+        if n >= 4:
+            full = (1 << (n - 3)) - 1
+            bottom = weight(Monomial(n, full)).wt
+            if (bottom - (lambda_power(n - 1) + LAMBDA)).sign() != 0:
+                return False, f"lower rectangle bound not attained at level {n}"
+    # plus/minus split closes under brackets (exhaustive through level 8)
+    mons8 = _monomials_upto(8)
+    plus, minus = sign_split(mons8)
+    for side in (plus, minus):
+        sign = weight(side[0]).swt.sign()
+        for m1, m2 in combinations(side, 2):
+            for m in bracket_monomials(m1, m2):
+                if weight(m).swt.sign() != sign:
+                    return False, f"bracket left its side: [{m1}, {m2}]"
+    # sampled positive-side subalgebras nilpotize within ceil(1/mu)
+    pool_plus = [
+        m
+        for m in sign_split(_monomials_upto(8, "restricted"))[0]
+        if (weight(m).swt * 6 - GoldenInt(1, 0)).sign() >= 0  # keeps N <= 6
+    ]
+    rng = random.Random(_DEFAULT_SEED + 9)
+    for _ in range(25):
+        gens = [element([m]) for m in rng.sample(pool_plus, rng.choice((1, 2, 3)))]
+        n_bound = local_nilpotency_bound([m for g in gens for m in g.monomials])
+        layer = list(gens)
+        depth = 1
+        while layer and depth < n_bound:
+            nxt = []
+            for x in layer:
+                for g in gens:
+                    res = bracket(x, g)
+                    if res:
+                        nxt.append(res)
+            layer = nxt
+            depth += 1
+        if layer and depth >= n_bound:
+            return False, f"{n_bound}-fold bracket survived for {gens}"
+    # the t_0 span is an abelian ideal: exhaustive pairs through level 8
+    a_mons = [m for m in mons8 if m.tail & 1]
+    for m1 in a_mons:
+        swt = weight(m1).swt
+        if not (swt.sign() < 0 and (swt + LAMBDA).sign() > 0):
+            return False, f"A-monomial {m1} outside (-lambda, 0)"
+        for m2 in a_mons:
+            if bracket_monomials(m1, m2):
                 return False, f"A-monomials bracketed nonzero: {m1}, {m2}"
-        return True, "strip/rectangles exact to level 24; split closed; A abelian"
-
-    return _timed("09-geometry", run)
+    # sampled A-pairs higher up
+    a_pool_12 = [m for m in _monomials_upto(12) if m.tail & 1]
+    for _ in range(200):
+        m1, m2 = rng.sample(a_pool_12, 2)
+        if bracket_monomials(m1, m2):
+            return False, f"A-monomials bracketed nonzero: {m1}, {m2}"
+    return True, "strip/rectangles exact to level 24; split closed; A abelian"
 
 
 # --- criterion 10: homology ---------------------------------------------------
 
 
-def criterion_homology(frontier: int = 10) -> CheckResult:
-    def run() -> tuple[bool, str]:
-        euler = series_mod.euler_product(frontier)
-        first_h2: int | None = None
-        for d in range(frontier + 1):
-            for a in range(d + 1):
-                b = d - a
-                deg = homology_mod.Multidegree(a, b)
-                for n in range(1, d + 1):
-                    if not homology_mod.dd_is_zero(n, deg):
-                        return False, f"d.d != 0 at n={n}, degree=({a},{b})"
-                h0 = homology_mod.homology_dim(0, deg)
-                if h0 != (1 if (a, b) == (0, 0) else 0):
-                    return False, f"H_0({a},{b}) = {h0}"
-                h1 = homology_mod.homology_dim(1, deg)
-                expected_h1 = 1 if (a, b) in ((1, 0), (0, 1)) else 0
-                if h1 != expected_h1:
-                    return False, f"H_1({a},{b}) = {h1}, expected {expected_h1}"
-                if not homology_mod.euler_crosscheck(deg, euler):
-                    return False, f"Euler mismatch at ({a},{b})"
-                if first_h2 is None and homology_mod.homology_dim(2, deg) > 0:
-                    first_h2 = d
-        if first_h2 is None or first_h2 > 5:
-            return False, f"no nonzero H_2 slice by total degree 5 (found: {first_h2})"
-        sums = homology_mod.h2_accumulation(frontier)
-        if any(s2 < s1 for s1, s2 in zip(sums, sums[1:])):
-            return False, "H_2 partial sums decreased"
-        if sums[-1] <= 0:
-            return False, "H_2 accumulation stayed zero"
-        return True, (
-            f"d.d = 0, H_0/H_1 exact, Euler matches for a+b <= {frontier}; "
-            f"first H_2 at degree {first_h2}; H_2 partial sums reach {sums[-1]}"
-        )
-
-    return _timed("10-homology", run)
+def criterion_homology() -> tuple[bool, str]:
+    euler = series_mod.euler_product(10)
+    first_h2: int | None = None
+    for d in range(11):
+        for a in range(d + 1):
+            b = d - a
+            deg = homology_mod.Multidegree(a, b)
+            for n in range(1, d + 1):
+                if not homology_mod.dd_is_zero(n, deg):
+                    return False, f"d.d != 0 at n={n}, degree=({a},{b})"
+            h0 = homology_mod.homology_dim(0, deg)
+            if h0 != (1 if (a, b) == (0, 0) else 0):
+                return False, f"H_0({a},{b}) = {h0}"
+            h1 = homology_mod.homology_dim(1, deg)
+            expected_h1 = 1 if (a, b) in ((1, 0), (0, 1)) else 0
+            if h1 != expected_h1:
+                return False, f"H_1({a},{b}) = {h1}, expected {expected_h1}"
+            if not homology_mod.euler_crosscheck(deg, euler):
+                return False, f"Euler mismatch at ({a},{b})"
+            if first_h2 is None and homology_mod.homology_dim(2, deg) > 0:
+                first_h2 = d
+    if first_h2 is None or first_h2 > 5:
+        return False, f"no nonzero H_2 slice by total degree 5 (found: {first_h2})"
+    sums = homology_mod.h2_accumulation(10)
+    if any(s2 < s1 for s1, s2 in zip(sums, sums[1:])):
+        return False, "H_2 partial sums decreased"
+    if sums[-1] <= 0:
+        return False, "H_2 accumulation stayed zero"
+    return True, (
+        "d.d = 0, H_0/H_1 exact, Euler matches for a+b <= 10; "
+        f"first H_2 at degree {first_h2}; H_2 partial sums reach {sums[-1]}"
+    )
 
 
 # --- criterion 11: presentation -----------------------------------------------
 
 
-def criterion_presentation(degree: int = 7) -> CheckResult:
-    def run() -> tuple[bool, str]:
-        report = pres_mod.presentation_report(degree)
-        if not report.matches_through(degree):
-            triples = {
-                d: (report.free[d], report.quotient[d], report.target[d])
-                for d in range(1, degree + 1)
-            }
-            return False, f"quotient dims differ from algebra dims: {triples}"
-        return True, (
-            "free/quotient/target dims agree through degree "
-            f"{degree}: {[report.quotient[d] for d in range(1, degree + 1)]}"
-        )
-
-    return _timed("11-presentation", run)
+def criterion_presentation() -> tuple[bool, str]:
+    report = pres_mod.presentation_report(7)
+    if not report.matches_through(7):
+        triples = {
+            d: (report.free[d], report.quotient[d], report.target[d]) for d in range(1, 8)
+        }
+        return False, f"quotient dims differ from algebra dims: {triples}"
+    return True, (
+        "free/quotient/target dims agree through degree "
+        f"7: {[report.quotient[d] for d in range(1, 8)]}"
+    )
 
 
 # --- criterion 12: diagnostics (no hard thresholds) ----------------------------
 
 
-def criterion_diagnostics(envelope_bound: int = 120, euler_degree: int = 400) -> CheckResult:
-    def run() -> tuple[bool, str]:
-        growth = series_mod.enveloping_growth_report(envelope_bound)
-        if not growth.witness_ok():
-            return False, (
-                f"PBW witness failed: gamma_U({growth.witness_degree}) = "
-                f"{growth.witness_count} < {growth.witness_lower_bound}"
-            )
-        theta_emp = growth.theta_hat[-1][1] if growth.theta_hat else float("nan")
-        table = homology_mod.homology_table(8)
-        euler30 = series_mod.euler_product(30)
-        para = homology_mod.paraboloid_report(
-            {**euler30.coeffs, **{(a, b): d for (_, a, b), d in table.entries.items()}}
+def criterion_diagnostics() -> tuple[bool, str]:
+    growth = series_mod.enveloping_growth_report(120)
+    if not growth.witness_ok():
+        return False, (
+            f"PBW witness failed: gamma_U({growth.witness_degree}) = "
+            f"{growth.witness_count} < {growth.witness_lower_bound}"
         )
-        evals = series_mod.euler_eval_check(degree=euler_degree)
-        lines = []
-        for res in evals:
-            if res.tail_ok:
-                if not (res.positive_ok and res.upper_ok):
-                    return False, (
-                        f"Euler evaluation at t={res.t}: value {res.truncation:.3e} "
-                        f"violates (0, exp(-1/2/(1-t)) = {res.upper:.3e}]"
-                    )
-                lines.append(f"t={float(res.t):.1f}: E={res.truncation:.3e} ok")
-            else:
-                lines.append(f"t={float(res.t):.1f}: tail bound too weak, skipped")
-        fitted = "none" if para.fitted_exponent is None else f"{para.fitted_exponent:.3f}"
-        return True, (
-            f"theta_hat({growth.bound}) = {theta_emp:.3f} vs 0.5902; "
-            f"envelope exponent fit = {fitted} (C fit {para.fitted_constant:.2f}); "
-            + "; ".join(lines)
-        )
+    theta_emp = growth.theta_hat[-1][1] if growth.theta_hat else float("nan")
+    table = homology_mod.homology_table(8)
+    euler30 = series_mod.euler_product(30)
+    para = homology_mod.paraboloid_report(
+        {**euler30.coeffs, **{(a, b): d for (_, a, b), d in table.entries.items()}}
+    )
+    evals = series_mod.euler_eval_check(degree=400)
+    lines = []
+    for res in evals:
+        if res.tail_ok:
+            if not (res.positive_ok and res.upper_ok):
+                return False, (
+                    f"Euler evaluation at t={res.t}: value {res.truncation:.3e} "
+                    f"violates (0, exp(-1/2/(1-t)) = {res.upper:.3e}]"
+                )
+            lines.append(f"t={float(res.t):.1f}: E={res.truncation:.3e} ok")
+        else:
+            lines.append(f"t={float(res.t):.1f}: tail bound too weak, skipped")
+    fitted = "none" if para.fitted_exponent is None else f"{para.fitted_exponent:.3f}"
+    return True, (
+        f"theta_hat({growth.bound}) = {theta_emp:.3f} vs 0.5902; "
+        f"envelope exponent fit = {fitted} (C fit {para.fitted_constant:.2f}); "
+        + "; ".join(lines)
+    )
 
-    return _timed("12-diagnostics", run, diagnostic=True)
 
-
-CRITERIA: dict[str, Callable[[], CheckResult]] = {
-    "basis": criterion_basis_counts,
-    "recursion": criterion_recursive_basis,
-    "relations": criterion_relations,
-    "laws": criterion_lie_laws,
-    "nil": criterion_nillity,
-    "hilbert": criterion_hilbert_recursion,
-    "euler": criterion_euler_inversion,
-    "growth": criterion_growth,
-    "geometry": criterion_geometry,
-    "homology": criterion_homology,
-    "presentation": criterion_presentation,
-    "diagnostics": criterion_diagnostics,
+# suite key -> (printed name, check, diagnostic flag)
+CRITERIA: dict[str, tuple[str, Callable[[], tuple[bool, str]], bool]] = {
+    "basis": ("01-basis-counts", criterion_basis_counts, False),
+    "recursion": ("02-recursive-basis", criterion_recursive_basis, False),
+    "relations": ("03-relations", criterion_relations, False),
+    "laws": ("04-lie-laws", criterion_lie_laws, False),
+    "nil": ("05-nillity", criterion_nillity, False),
+    "hilbert": ("06-hilbert-recursion", criterion_hilbert_recursion, False),
+    "euler": ("07-euler-inversion", criterion_euler_inversion, False),
+    "growth": ("08-growth", criterion_growth, False),
+    "geometry": ("09-geometry", criterion_geometry, False),
+    "homology": ("10-homology", criterion_homology, False),
+    "presentation": ("11-presentation", criterion_presentation, False),
+    "diagnostics": ("12-diagnostics", criterion_diagnostics, True),
 }
 
 
 def run_suites(names: Iterable[str] | None = None) -> list[CheckResult]:
+    """Run the named suites (all by default) in order, timing each."""
     selected = list(CRITERIA) if names is None else list(names)
     results = []
     for name in selected:
         if name not in CRITERIA:
             raise KeyError(f"unknown suite {name!r}; choose from {sorted(CRITERIA)}")
-        results.append(CRITERIA[name]())
+        label, check, diagnostic = CRITERIA[name]
+        start = time.perf_counter()
+        ok, detail = check()
+        results.append(CheckResult(label, ok, detail, time.perf_counter() - start, diagnostic))
     return results

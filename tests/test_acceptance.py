@@ -12,20 +12,19 @@ from __future__ import annotations
 from fiblie import verify
 
 
-def _run(name: str) -> None:
-    result = verify.CRITERIA[name]()
+def _run(name: str, limit: float | None = None) -> None:
+    """Run one suite, print its line, and hold it to its runtime target."""
+    result = verify.run_suites([name])[0]
     status = "PASS" if result.ok else "FAIL"
     print(f"\n{status} {result.name} ({result.seconds:.2f}s): {result.detail}")
     assert result.ok, f"{result.name}: {result.detail}"
+    if limit is not None:
+        assert result.seconds < limit, f"runtime target missed: {result.seconds:.2f}s"
 
 
 def test_criterion_01_basis_counts():
     """|W_n| = 2^(n-3) for n = 3..24, |W~_n| = |W_n| + 1; runtime < 5 s."""
-    result = verify.CRITERIA["basis"]()
-    print(f"\n{'PASS' if result.ok else 'FAIL'} {result.name} "
-          f"({result.seconds:.2f}s): {result.detail}")
-    assert result.ok, result.detail
-    assert result.seconds < 5.0, f"runtime target missed: {result.seconds:.2f}s"
+    _run("basis", limit=5.0)
 
 
 def test_criterion_02_recursive_construction():
@@ -51,11 +50,7 @@ def test_criterion_05_nillity():
 
 def test_criterion_06_hilbert_recursion():
     """Functional recursion equals enumeration, n <= 20, D = 40; < 30 s."""
-    result = verify.CRITERIA["hilbert"]()
-    print(f"\n{'PASS' if result.ok else 'FAIL'} {result.name} "
-          f"({result.seconds:.2f}s): {result.detail}")
-    assert result.ok, result.detail
-    assert result.seconds < 30.0, f"runtime target missed: {result.seconds:.2f}s"
+    _run("hilbert", limit=30.0)
 
 
 def test_criterion_07_euler_inversion():
@@ -78,11 +73,7 @@ def test_criterion_09_geometry():
 def test_criterion_10_homology():
     """d.d = 0, H_0/H_1 exact, Euler cross-check for a+b <= 10, first
     nonzero H_2 by degree 5, monotone H_2 accumulation; < 2 min."""
-    result = verify.CRITERIA["homology"]()
-    print(f"\n{'PASS' if result.ok else 'FAIL'} {result.name} "
-          f"({result.seconds:.2f}s): {result.detail}")
-    assert result.ok, result.detail
-    assert result.seconds < 120.0, f"runtime target missed: {result.seconds:.2f}s"
+    _run("homology", limit=120.0)
 
 
 def test_criterion_11_presentation():

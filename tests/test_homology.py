@@ -112,6 +112,19 @@ def test_euler_crosscheck():
             assert euler_crosscheck(Multidegree(a, d - a), euler)
 
 
+def homology_euler_slice(degree):
+    """Labelled oracle: the alternating sum of the homology dimensions."""
+    a, b = degree
+    return sum((-1) ** n * homology_dim(n, Multidegree(a, b)) for n in range(a + b + 1))
+
+
+def test_euler_slice_matches_homology_oracle():
+    for d in range(15):
+        for a in range(d + 1):
+            degree = Multidegree(a, d - a)
+            assert euler_slice(degree) == homology_euler_slice(degree)
+
+
 def test_rank_oracle_agreement():
     rng = random.Random(3)
     for _ in range(300):

@@ -1,0 +1,41 @@
+"""Smoke tests for the exploration scripts: each runs on a small size and
+prints its table header."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fiblie
+
+SCRIPTS = Path(__file__).parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    ("argv", "header"),
+    [
+        (
+            ("growth_report.py", "--max-n", "8", "--envelope-degree", "30"),
+            "n   gamma(lambda^n)/x^c   gamma(y_n)/y^c      (c = log_lambda 2)",
+        ),
+        (
+            ("presentation_scan.py", "--max-degree", "6", "--shifts", "1"),
+            "degree  free  quotient  algebra  eval-kernel  ideal",
+        ),
+    ],
+)
+def test_script_runs(argv, header):
+    env = dict(os.environ, PYTHONPATH=str(Path(fiblie.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert header in proc.stdout.splitlines()
