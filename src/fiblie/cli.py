@@ -105,7 +105,8 @@ def _cmd_hilbert(args) -> int:
     if args.method == "recursive":
         if args.kind != "lie":
             raise InputError("the functional recursion gives the Lie series only")
-        upto = args.upto if args.upto else max(series_mod.levels_for_degree(args.degree))
+        # below degree 1 no level is needed, and the recursion starts at W_{<=2}
+        upto = args.upto or max(series_mod.levels_for_degree(args.degree), default=2)
         h = series_mod.hilbert_recursive(upto, args.degree)
     elif args.upto:
         h = series_mod.hilbert_enumerated(args.upto, args.kind, args.degree)

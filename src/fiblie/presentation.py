@@ -70,14 +70,6 @@ def _is_lyndon(w: Word) -> bool:
     return all(w < w[i:] for i in range(1, len(w)))
 
 
-@lru_cache(maxsize=None)
-def bracketing(w: Word) -> Tree:
-    if len(w) == 1:
-        return w[0]
-    u, s = standard_factorization(w)
-    return (bracketing(u), bracketing(s))
-
-
 def tree_poly(t: Tree) -> Poly:
     if isinstance(t, int):
         return frozenset({(t,)})
@@ -187,13 +179,16 @@ def free_lie(degree: int) -> FreeLieBasis:
         raise InputError("degree cap must be >= 1")
     fl = FreeLieBasis(degree)
     fl.words = lyndon_words(2, degree)
+    # shorter words come first, so both standard factors are already in the table
     for w in fl.words:
-        t = bracketing(w)
-        p = tree_poly(t)
+        if len(w) == 1:
+            fl.trees[w], fl.polys[w] = w[0], frozenset({w})
+            continue
+        u, s = standard_factorization(w)
+        p = lie_bracket_poly(fl.polys[u], fl.polys[s])
         if min(p) != w:
             raise FibLieError(f"Lyndon bracketing of {w} lost its leading word")
-        fl.trees[w] = t
-        fl.polys[w] = p
+        fl.trees[w], fl.polys[w] = (fl.trees[u], fl.trees[s]), p
     return fl
 
 

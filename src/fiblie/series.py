@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Literal
+from typing import Literal
 
 from .core import FibLieError, InputError
 from .grading import fib, gr_pivot, level_multidegree_counts
@@ -136,15 +136,15 @@ def min_level_degree(n: int, kind: Kind = "lie") -> int:
     return base
 
 
-def levels_for_degree(degree: int, kind: Kind = "lie", max_level: int = 90) -> list[int]:
+def levels_for_degree(degree: int, kind: Kind = "lie") -> list[int]:
     """All levels whose cheapest basis monomial still fits under the bound."""
     levels = []
     n = 1
     while min_level_degree(n, kind) <= degree:
         levels.append(n)
         n += 1
-        if n > max_level:
-            raise TruncationError(f"level scan passed {max_level} for degree {degree}")
+        if n > 90:
+            raise TruncationError(f"level scan passed 90 for degree {degree}")
     return levels
 
 
@@ -208,145 +208,67 @@ def hilbert_one_var(bound: int, kind: Kind = "lie") -> OneVarSeries:
     return hilbert_lie(bound, kind).one_var()
 
 
-# --- the enveloping-series operator ------------------------------------------
+# --- the enveloping-series operator and the Euler characteristic ------------
 
 
-def _sorted_points(bound: int) -> list[tuple[int, int]]:
-    return [(a, d - a) for d in range(bound + 1) for a in range(d + 1)]
+def _factor_product(factors: LatticeSeries, sign: int) -> LatticeSeries:
+    """prod over points p of (1 - x^p)^(sign c_p) for the coefficients c_p of
+    ``factors`` (on N0^2 off the origin), truncated at the same bound.
 
-
-def e_operator(h: LatticeSeries, bound: int | None = None) -> LatticeSeries:
-    """prod over lattice points of 1/(1 - x^a y^b)^{c_ab}, truncated.
-
-    Geometric factors are multiplied in exactly, sweeping coefficients in
-    increasing total degree.
+    The product lives on a dense triangle rows[a][b], a + b <= bound, whose
+    rows reach only as far as the factors do (a single row when every
+    factor has a = 0).  Each factor f visits the points p >= f: multiplying
+    by (1 - x^f) sweeps downwards, so out[p] -= out[p - f] reads the old
+    value; dividing by it sweeps upwards, so out[p] += out[p - f] reads the
+    new one.
     """
-    if bound is None:
-        bound = h.bound
-    if bound > h.bound:
-        raise TruncationError(f"input truncated at {h.bound}, requested {bound}")
-    if h[(0, 0)] != 0:
-        raise InputError("input must have zero constant term")
-    for key, c in h.coeffs.items():
-        if c < 0:
-            raise InputError(f"negative input coefficient at {key}")
-    out: dict[tuple[int, int], int] = {(0, 0): 1}
-    points = _sorted_points(bound)
-    for (fa, fb), mult in sorted(h.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        for _ in range(mult):
-            # multiply by 1/(1 - x^fa y^fb): out[p] += out[p - f], ascending
-            for a, b in points:
-                pa, pb = a - fa, b - fb
-                if pa < 0 or pb < 0:
-                    continue
-                prev = out.get((pa, pb), 0)
-                if prev:
-                    key = (a, b)
-                    out[key] = out.get(key, 0) + prev
-    return LatticeSeries(out, bound)
-
-
-def dilatation(h: LatticeSeries, m: int) -> LatticeSeries:
-    out = {(a * m, b * m): c for (a, b), c in h.coeffs.items() if (a + b) * m <= h.bound}
-    return LatticeSeries(out, h.bound)
-
-
-def e_operator_exp(h: LatticeSeries, bound: int | None = None) -> LatticeSeries:
-    """Cross-check route: E(h) = exp(sum_m h(x^m, y^m)/m) in exact rationals."""
-    if bound is None:
-        bound = h.bound
-    if bound > h.bound:
-        raise TruncationError(f"input truncated at {h.bound}, requested {bound}")
-    log_sum: dict[tuple[int, int], Fraction] = {}
-    for m in range(1, bound + 1):
-        for (a, b), c in h.coeffs.items():
-            if (a + b) * m <= bound:
-                key = (a * m, b * m)
-                log_sum[key] = log_sum.get(key, Fraction(0)) + Fraction(c, m)
-    # exp of a series with zero constant term: sum of powers / k!
-    result: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-    term: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-    for k in range(1, bound + 1):
-        nxt: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in term.items():
-            for (a2, b2), c2 in log_sum.items():
-                a, b = a1 + a2, b1 + b2
-                if a + b <= bound:
-                    key = (a, b)
-                    nxt[key] = nxt.get(key, Fraction(0)) + c1 * c2
-        term = {k2: c / k for k2, c in nxt.items() if c}
-        if not term:
-            break
-        for key, c in term.items():
-            result[key] = result.get(key, Fraction(0)) + c
-    out: dict[tuple[int, int], int] = {}
-    for key, c in result.items():
-        if c:
-            if c.denominator != 1:
-                raise FibLieError(f"non-integer enveloping coefficient at {key}: {c}")
-            out[key] = int(c)
-    return LatticeSeries(out, bound)
-
-
-def e_operator_1var(h: OneVarSeries, bound: int | None = None) -> OneVarSeries:
-    if bound is None:
-        bound = h.bound
-    if bound > h.bound:
-        raise TruncationError(f"input truncated at {h.bound}, requested {bound}")
-    if h[0] != 0:
-        raise InputError("input must have zero constant term")
-    out = [0] * (bound + 1)
-    out[0] = 1
-    for d in sorted(h.coeffs):
-        c = h.coeffs[d]
-        if c < 0:
-            raise InputError(f"negative input coefficient at degree {d}")
+    bound = factors.bound
+    depth = bound if any(a for a, _ in factors.coeffs) else 0
+    rows = [[0] * (bound + 1 - a) for a in range(depth + 1)]
+    rows[0][0] = 1
+    for (fa, fb), c in factors.coeffs.items():
         for _ in range(c):
-            for n in range(d, bound + 1):
-                out[n] += out[n - d]
-    return OneVarSeries({n: c for n, c in enumerate(out)}, bound)
+            if sign > 0:
+                for a in range(depth, fa - 1, -1):
+                    row, src = rows[a], rows[a - fa]
+                    for b in range(len(row) - 1, fb - 1, -1):
+                        row[b] -= src[b - fb]
+            else:
+                for a in range(fa, depth + 1):
+                    row, src = rows[a], rows[a - fa]
+                    for b in range(fb, len(row)):
+                        row[b] += src[b - fb]
+    return LatticeSeries(
+        {(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row)}, bound
+    )
 
 
-# --- Euler characteristic -----------------------------------------------------
+def _on_b_axis(h: OneVarSeries) -> LatticeSeries:
+    """A one-variable series as a lattice series at a = 0; one_var() undoes it."""
+    return LatticeSeries({(0, d): c for d, c in h.coeffs.items()}, h.bound)
+
+
+def e_operator(h: LatticeSeries) -> LatticeSeries:
+    """H(U) = prod over lattice points of 1/(1 - x^a y^b)^{c_ab}, exact through
+    the bound of ``h``."""
+    for (a, b), c in h.coeffs.items():
+        if a < 0 or b < 0 or a + b == 0 or c < 0:
+            raise InputError(f"E needs counts >= 0 on N0^2 off the origin, got {c} at ({a},{b})")
+    return _factor_product(h, -1)
+
+
+def e_operator_1var(h: OneVarSeries) -> OneVarSeries:
+    return e_operator(_on_b_axis(h)).one_var()
 
 
 def euler_product(bound: int = 40) -> LatticeSeries:
-    """Truncated prod over basis monomials w of (1 - x^Gr1(w) y^Gr2(w)).
-
-    The basis is enumerated deep enough that every omitted monomial has
-    total degree above the bound (levels stop once their cheapest tail
-    already overshoots)."""
-    out: dict[tuple[int, int], int] = {(0, 0): 1}
-    points = list(reversed(_sorted_points(bound)))
-    for n in levels_for_degree(bound):
-        for (fa, fb), mult in sorted(level_multidegree_counts(n).items()):
-            if fa + fb > bound:
-                continue
-            for _ in range(mult):
-                # multiply by (1 - x^fa y^fb): descending sweep
-                for a, b in points:
-                    pa, pb = a - fa, b - fb
-                    if pa < 0 or pb < 0:
-                        continue
-                    prev = out.get((pa, pb), 0)
-                    if prev:
-                        key = (a, b)
-                        out[key] = out.get(key, 0) - prev
-    return LatticeSeries(out, bound)
+    """Truncated prod over basis monomials w of (1 - x^Gr1(w) y^Gr2(w)): the
+    product of E with the opposite sign, so E(L) * H(U(L)) = 1."""
+    return _factor_product(hilbert_lie(bound), 1)
 
 
 def euler_product_1var(bound: int) -> OneVarSeries:
-    out = [0] * (bound + 1)
-    out[0] = 1
-    for n in levels_for_degree(bound):
-        for (a, b), mult in level_multidegree_counts(n).items():
-            d = a + b
-            if d > bound:
-                continue
-            for _ in range(mult):
-                for k in range(bound, d - 1, -1):
-                    out[k] -= out[k - d]
-    return OneVarSeries({n: c for n, c in enumerate(out)}, bound)
+    return _factor_product(_on_b_axis(hilbert_one_var(bound)), 1).one_var()
 
 
 def euler_inverse_mismatch(bound: int = 40) -> tuple[int, int] | None:
@@ -436,8 +358,9 @@ def _hilbert_upper(u: float, s_exact: OneVarSeries) -> float:
     return exact + tail
 
 
-def _envelope_log_upper(x: float, s_exact: OneVarSeries, m_terms: int = 60) -> float:
+def _envelope_log_upper(x: float, s_exact: OneVarSeries) -> float:
     """Upper bound for ln H(U(L), x) = sum_m H(L, x^m)/m."""
+    m_terms = 60
     total = 0.0
     for m in range(1, m_terms + 1):
         total += _hilbert_upper(x**m, s_exact) / m
@@ -447,27 +370,20 @@ def _envelope_log_upper(x: float, s_exact: OneVarSeries, m_terms: int = 60) -> f
     return total
 
 
-def euler_eval_check(
-    ts: Iterable[Fraction | float] = (Fraction(1, 2), Fraction(3, 5), Fraction(7, 10)),
-    degree: int = 400,
-    safety: float = 4.0,
-) -> list[EulerEvalResult]:
-    """Evaluate the truncated one-variable Euler characteristic at points
-    in [1/2, 1) and check 0 < E(t) <= exp(-1/2/(1-t)) within a rigorous
+def euler_eval_check(degree: int = 400) -> list[EulerEvalResult]:
+    """Evaluate the truncated one-variable Euler characteristic at
+    t = 1/2, 3/5, 7/10 and check 0 < E(t) <= exp(-1/2/(1-t)) within a rigorous
     tail bound (|E_n| <= dim U_n beyond the truncation degree).
 
     The tail is bounded by sum_{n>D} dim U_n t^n <= H(U,x) (t/x)^{D+1}/(1-t/x)
-    with H(U,x) bounded through the exp-sum formula; a documented safety
-    factor absorbs float rounding.  Results flag tail_ok=False (check
+    with H(U,x) bounded through the exp-sum formula; a safety factor of 4
+    absorbs float rounding.  Results flag tail_ok=False (check
     skipped) when the bound is not small enough to decide the inequality.
     """
     e_series = euler_product_1var(degree)
     s_exact = hilbert_one_var(degree)
     results = []
-    for t_raw in ts:
-        t = Fraction(t_raw).limit_denominator(10**6)
-        if not Fraction(1, 2) <= t < 1:
-            raise InputError("evaluation points must lie in [1/2, 1)")
+    for t in (Fraction(1, 2), Fraction(3, 5), Fraction(7, 10)):
         value = float(sum(Fraction(c) * t**n for n, c in e_series.coeffs.items()))
         best_tail = math.inf
         for x in (0.8, 0.85, 0.9, 0.95):
@@ -478,7 +394,7 @@ def euler_eval_check(
             log_tail = log_hu + (degree + 1) * math.log(ratio) - math.log(1 - ratio)
             if log_tail < 600:
                 best_tail = min(best_tail, math.exp(log_tail))
-        tail = best_tail * safety
+        tail = best_tail * 4.0
         upper = math.exp(-0.5 / (1 - float(t)))
         tail_ok = math.isfinite(tail) and tail < min(value, 1e-3) if value > 0 else False
         results.append(

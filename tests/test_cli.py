@@ -75,9 +75,11 @@ def test_nil_scan_schema():
 
 
 def test_hilbert_recursive_matches_enumerated():
-    _, rec = run_cli("hilbert", "--degree", "12", "--method", "recursive", "--upto", "12")
-    _, enum = run_cli("hilbert", "--degree", "12", "--upto", "12")
-    assert rec == enum
+    # degree 0 needs no level at all: both routes print the header only
+    for args in (("--degree", "12", "--upto", "12"), ("--degree", "0")):
+        rec_code, rec = run_cli("hilbert", *args, "--method", "recursive")
+        enum_code, enum = run_cli("hilbert", *args)
+        assert rec_code == enum_code == 0 and rec == enum
 
 
 def test_hilbert_recursive_rejects_the_restricted_kind():

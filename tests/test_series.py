@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from fiblie.grading import GoldenInt, LAMBDA, gr
 from fiblie.basis import enumerate_W_upto
 from fiblie.series import (
     LatticeSeries,
+    OneVarSeries,
     SupportError,
-    dilatation,
     e_operator,
-    e_operator_exp,
+    e_operator_1var,
     euler_eval_check,
     euler_inverse_check,
     euler_product,
@@ -90,10 +92,6 @@ def test_e_operator_examples():
     }
     env2 = e_operator(hilbert_lie(2))
     assert env2[(1, 1)] == 2 and env2[(2, 0)] == 1 and env2[(0, 2)] == 1
-    assert dilatation(series({(1, 0): 1, (0, 1): 1}, 4), 2).coeffs == {
-        (2, 0): 1,
-        (0, 2): 1,
-    }
 
 
 def test_e_operator_rejects_bad_input():
@@ -101,6 +99,39 @@ def test_e_operator_rejects_bad_input():
         e_operator(series({(0, 0): 1}, 4))
     with pytest.raises(ValueError):
         e_operator(series({(1, 0): -1}, 4))
+    with pytest.raises(ValueError):
+        e_operator(series({(-1, 2): 1}, 4))
+    with pytest.raises(ValueError):
+        e_operator_1var(OneVarSeries({0: 1, 1: 2}, 4))
+
+
+def e_operator_exp(h: LatticeSeries) -> LatticeSeries:
+    """Test oracle: E(h) = exp(sum_m h(x^m, y^m)/m) in exact rationals."""
+    bound = h.bound
+    log_sum: dict[tuple[int, int], Fraction] = {}
+    for m in range(1, bound + 1):
+        for (a, b), c in h.coeffs.items():
+            if (a + b) * m <= bound:
+                key = (a * m, b * m)
+                log_sum[key] = log_sum.get(key, Fraction(0)) + Fraction(c, m)
+    # exp of a series with zero constant term: sum of powers / k!
+    result: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
+    term: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
+    for k in range(1, bound + 1):
+        nxt: dict[tuple[int, int], Fraction] = {}
+        for (a1, b1), c1 in term.items():
+            for (a2, b2), c2 in log_sum.items():
+                a, b = a1 + a2, b1 + b2
+                if a + b <= bound:
+                    key = (a, b)
+                    nxt[key] = nxt.get(key, Fraction(0)) + c1 * c2
+        term = {k2: c / k for k2, c in nxt.items() if c}
+        if not term:
+            break
+        for key, c in term.items():
+            result[key] = result.get(key, Fraction(0)) + c
+    assert all(c.denominator == 1 for c in result.values())
+    return LatticeSeries({key: int(c) for key, c in result.items()}, bound)
 
 
 def test_e_operator_product_equals_exp():
@@ -117,6 +148,18 @@ def test_euler_product_examples():
     assert prod.coeffs == {(0, 0): 1}
 
 
+def test_euler_product_matches_factor_oracle():
+    # level 9 starts at degree F_8 + 1 = 22, so levels 1..9 hold every
+    # basis monomial of total degree <= 14
+    multidegrees = [tuple(gr(m)) for level in enumerate_W_upto(9) for m in level]
+    for bound in range(15):
+        expected = LatticeSeries({(0, 0): 1}, bound)
+        for a, b in multidegrees:
+            if a + b <= bound:
+                expected = expected * LatticeSeries({(0, 0): 1, (a, b): -1}, bound)
+        assert euler_product(bound) == expected
+
+
 def test_euler_inverse_check():
     assert euler_inverse_check(0)
     assert euler_inverse_check(2)
@@ -126,6 +169,8 @@ def test_euler_inverse_check():
 def test_one_var_specialization():
     one = euler_product(15).one_var()
     assert one.coeffs == euler_product_1var(15).coeffs
+    for bound in range(31):
+        assert e_operator_1var(hilbert_one_var(bound)) == e_operator(hilbert_lie(bound)).one_var()
 
 
 def test_hilbert_one_var_is_the_projection():

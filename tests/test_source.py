@@ -53,3 +53,46 @@ def test_package_imports_only_stdlib_at_module_level():
             if node not in tree.body or not allowed.issuperset(roots):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _name(node) -> str | None:
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _is_unbounded_cache(node) -> bool:
+    # lru_cache(maxsize=None), lru_cache(None) or functools.cache
+    if _name(node) == "cache":
+        return True
+    if not isinstance(node, ast.Call) or _name(node.func) != "lru_cache":
+        return False
+    sizes = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+    return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+
+
+def test_unbounded_caches_are_the_known_ones():
+    # an unbounded cache grows for the life of the process; homology's four
+    # are read through cache_info() by the benchmark, and pivot_tree holds
+    # one small tree per level
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and any(
+                _is_unbounded_cache(d) for d in node.decorator_list
+            ):
+                found.add(f"{path.stem}.{node.name}")
+            # a cache applied by a call: name = lru_cache(maxsize=None)(function)
+            if (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and _is_unbounded_cache(node.value.func)
+            ):
+                found.update(f"{path.stem}.{_name(t)}" for t in node.targets)
+    assert found == {
+        "homology._pool",
+        "homology.chain_basis",
+        "homology._bracket_pair",
+        "homology.differential",
+        "presentation.pivot_tree",
+    }
