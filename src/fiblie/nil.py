@@ -118,9 +118,7 @@ class ScanRow:
     peak_monomials: int
 
 
-def conjecture_scan(
-    n_range: tuple[int, int], m_max: int, cap: int = 64, limit: int | None = None
-) -> list[ScanRow]:
+def conjecture_scan(n_range: tuple[int, int], m_max: int, cap: int = 64) -> list[ScanRow]:
     """Exact indices of v_n + ... + v_m against the bound m - n + 2.
 
     The bound is not attained in general: for n = 1 the index stays below it
@@ -130,7 +128,7 @@ def conjecture_scan(
     rows = []
     for n in range(n_range[0], n_range[1] + 1):
         for m in range(n, m_max + 1):
-            report = nil_index(pivot_interval(n, m), cap=cap, limit=limit)
+            report = nil_index(pivot_interval(n, m), cap=cap)
             rows.append(
                 ScanRow(
                     n,

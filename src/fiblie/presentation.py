@@ -11,7 +11,6 @@ closed degree by degree under bracketing with the two generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import gf2, series
 from .core import Element, FibLieError, InputError, bracket, power_2k, v
@@ -110,29 +109,6 @@ def poly_vec(p: Poly, index: dict[Word, int]) -> int:
     return out
 
 
-def necklace_dim(n: int, q: int = 2) -> int:
-    """Witt formula oracle: (1/n) sum_{d|n} mu(d) q^(n/d)."""
-
-    def mobius(m: int) -> int:
-        result = 1
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                m //= d
-                if m % d == 0:
-                    return 0
-                result = -result
-            d += 1
-        if m > 1:
-            result = -result
-        return result
-
-    total = sum(mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    if total % n:
-        raise FibLieError(f"Witt sum {total} is not divisible by {n}")
-    return total // n
-
-
 @dataclass
 class FreeLieBasis:
     """Lyndon basis through total degree ``degree``."""
@@ -207,12 +183,14 @@ RELATION_TREES: tuple[Tree, ...] = (
 )
 
 
-@lru_cache(maxsize=None)
 def pivot_tree(n: int) -> Tree:
     """v_n as a bracketing of the generators: v_{k+2} = [v_k, v_{k+1}]."""
-    if n in (1, 2):
-        return n
-    return (pivot_tree(n - 2), pivot_tree(n - 1))
+    if n < 1:
+        raise InputError(f"pivot_tree needs n >= 1, got {n}")
+    tree, nxt = 1, 2
+    for _ in range(n - 1):
+        tree, nxt = nxt, (tree, nxt)
+    return tree
 
 
 def _substitute(tree: Tree, images: dict[int, Tree]) -> Tree:

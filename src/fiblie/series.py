@@ -2,9 +2,10 @@
 Hilbert series of the algebra by direct counting and by the functional
 recursion, the enveloping-series operator, and the Euler characteristic.
 
-Truncation is by total degree and the bound travels with the value;
-mixing two series takes the minimum bound, so precision is never lost
-silently.  Coefficients are exact Python integers throughout.
+Truncation is by total degree and the bound travels with the value; a
+product is exact through the smaller of its factors' bounds and carries
+that bound, so precision is never lost silently.  Coefficients are exact
+Python integers throughout.
 """
 
 from __future__ import annotations
@@ -50,33 +51,23 @@ class LatticeSeries:
             return NotImplemented
         return self.bound == other.bound and self.coeffs == other.coeffs
 
-    def __add__(self, other: "LatticeSeries") -> "LatticeSeries":
-        bound = min(self.bound, other.bound)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return LatticeSeries(out, bound)
-
-    def __sub__(self, other: "LatticeSeries") -> "LatticeSeries":
-        bound = min(self.bound, other.bound)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) - c
-        return LatticeSeries(out, bound)
-
     def __mul__(self, other: "LatticeSeries") -> "LatticeSeries":
-        bound = min(self.bound, other.bound)
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
-                a, b = a1 + a2, b1 + b2
-                if a + b <= bound:
-                    key = (a, b)
-                    out[key] = out.get(key, 0) + c1 * c2
-        return LatticeSeries(out, bound)
+        """The product through the smaller bound; both factors must lie in N0^2.
 
-    def total_mass(self) -> int:
-        return sum(self.coeffs.values())
+        Each term (a1, b1) of the left factor adds its multiple of the right
+        factor's rows a2 <= bound - a1 - b1, cut at b2 <= bound - a1 - b1 - a2,
+        so no pair past the bound is ever formed.
+        """
+        self.assert_quadrant()
+        other.assert_quadrant()
+        bound = min(self.bound, other.bound)
+        right = _triangle(other, bound, bound)
+        out = _triangle(LatticeSeries(), bound, bound)
+        for (a1, b1), c1 in self.coeffs.items():
+            for a2 in range(bound - a1 - b1 + 1):
+                row = out[a1 + a2]
+                row[b1:] = [x + c1 * y for x, y in zip(row[b1:], right[a2])]
+        return _from_triangle(out, bound)
 
     def one_var(self) -> "OneVarSeries":
         out: dict[int, int] = {}
@@ -92,6 +83,22 @@ class LatticeSeries:
 
     def items_sorted(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self.coeffs.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]))
+
+
+def _triangle(s: LatticeSeries, bound: int, depth: int) -> list[list[int]]:
+    """The terms of ``s`` (in N0^2, with a <= depth) through the bound on the
+    dense triangle rows[a][b], a <= depth, a + b <= bound."""
+    rows = [[0] * (bound + 1 - a) for a in range(depth + 1)]
+    for (a, b), c in s.coeffs.items():
+        if a + b <= bound:
+            rows[a][b] = c
+    return rows
+
+
+def _from_triangle(rows: list[list[int]], bound: int) -> LatticeSeries:
+    return LatticeSeries(
+        {(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row)}, bound
+    )
 
 
 @dataclass
@@ -224,8 +231,7 @@ def _factor_product(factors: LatticeSeries, sign: int) -> LatticeSeries:
     """
     bound = factors.bound
     depth = bound if any(a for a, _ in factors.coeffs) else 0
-    rows = [[0] * (bound + 1 - a) for a in range(depth + 1)]
-    rows[0][0] = 1
+    rows = _triangle(LatticeSeries({(0, 0): 1}, bound), bound, depth)
     for (fa, fb), c in factors.coeffs.items():
         for _ in range(c):
             if sign > 0:
@@ -238,9 +244,7 @@ def _factor_product(factors: LatticeSeries, sign: int) -> LatticeSeries:
                     row, src = rows[a], rows[a - fa]
                     for b in range(fb, len(row)):
                         row[b] += src[b - fb]
-    return LatticeSeries(
-        {(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row)}, bound
-    )
+    return _from_triangle(rows, bound)
 
 
 def _on_b_axis(h: OneVarSeries) -> LatticeSeries:
@@ -274,10 +278,11 @@ def euler_product_1var(bound: int) -> OneVarSeries:
 def euler_inverse_mismatch(bound: int = 40) -> tuple[int, int] | None:
     """First lattice point where E * H(U) differs from 1, or None."""
     product = euler_product(bound) * e_operator(hilbert_lie(bound))
-    expected = LatticeSeries({(0, 0): 1}, bound)
-    diff = product - expected
-    bad = diff.items_sorted()
-    return bad[0][0] if bad else None
+    for d in range(bound + 1):
+        for a in range(d + 1):
+            if product[(a, d - a)] != (1 if d == 0 else 0):
+                return (a, d - a)
+    return None
 
 
 def euler_inverse_check(bound: int = 40) -> bool:

@@ -23,6 +23,7 @@ from . import presentation as pres_mod
 from . import series as series_mod
 from .core import (
     Element,
+    InputError,
     Monomial,
     ZERO,
     bracket,
@@ -433,7 +434,7 @@ def run_suites(names: Iterable[str] | None = None) -> list[CheckResult]:
     results = []
     for name in selected:
         if name not in CRITERIA:
-            raise KeyError(f"unknown suite {name!r}; choose from {sorted(CRITERIA)}")
+            raise InputError(f"unknown suite {name!r}; choose from {sorted(CRITERIA)}")
         label, check, diagnostic = CRITERIA[name]
         start = time.perf_counter()
         ok, detail = check()

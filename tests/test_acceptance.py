@@ -9,7 +9,10 @@ reports diagnostics without hard thresholds.
 
 from __future__ import annotations
 
+import pytest
+
 from fiblie import verify
+from fiblie.core import InputError
 
 
 def _run(name: str, limit: float | None = None) -> None:
@@ -85,3 +88,8 @@ def test_criterion_12_diagnostics():
     """Growth and envelope exponents reported against 0.5902; Euler values
     at t in {0.5, 0.6, 0.7} within the rigorous tail bound."""
     _run("diagnostics")
+
+
+def test_unknown_suite_is_an_input_error():
+    with pytest.raises(InputError, match="unknown suite 'nope'"):
+        verify.run_suites(["nope"])

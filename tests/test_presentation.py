@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from fiblie.core import ZERO, bracket, format_element, v
+from fiblie.core import ZERO, InputError, bracket, format_element, v
 from fiblie import gf2
 from fiblie.presentation import (
     RELATION_TREES,
@@ -14,7 +14,7 @@ from fiblie.presentation import (
     left_normed,
     lie_bracket_poly,
     lyndon_words,
-    necklace_dim,
+    pivot_tree,
     poly_vec,
     presentation_report,
     quotient_dims,
@@ -40,11 +40,42 @@ def test_standard_factorization():
     assert standard_factorization((1, 2, 2)) == ((1, 2), (2,))
 
 
+def necklace_dim(n: int, q: int = 2) -> int:
+    """Test oracle, the Witt formula: (1/n) sum_{d|n} mu(d) q^(n/d)."""
+
+    def mobius(m: int) -> int:
+        result = 1
+        d = 2
+        while d * d <= m:
+            if m % d == 0:
+                m //= d
+                if m % d == 0:
+                    return 0
+                result = -result
+            d += 1
+        if m > 1:
+            result = -result
+        return result
+
+    total = sum(mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0)
+    assert total % n == 0
+    return total // n
+
+
 def test_free_dims_vs_necklace_oracle():
     fl = free_lie(7)
     dims = fl.dims()
     for d in range(1, 8):
         assert dims[d] == necklace_dim(d)
+
+
+def test_pivot_tree_recursion():
+    assert pivot_tree(1) == 1 and pivot_tree(2) == 2
+    for n in range(3, 13):
+        assert pivot_tree(n) == (pivot_tree(n - 2), pivot_tree(n - 1))
+    for n in (0, -1):
+        with pytest.raises(InputError):
+            pivot_tree(n)
 
 
 def test_bracket_table_properties():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -51,7 +52,7 @@ def test_hilbert_enumerated_examples():
     assert hilbert_enumerated(2, "lie", 10).coeffs == {(1, 0): 1, (0, 1): 1}
     assert hilbert_enumerated(3, "lie", 10).coeffs == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
     for n in range(3, 10):
-        total = hilbert_enumerated(n, "lie", 100).total_mass()
+        total = sum(hilbert_enumerated(n, "lie", 100).coeffs.values())
         assert total == 1 + 2 ** (n - 2)
 
 
@@ -160,6 +161,53 @@ def test_euler_product_matches_factor_oracle():
         assert euler_product(bound) == expected
 
 
+def dict_pair_product(s: LatticeSeries, t: LatticeSeries) -> LatticeSeries:
+    """Test oracle: every pair of terms, dropping the pairs past the smaller bound."""
+    bound = min(s.bound, t.bound)
+    out: dict[tuple[int, int], int] = {}
+    for (a1, b1), c1 in s.coeffs.items():
+        for (a2, b2), c2 in t.coeffs.items():
+            a, b = a1 + a2, b1 + b2
+            if a + b <= bound:
+                out[(a, b)] = out.get((a, b), 0) + c1 * c2
+    return LatticeSeries(out, bound)
+
+
+def random_quadrant_series(rng: random.Random) -> LatticeSeries:
+    bound = rng.randint(0, 12)
+    coeffs = {}
+    for _ in range(rng.randint(0, 15)):
+        a = rng.randint(0, bound)
+        coeffs[(a, rng.randint(0, bound - a))] = rng.randint(-5, 5)
+    return LatticeSeries(coeffs, bound)
+
+
+def test_product_matches_pair_oracle():
+    rng = random.Random(8)
+    for _ in range(200):
+        s, t = random_quadrant_series(rng), random_quadrant_series(rng)
+        assert s * t == dict_pair_product(s, t)
+    empty = LatticeSeries({}, 6)
+    s = series({(0, 0): 2, (1, 3): -1}, 6)
+    assert s * empty == empty * s == empty
+    assert s * LatticeSeries({(0, 0): 3}, 0) == LatticeSeries({(0, 0): 6}, 0)
+
+
+def test_euler_times_envelope_matches_pair_oracle():
+    for bound in range(41):
+        e, h_u = euler_product(bound), e_operator(hilbert_lie(bound))
+        assert e * h_u == dict_pair_product(e, h_u)
+
+
+def test_product_rejects_off_quadrant_factor():
+    inside = series({(1, 0): 1}, 4)
+    outside = series({(-1, 2): 1}, 4)
+    with pytest.raises(SupportError):
+        inside * outside
+    with pytest.raises(SupportError):
+        outside * inside
+
+
 def test_euler_inverse_check():
     assert euler_inverse_check(0)
     assert euler_inverse_check(2)
@@ -184,8 +232,8 @@ def test_hilbert_one_var_is_the_projection():
 def test_truncation_semantics():
     a = series({(1, 0): 1, (5, 5): 2}, 10)
     b = series({(1, 0): 1}, 4)
-    assert (a + b).bound == 4
-    assert (a + b).coeffs == {(1, 0): 2}
+    assert (a * b).bound == 4
+    assert (a * b).coeffs == {(2, 0): 1}
     assert (a * b)[(6, 5)] == 0
 
 

@@ -73,8 +73,7 @@ def _is_unbounded_cache(node) -> bool:
 
 def test_unbounded_caches_are_the_known_ones():
     # an unbounded cache grows for the life of the process; homology's four
-    # are read through cache_info() by the benchmark, and pivot_tree holds
-    # one small tree per level
+    # are read through cache_info() by the benchmark
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -94,5 +93,4 @@ def test_unbounded_caches_are_the_known_ones():
         "homology.chain_basis",
         "homology._bracket_pair",
         "homology.differential",
-        "presentation.pivot_tree",
     }
