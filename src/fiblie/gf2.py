@@ -1,9 +1,10 @@
 """GF(2) linear algebra on rows packed into Python ints.
 
 Bit i of a row is column i.  ``Span`` is the one eliminator: it keeps one
-reduced row per pivot, keyed by the row's lowest set bit, and reduces each
-incoming row against them.  ``rank`` is the size of the span the rows
-generate; ``rank_naive`` is an independent oracle for the tests.
+reduced row per pivot, keyed by the row's top set bit (``bit_length``, which
+unlike ``r & -r`` builds no full-width int), and reduces each incoming row
+against them.  ``rank`` is the size of the span the rows generate;
+``rank_naive`` is an independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ def rank(rows: list[int], n_cols: int) -> int:
 
 
 class Span:
-    """Incremental GF(2) row span keyed by lowest set bit."""
+    """Incremental GF(2) row span keyed by top set bit."""
 
     def __init__(self) -> None:
         self.pivots: dict[int, int] = {}
@@ -30,8 +31,7 @@ class Span:
     def reduce(self, vec: int) -> int:
         r = vec
         while r:
-            low = r & -r
-            row = self.pivots.get(low)
+            row = self.pivots.get(r.bit_length())
             if row is None:
                 return r
             r ^= row
@@ -42,7 +42,7 @@ class Span:
         r = self.reduce(vec)
         if r == 0:
             return False
-        self.pivots[r & -r] = r
+        self.pivots[r.bit_length()] = r
         return True
 
     def __contains__(self, vec: int) -> bool:

@@ -2,38 +2,56 @@
 quotient by the three defining relations of the algebra.
 
 The free Lie algebra is realised inside the free associative algebra on
-x1, x2 (noncommutative GF(2) polynomials, words as bitsets): Lyndon-word
-standard bracketings expand triangularly with leading word the Lyndon
-word itself, so they stay independent over GF(2).  The relation ideal is
-closed degree by degree under bracketing with the two generators.
+x1, x2.  A homogeneous polynomial of degree d is a ``Poly(d, bits)``: bits
+is a packed int over the 2^d words of length d, the word (l_1, ..., l_d)
+at bit sum (l_i - 1) 2^(d-i).  Bit order is then lexicographic order, so
+the leading (least) word of a polynomial is its lowest set bit, and bits
+is already the polynomial's ``gf2.Span`` row.  Lyndon-word standard
+bracketings expand triangularly with leading word the Lyndon word itself,
+so they stay independent over GF(2).  The relation ideal is closed degree
+by degree under bracketing with the two generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import gf2, series
 from .core import Element, FibLieError, InputError, bracket, power_2k, v
 
 Word = tuple[int, ...]
-Poly = frozenset[Word]
 Tree = int | tuple  # a letter, or a pair of trees
 
 
+class Poly(NamedTuple):
+    """Homogeneous polynomial: the words of length ``degree`` whose bits are set."""
+
+    degree: int
+    bits: int
+
+
+def word_bit(w: Word) -> int:
+    """Bit of the word w: its letters minus one, read as a binary number."""
+    return sum((letter - 1) << (len(w) - 1 - i) for i, letter in enumerate(w))
+
+
+def bit_word(bit: int, degree: int) -> Word:
+    return tuple(int(c) + 1 for c in format(bit, f"0{degree}b"))
+
+
 def concat_mul(p: Poly, q: Poly) -> Poly:
-    acc: set[Word] = set()
-    for u in p:
-        for w in q:
-            uw = u + w
-            if uw in acc:
-                acc.remove(uw)
-            else:
-                acc.add(uw)
-    return frozenset(acc)
+    """Concatenation product: word u of p times word w of q is at bit u 2^deg(q) + w."""
+    acc, digits = 0, bin(p.bits)[:1:-1]  # digits[u] is bit u of p
+    u = digits.find("1")
+    while u >= 0:
+        acc ^= q.bits << (u << q.degree)
+        u = digits.find("1", u + 1)
+    return Poly(p.degree + q.degree, acc)
 
 
 def lie_bracket_poly(p: Poly, q: Poly) -> Poly:
-    return concat_mul(p, q) ^ concat_mul(q, p)
+    return Poly(p.degree + q.degree, concat_mul(p, q).bits ^ concat_mul(q, p).bits)
 
 
 def lyndon_words(alphabet: int, max_len: int) -> list[Word]:
@@ -71,7 +89,9 @@ def _is_lyndon(w: Word) -> bool:
 
 def tree_poly(t: Tree) -> Poly:
     if isinstance(t, int):
-        return frozenset({(t,)})
+        if t not in (1, 2):
+            raise InputError(f"letters are 1 and 2, got {t}")
+        return Poly(1, 1 << (t - 1))
     return lie_bracket_poly(tree_poly(t[0]), tree_poly(t[1]))
 
 
@@ -86,27 +106,6 @@ def left_normed(letters: list[int]) -> Tree:
     for letter in letters[1:]:
         tree = (tree, letter)
     return tree
-
-
-def _word_index(d: int) -> dict[Word, int]:
-    words = []
-
-    def rec(prefix: Word) -> None:
-        if len(prefix) == d:
-            words.append(prefix)
-            return
-        for letter in (1, 2):
-            rec(prefix + (letter,))
-
-    rec(())
-    return {w: i for i, w in enumerate(words)}
-
-
-def poly_vec(p: Poly, index: dict[Word, int]) -> int:
-    out = 0
-    for w in p:
-        out |= 1 << index[w]
-    return out
 
 
 @dataclass
@@ -132,20 +131,19 @@ class FreeLieBasis:
         d = len(w1) + len(w2)
         if d > self.degree:
             raise InputError("bracket degree exceeds the table cap")
-        target = lie_bracket_poly(self.polys[w1], self.polys[w2])
-        return self.express(target, d)
+        return self.express(lie_bracket_poly(self.polys[w1], self.polys[w2]))
 
-    def express(self, p: Poly, d: int) -> set[Word]:
-        """Write a degree-d Lie polynomial in the basis (triangular reduction
-        on leading Lyndon words)."""
+    def express(self, p: Poly) -> set[Word]:
+        """Write a Lie polynomial in the basis (triangular reduction on
+        leading Lyndon words, the lowest set bits)."""
         support: set[Word] = set()
-        rest = p
+        rest = p.bits
         while rest:
-            lead = min(rest)
-            if lead not in self.polys or len(lead) != d:
+            lead = bit_word((rest & -rest).bit_length() - 1, p.degree)
+            if lead not in self.polys:
                 raise FibLieError(f"not in the Lie span: leading word {lead}")
             support.add(lead)
-            rest = rest ^ self.polys[lead]
+            rest ^= self.polys[lead].bits
         return support
 
 
@@ -158,11 +156,11 @@ def free_lie(degree: int) -> FreeLieBasis:
     # shorter words come first, so both standard factors are already in the table
     for w in fl.words:
         if len(w) == 1:
-            fl.trees[w], fl.polys[w] = w[0], frozenset({w})
+            fl.trees[w], fl.polys[w] = w[0], tree_poly(w[0])
             continue
         u, s = standard_factorization(w)
         p = lie_bracket_poly(fl.polys[u], fl.polys[s])
-        if min(p) != w:
+        if p.bits & -p.bits != 1 << word_bit(w):
             raise FibLieError(f"Lyndon bracketing of {w} lost its leading word")
         fl.trees[w], fl.polys[w] = (fl.trees[u], fl.trees[s]), p
     return fl
@@ -233,26 +231,24 @@ def quotient_dims(
     with the generators x1, x2 (enough, since ad [a,b] = [ad a, ad b])."""
     if fl is None:
         fl = free_lie(degree)
-    indexes = {d: _word_index(d) for d in range(1, degree + 1)}
+    if fl.degree < degree:
+        raise InputError(f"basis table reaches degree {fl.degree}, not {degree}")
     # spans[d]: reduced generating rows of the degree-d ideal layer
     spans: dict[int, gf2.Span] = {d: gf2.Span() for d in range(1, degree + 1)}
     layer_polys: dict[int, list[Poly]] = {d: [] for d in range(1, degree + 1)}
 
-    def insert(p: Poly, d: int) -> None:
-        if not p:
-            return
-        if spans[d].add(poly_vec(p, indexes[d])):
-            layer_polys[d].append(p)
+    def insert(p: Poly) -> None:
+        if spans[p.degree].add(p.bits):
+            layer_polys[p.degree].append(p)
 
     for t in relation_trees:
-        d = tree_degree(t)
-        if d <= degree:
-            insert(tree_poly(t), d)
+        if tree_degree(t) <= degree:
+            insert(tree_poly(t))
     gens = [fl.polys[(1,)], fl.polys[(2,)]]
     for d in range(2, degree + 1):
         for p in layer_polys[d - 1]:
             for x in gens:
-                insert(lie_bracket_poly(p, x), d)
+                insert(lie_bracket_poly(p, x))
     dims = {}
     free_dims = fl.dims()
     for d in range(1, degree + 1):

@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from fiblie.core import ZERO, InputError, bracket, format_element, v
+from fiblie.core import ZERO, FibLieError, InputError, bracket, format_element, v
 from fiblie import gf2
 from fiblie.presentation import (
     RELATION_TREES,
-    _word_index,
+    Poly,
+    bit_word,
+    concat_mul,
     evaluate,
     free_lie,
     left_normed,
     lie_bracket_poly,
     lyndon_words,
     pivot_tree,
-    poly_vec,
     presentation_report,
     quotient_dims,
     relation_shifts_check,
@@ -24,6 +27,7 @@ from fiblie.presentation import (
     standard_factorization,
     tree_degree,
     tree_poly,
+    word_bit,
 )
 
 
@@ -83,8 +87,8 @@ def test_bracket_table_properties():
     for w in fl.by_degree(2):
         assert fl.bracket_in_basis(w, w) == set()  # [w, w] = 0
     # [x, x] = 0 as a Lie polynomial and in the basis
-    assert tree_poly((1, 1)) == frozenset()
-    assert fl.express(frozenset(), 2) == set()
+    assert not tree_poly((1, 1)).bits
+    assert fl.express(Poly(2, 0)) == set()
     # degree additivity of table entries
     for w1 in fl.by_degree(1):
         for w2 in fl.by_degree(2):
@@ -169,12 +173,11 @@ def quotient_dims_all_lyndon(relation_trees, degree):
     """Test oracle: the ideal closed under bracketing each layer with every
     Lyndon basis element of every lower degree."""
     fl = free_lie(degree)
-    indexes = {d: _word_index(d) for d in range(1, degree + 1)}
     spans = {d: gf2.Span() for d in range(1, degree + 1)}
     layer_polys = {d: [] for d in range(1, degree + 1)}
 
     def insert(p, d):
-        if p and spans[d].add(poly_vec(p, indexes[d])):
+        if p.bits and spans[d].add(p.bits):
             layer_polys[d].append(p)
 
     for t in relation_trees:
@@ -191,3 +194,100 @@ def quotient_dims_all_lyndon(relation_trees, degree):
 def test_generator_closure_matches_all_lyndon_oracle():
     for relations in (RELATION_TREES, shifted_relation_trees(1), shifted_relation_trees(2)):
         assert quotient_dims(relations, 10) == quotient_dims_all_lyndon(relations, 10)
+
+
+def test_presentation_report_pin_degree_14():
+    # the sizes the benchmark's lattice workload runs
+    report = presentation_report(14)
+    degrees = range(1, 15)
+    assert [report.free[d] for d in degrees] == [
+        2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335, 630, 1161
+    ]
+    assert [report.quotient[d] for d in degrees] == [
+        2, 1, 2, 2, 2, 2, 4, 5, 8, 11, 18, 25, 40, 58
+    ]
+    assert [report.target[d] for d in degrees] == [
+        2, 1, 2, 2, 2, 2, 4, 2, 2, 4, 4, 4, 2, 2
+    ]
+
+
+def test_quotient_rejects_a_shallow_basis_table():
+    with pytest.raises(InputError):
+        quotient_dims(RELATION_TREES, 8, free_lie(6))
+    assert quotient_dims(RELATION_TREES, 6, free_lie(8)) == quotient_dims(RELATION_TREES, 6)
+
+
+def test_letters_other_than_1_and_2_are_rejected():
+    with pytest.raises(InputError):
+        tree_poly((1, 3))
+    with pytest.raises(InputError):
+        quotient_dims(((1, 3),), 4)
+
+
+def test_word_bit_layout():
+    for d in range(1, 7):
+        words = sorted(_all_words(d))
+        # lexicographic order of words is bit order
+        assert [word_bit(w) for w in words] == list(range(1 << d))
+        assert [bit_word(b, d) for b in range(1 << d)] == words
+
+
+def test_express_rejects_a_non_lie_polynomial():
+    fl = free_lie(3)
+    with pytest.raises(FibLieError):
+        fl.express(Poly(2, 1 << word_bit((1, 1))))
+
+
+# --- set-of-words oracle --------------------------------------------------------
+# Test oracle: a polynomial as the frozenset of its words (tuples of letters),
+# multiplied pair by pair.
+
+
+def _all_words(d):
+    if d == 0:
+        return [()]
+    return [w + (letter,) for w in _all_words(d - 1) for letter in (1, 2)]
+
+
+def as_words(p):
+    return frozenset(bit_word(b, p.degree) for b in range(1 << p.degree) if p.bits >> b & 1)
+
+
+def set_concat_mul(p, q):
+    acc = set()
+    for u in p:
+        for w in q:
+            acc ^= {u + w}
+    return frozenset(acc)
+
+
+def set_lie_bracket(p, q):
+    return set_concat_mul(p, q) ^ set_concat_mul(q, p)
+
+
+def set_tree_poly(t):
+    if isinstance(t, int):
+        return frozenset({(t,)})
+    return set_lie_bracket(set_tree_poly(t[0]), set_tree_poly(t[1]))
+
+
+def test_lyndon_polys_match_set_of_words_oracle():
+    fl = free_lie(12)
+    for w, p in fl.polys.items():
+        assert as_words(p) == set_tree_poly(fl.trees[w])
+
+
+def test_shifted_relation_polys_match_set_of_words_oracle():
+    trees = [t for t in shifted_relation_trees(2) if tree_degree(t) <= 12]
+    assert len(trees) == 7
+    for t in trees:
+        assert as_words(tree_poly(t)) == set_tree_poly(t)
+
+
+def test_products_match_set_of_words_oracle_on_random_pairs():
+    rng = random.Random(20241011)
+    for _ in range(200):
+        dp, dq = rng.randint(1, 6), rng.randint(1, 6)
+        p, q = Poly(dp, rng.getrandbits(1 << dp)), Poly(dq, rng.getrandbits(1 << dq))
+        assert as_words(concat_mul(p, q)) == set_concat_mul(as_words(p), as_words(q))
+        assert as_words(lie_bracket_poly(p, q)) == set_lie_bracket(as_words(p), as_words(q))
