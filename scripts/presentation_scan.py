@@ -31,7 +31,7 @@ def main() -> None:
     degree = args.max_degree
     fl = free_lie(degree)
     assign = {1: v(1), 2: v(2)}
-    quotient = quotient_dims(shifted_relation_trees(args.shifts), degree, fl)
+    quotient = quotient_dims(shifted_relation_trees(args.shifts), degree)
     target = target_dims(degree)
 
     print(f"relations + shifts through tau^{args.shifts}")

@@ -157,7 +157,7 @@ def _cmd_homology(args) -> int:
 def _cmd_presentation(args) -> int:
     report = pres_mod.presentation_report(args.max_degree)
     rows = [
-        [d, report.free.get(d, 0), report.quotient[d], report.target[d]]
+        [d, report.free[d], report.quotient[d], report.target[d]]
         for d in range(1, args.max_degree + 1)
     ]
     _emit_rows(["degree", "free", "quotient", "target"], rows, args.format, sys.stdout)

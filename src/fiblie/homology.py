@@ -91,21 +91,13 @@ def differential(n: int, degree: Multidegree) -> ChainSlice:
     col_of = {w: i for i, w in enumerate(target)}
     rows = []
     for wedge in rows_basis:
-        acc: set[Wedge] = set()
+        row = 0
         for s in range(len(wedge)):
             for t in range(s + 1, len(wedge)):
                 rest = wedge[:s] + wedge[s + 1 : t] + wedge[t + 1 :]
                 for m in _bracket_pair(wedge[s], wedge[t]):
-                    if m in rest:
-                        continue
-                    new = tuple(sorted(rest + (m,)))
-                    if new in acc:
-                        acc.remove(new)
-                    else:
-                        acc.add(new)
-        row = 0
-        for w in acc:
-            row |= 1 << col_of[w]
+                    if m not in rest:
+                        row ^= 1 << col_of[tuple(sorted(rest + (m,)))]
         rows.append(row)
     return ChainSlice(n, degree, rows_basis, tuple(rows), len(target))
 

@@ -8,8 +8,10 @@ at bit sum (l_i - 1) 2^(d-i).  Bit order is then lexicographic order, so
 the leading (least) word of a polynomial is its lowest set bit, and bits
 is already the polynomial's ``gf2.Span`` row.  Lyndon-word standard
 bracketings expand triangularly with leading word the Lyndon word itself,
-so they stay independent over GF(2).  The relation ideal is closed degree
-by degree under bracketing with the two generators.
+so they stay independent over GF(2), and the free dimension in degree d is
+the number of Lyndon words of length d (``free_dims``).  The relation
+ideal is closed degree by degree under bracketing with the two generators,
+so the quotient expands no basis table, only relations and generators.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import gf2, series
-from .core import Element, FibLieError, InputError, bracket, power_2k, v
+from .core import LIMITS, Element, FibLieError, InputError, MonomialLimitError, bracket, power_2k, v
 
 Word = tuple[int, ...]
 Tree = int | tuple  # a letter, or a pair of trees
@@ -55,7 +57,13 @@ def lie_bracket_poly(p: Poly, q: Poly) -> Poly:
 
 
 def lyndon_words(alphabet: int, max_len: int) -> list[Word]:
-    """Duval's generation, lexicographic order, lengths 1..max_len."""
+    """Duval's generation, lexicographic order, lengths 1..max_len; a degree-max_len
+    polynomial is a row of alphabet^max_len bits, held to ``LIMITS.monomial_limit``."""
+    if max_len < 1:
+        raise InputError(f"word length cap must be >= 1, got {max_len}")
+    cap = LIMITS.monomial_limit  # the length test spares forming a huge power
+    if max_len > cap.bit_length() or alphabet**max_len > cap:
+        raise MonomialLimitError(f"{alphabet}^{max_len}-bit rows exceed the cap {cap}")
     out: list[Word] = []
     w = [0]
     while w:
@@ -120,12 +128,6 @@ class FreeLieBasis:
     def by_degree(self, d: int) -> list[Word]:
         return [w for w in self.words if len(w) == d]
 
-    def dims(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for w in self.words:
-            out[len(w)] = out.get(len(w), 0) + 1
-        return out
-
     def bracket_in_basis(self, w1: Word, w2: Word) -> set[Word]:
         """Structure constants: [b(w1), b(w2)] expanded in the Lyndon basis."""
         d = len(w1) + len(w2)
@@ -149,10 +151,7 @@ class FreeLieBasis:
 
 def free_lie(degree: int) -> FreeLieBasis:
     """Lyndon basis and expansion data up to the total degree cap."""
-    if degree < 1:
-        raise InputError("degree cap must be >= 1")
-    fl = FreeLieBasis(degree)
-    fl.words = lyndon_words(2, degree)
+    fl = FreeLieBasis(degree, lyndon_words(2, degree))
     # shorter words come first, so both standard factors are already in the table
     for w in fl.words:
         if len(w) == 1:
@@ -164,6 +163,15 @@ def free_lie(degree: int) -> FreeLieBasis:
             raise FibLieError(f"Lyndon bracketing of {w} lost its leading word")
         fl.trees[w], fl.polys[w] = (fl.trees[u], fl.trees[s]), p
     return fl
+
+
+def free_dims(degree: int) -> dict[int, int]:
+    """Free Lie algebra dimensions in degrees 1..degree: Lyndon words per length."""
+    words = lyndon_words(2, degree)  # raises before the dict below is made
+    dims = dict.fromkeys(range(1, degree + 1), 0)
+    for w in words:
+        dims[len(w)] += 1
+    return dims
 
 
 def evaluate(tree: Tree, assignment: dict[int, Element]) -> Element:
@@ -223,37 +231,29 @@ def relation_shifts_check(k_max: int) -> bool:
     return True
 
 
-def quotient_dims(
-    relation_trees: tuple[Tree, ...], degree: int, fl: FreeLieBasis | None = None
-) -> dict[int, int]:
+def quotient_dims(relation_trees: tuple[Tree, ...], degree: int) -> dict[int, int]:
     """Dimensions per total degree of (free Lie algebra)/(ideal generated by
     the relations), the ideal closed degree by degree under bracketing
     with the generators x1, x2 (enough, since ad [a,b] = [ad a, ad b])."""
-    if fl is None:
-        fl = free_lie(degree)
-    if fl.degree < degree:
-        raise InputError(f"basis table reaches degree {fl.degree}, not {degree}")
-    # spans[d]: reduced generating rows of the degree-d ideal layer
+    free = free_dims(degree)
+    # spans[d]: reduced generating rows of the degree-d ideal layer;
+    # layer_polys[d]: its inserted polynomials, kept only where a bracket reads them
     spans: dict[int, gf2.Span] = {d: gf2.Span() for d in range(1, degree + 1)}
-    layer_polys: dict[int, list[Poly]] = {d: [] for d in range(1, degree + 1)}
+    layer_polys: dict[int, list[Poly]] = {d: [] for d in range(1, degree)}
 
     def insert(p: Poly) -> None:
-        if spans[p.degree].add(p.bits):
+        if spans[p.degree].add(p.bits) and p.degree < degree:
             layer_polys[p.degree].append(p)
 
     for t in relation_trees:
         if tree_degree(t) <= degree:
             insert(tree_poly(t))
-    gens = [fl.polys[(1,)], fl.polys[(2,)]]
+    gens = [tree_poly(1), tree_poly(2)]
     for d in range(2, degree + 1):
         for p in layer_polys[d - 1]:
             for x in gens:
                 insert(lie_bracket_poly(p, x))
-    dims = {}
-    free_dims = fl.dims()
-    for d in range(1, degree + 1):
-        dims[d] = free_dims.get(d, 0) - len(spans[d])
-    return dims
+    return {d: free[d] - len(spans[d]) for d in range(1, degree + 1)}
 
 
 def target_dims(degree: int) -> dict[int, int]:
@@ -274,10 +274,9 @@ class PresentationReport:
 
 
 def presentation_report(degree: int = 7) -> PresentationReport:
-    fl = free_lie(degree)
     return PresentationReport(
         degree=degree,
-        free=fl.dims(),
-        quotient=quotient_dims(RELATION_TREES, degree, fl),
+        free=free_dims(degree),
+        quotient=quotient_dims(RELATION_TREES, degree),
         target=target_dims(degree),
     )

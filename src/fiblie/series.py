@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal
 
-from .core import FibLieError, InputError
+from .core import LIMITS, FibLieError, InputError, MonomialLimitError
 from .grading import fib, gr_pivot, level_multidegree_counts
 
 Kind = Literal["lie", "restricted"]
@@ -88,6 +88,11 @@ class LatticeSeries:
 def _triangle(s: LatticeSeries, bound: int, depth: int) -> list[list[int]]:
     """The terms of ``s`` (in N0^2, with a <= depth) through the bound on the
     dense triangle rows[a][b], a <= depth, a + b <= bound."""
+    entries = (depth + 1) * (2 * bound + 2 - depth) // 2
+    if entries > LIMITS.monomial_limit:
+        raise MonomialLimitError(
+            f"a degree-{bound} triangle has {entries} entries (cap {LIMITS.monomial_limit})"
+        )
     rows = [[0] * (bound + 1 - a) for a in range(depth + 1)]
     for (a, b), c in s.coeffs.items():
         if a + b <= bound:

@@ -165,6 +165,8 @@ def test_closed_pipe_exits_without_traceback():
         ("envelope", "--degree", "-1"),
         ("hilbert", "--upto", "-3"),
         ("homology", "--max-total-degree", "-1"),
+        ("presentation", "--max-degree", "40"),
+        ("euler", "--degree", "100000"),
     ],
 )
 def test_input_errors_exit_2_without_traceback(argv):

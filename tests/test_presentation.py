@@ -6,7 +6,16 @@ import random
 
 import pytest
 
-from fiblie.core import ZERO, FibLieError, InputError, bracket, format_element, v
+from fiblie.core import (
+    LIMITS,
+    ZERO,
+    FibLieError,
+    InputError,
+    MonomialLimitError,
+    bracket,
+    format_element,
+    v,
+)
 from fiblie import gf2
 from fiblie.presentation import (
     RELATION_TREES,
@@ -14,6 +23,7 @@ from fiblie.presentation import (
     bit_word,
     concat_mul,
     evaluate,
+    free_dims,
     free_lie,
     left_normed,
     lie_bracket_poly,
@@ -67,10 +77,8 @@ def necklace_dim(n: int, q: int = 2) -> int:
 
 
 def test_free_dims_vs_necklace_oracle():
-    fl = free_lie(7)
-    dims = fl.dims()
-    for d in range(1, 8):
-        assert dims[d] == necklace_dim(d)
+    for d in range(1, 17):
+        assert free_dims(d) == {k: necklace_dim(k) for k in range(1, d + 1)}
 
 
 def test_pivot_tree_recursion():
@@ -117,9 +125,7 @@ def test_relations_vanish_and_shifts():
 
 
 def test_quotient_with_no_relations_is_free():
-    fl = free_lie(6)
-    dims = quotient_dims((), 6, fl)
-    assert dims == fl.dims()
+    assert quotient_dims((), 6) == free_dims(6)
 
 
 def test_quotient_matches_algebra_dims():
@@ -140,8 +146,21 @@ def test_kernel_dims_are_free_minus_quotient():
 
 
 def test_free_lie_rejects_bad_degree():
-    with pytest.raises(ValueError):
-        free_lie(0)
+    for build in (free_lie, free_dims, presentation_report, lambda d: lyndon_words(2, d)):
+        with pytest.raises(InputError):
+            build(0)
+
+
+def test_row_width_is_held_to_the_monomial_limit(monkeypatch):
+    # a degree-d polynomial is a 2^d-bit row; the default cap admits d <= 19
+    for build in (free_lie, free_dims, lambda d: quotient_dims(RELATION_TREES, d)):
+        with pytest.raises(MonomialLimitError):
+            build(20)
+    monkeypatch.setattr(LIMITS, "monomial_limit", 1 << 6)
+    assert quotient_dims(RELATION_TREES, 6) == presentation_report(6).quotient
+    for build in (free_lie, free_dims, lambda d: quotient_dims(RELATION_TREES, d)):
+        with pytest.raises(MonomialLimitError):
+            build(7)
 
 
 def test_quotient_against_evaluation_kernel_oracle():
@@ -188,7 +207,7 @@ def quotient_dims_all_lyndon(relation_trees, degree):
             for p in list(layer_polys[d_low]):
                 for w in fl.by_degree(d - d_low):
                     insert(lie_bracket_poly(p, fl.polys[w]), d)
-    return {d: fl.dims().get(d, 0) - len(spans[d]) for d in range(1, degree + 1)}
+    return {d: len(fl.by_degree(d)) - len(spans[d]) for d in range(1, degree + 1)}
 
 
 def test_generator_closure_matches_all_lyndon_oracle():
@@ -196,25 +215,19 @@ def test_generator_closure_matches_all_lyndon_oracle():
         assert quotient_dims(relations, 10) == quotient_dims_all_lyndon(relations, 10)
 
 
-def test_presentation_report_pin_degree_14():
-    # the sizes the benchmark's lattice workload runs
-    report = presentation_report(14)
-    degrees = range(1, 15)
+def test_presentation_report_pin_degree_16():
+    # the benchmark lattice workload's degree 14 and two degrees past it
+    report = presentation_report(16)
+    degrees = range(1, 17)
     assert [report.free[d] for d in degrees] == [
-        2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335, 630, 1161
+        2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335, 630, 1161, 2182, 4080
     ]
     assert [report.quotient[d] for d in degrees] == [
-        2, 1, 2, 2, 2, 2, 4, 5, 8, 11, 18, 25, 40, 58
+        2, 1, 2, 2, 2, 2, 4, 5, 8, 11, 18, 25, 40, 58, 90, 135
     ]
     assert [report.target[d] for d in degrees] == [
-        2, 1, 2, 2, 2, 2, 4, 2, 2, 4, 4, 4, 2, 2
+        2, 1, 2, 2, 2, 2, 4, 2, 2, 4, 4, 4, 2, 2, 4, 4
     ]
-
-
-def test_quotient_rejects_a_shallow_basis_table():
-    with pytest.raises(InputError):
-        quotient_dims(RELATION_TREES, 8, free_lie(6))
-    assert quotient_dims(RELATION_TREES, 6, free_lie(8)) == quotient_dims(RELATION_TREES, 6)
 
 
 def test_letters_other_than_1_and_2_are_rejected():

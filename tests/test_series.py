@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from fiblie.core import LIMITS, MonomialLimitError
 from fiblie.grading import GoldenInt, LAMBDA, gr
 from fiblie.basis import enumerate_W_upto
 from fiblie.series import (
@@ -206,6 +207,20 @@ def test_product_rejects_off_quadrant_factor():
         inside * outside
     with pytest.raises(SupportError):
         outside * inside
+
+
+def test_dense_triangle_is_held_to_the_monomial_limit(monkeypatch):
+    # the triangle a + b <= bound has (bound + 1)(bound + 2)/2 entries; one row has bound + 1
+    h5, h6, h20 = hilbert_lie(5), hilbert_lie(6), hilbert_one_var(20)
+    expected = e_operator(h5), e_operator_1var(h20)
+    monkeypatch.setattr(LIMITS, "monomial_limit", 21)
+    assert (e_operator(h5), e_operator_1var(h20)) == expected
+    s = series({(1, 0): 1}, 5)
+    assert s * s == series({(2, 0): 1}, 5)
+    t = series({(1, 0): 1}, 6)
+    for build in (lambda: e_operator(h6), lambda: t * t):
+        with pytest.raises(MonomialLimitError):
+            build()
 
 
 def test_euler_inverse_check():
