@@ -26,6 +26,9 @@ def main() -> None:
     parser.add_argument("--envelope-degree", type=int, default=200)
     args = parser.parse_args()
 
+    # lambda^(max_n + 1) needs the same levels as the largest threshold,
+    # y_max_n: asking for them first refuses a scan too deep before any count
+    weight_growth_levels(lambda_power(args.max_n + 1))
     print("n   gamma(lambda^n)/x^c   gamma(y_n)/y^c      (c = log_lambda 2)")
     for n in range(5, args.max_n + 1):
         x = lambda_power(n)

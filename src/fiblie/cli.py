@@ -69,7 +69,7 @@ def _cmd_bracket(args) -> int:
 
 def _cmd_nil(args) -> int:
     e = expr.eval_text(args.element)
-    report = nil_mod.nil_index(e, cap=args.cap, limit=args.monomial_limit)
+    report = nil_mod.nil_index(e, limit=args.monomial_limit)
     payload = {
         "element": format_element(e),
         "min_pivot": report.min_pivot,
@@ -90,7 +90,7 @@ def _cmd_nil(args) -> int:
 def _cmd_nil_scan(args) -> int:
     rows = [
         [r.n, r.m, r.index, r.bound, int(r.tight), r.peak_monomials]
-        for r in nil_mod.conjecture_scan((args.min, args.max), args.max, cap=args.cap)
+        for r in nil_mod.conjecture_scan((args.min, args.max), args.max)
     ]
     _emit_rows(
         ["n", "m", "index", "bound", "tight", "peak_monomials"],
@@ -258,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nil", help="minimal nilpotency index of an element")
     p.add_argument("--element", required=True)
-    p.add_argument("--cap", type=int, default=64)
     p.add_argument("--monomial-limit", type=int, default=None)
     add_format(p)
     p.set_defaults(fn=_cmd_nil)
@@ -266,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nil-scan", help="index-vs-bound scan for v_n + ... + v_m")
     p.add_argument("--min", type=int, default=1)
     p.add_argument("--max", type=int, default=6)
-    p.add_argument("--cap", type=int, default=64)
     add_format(p)
     p.set_defaults(fn=_cmd_nil_scan)
 

@@ -310,11 +310,18 @@ def square(e: Element) -> Element:
     )
 
 
+def monomial_cap(limit: int | None) -> int:
+    """The monomial limit of one computation: ``limit``, or the global one."""
+    if limit is not None and limit < 1:
+        raise InputError(f"monomial limit must be >= 1, got {limit}")
+    return LIMITS.monomial_limit if limit is None else limit
+
+
 def power_2k(e: Element, k: int, limit: int | None = None) -> Element:
     """e^(2^k) by iterated squaring; k = 0 is the identity."""
     if k < 0:
         raise InputError("exponent count must be >= 0")
-    cap = LIMITS.monomial_limit if limit is None else limit
+    cap = monomial_cap(limit)
     for _ in range(k):
         e = square(e)
         if len(e.monomials) > cap:

@@ -33,8 +33,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def _svg_scatter(
     path: Path,
     points: list[tuple[float, float, float, str]],
-    lines: list[tuple[float, float, float, float, str]] = (),
-    size: int = 720,
+    lines: list[tuple[float, float, float, float, str]],
 ) -> None:
     """points: (x, y, radius, colour); lines: (x1, y1, x2, y2, colour)."""
     xs = [p[0] for p in points] or [0.0]
@@ -43,18 +42,18 @@ def _svg_scatter(
     y0, y1 = min(ys), max(ys)
     pad = 0.05 * max(x1 - x0, y1 - y0, 1.0)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
-    scale = size / max(x1 - x0, y1 - y0)
+    scale = 720 / max(x1 - x0, y1 - y0)
 
     def sx(x: float) -> float:
         return (x - x0) * scale
 
     def sy(y: float) -> float:
-        return size - (y - y0) * scale
+        return 720 - (y - y0) * scale
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="720" height="720" '
+        'viewBox="0 0 720 720">',
+        '<rect width="720" height="720" fill="white"/>',
     ]
     for lx1, ly1, lx2, ly2, colour in lines:
         parts.append(

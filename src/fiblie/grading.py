@@ -31,10 +31,6 @@ class ZeroSignError(FibLieError):
     """A superweight sign came out zero; impossible for monomials."""
 
 
-class LevelCeilingError(FibLieError):
-    """Enumeration hit its level ceiling before reaching the threshold."""
-
-
 LAMBDA_FLOAT = (1 + 5**0.5) / 2
 LOG_LAMBDA_2 = math.log(2) / math.log(LAMBDA_FLOAT)  # ~ 1.44042
 
@@ -201,7 +197,7 @@ def sign_split(
     return plus, minus
 
 
-def local_nilpotency_bound(gens: Sequence[Monomial], cap: int = 10**6) -> int:
+def local_nilpotency_bound(gens: Sequence[Monomial]) -> int:
     """ceil(1/mu) for mu = min positive superweight of the generators,
     found by exact integer search on GoldenInt signs."""
     if not gens:
@@ -210,16 +206,13 @@ def local_nilpotency_bound(gens: Sequence[Monomial], cap: int = 10**6) -> int:
     for mu in mus:
         if mu.sign() <= 0:
             raise InputError("generators must come from the positive side")
-    mu = mus[0]
-    for other in mus[1:]:
-        if other < mu:
-            mu = other
+    mu = min(mus)
     acc = GOLDEN_ZERO
-    for n in range(1, cap + 1):
+    for n in range(1, 10**6 + 1):
         acc = acc + mu
         if (acc - GOLDEN_ONE).sign() >= 0:
             return n
-    raise FibLieError("nilpotency bound search exceeded cap")
+    raise FibLieError("nilpotency bound search exceeded 10^6 steps")
 
 
 def degree_growth(series, upto: int) -> dict[int, int]:
@@ -238,15 +231,21 @@ def degree_growth(series, upto: int) -> dict[int, int]:
 # multidegree of W_n once and weighs it by its count.
 
 
-@lru_cache(maxsize=32)
-def level_multidegree_counts(n: int) -> Mapping[tuple[int, int], int]:
-    """Multidegree distribution of W_n (subset-sum fold over tail factors);
-    W_n has F_n - 1 distinct multidegrees for n >= 3."""
+def check_level(n: int) -> None:
+    """Refuse level n, before any scan takes it, if W_n may fold into more
+    multidegrees than the monomial limit."""
     if fib(n) > LIMITS.monomial_limit:
         raise MonomialLimitError(
             f"level {n} folds into up to F_{n} = {fib(n)} multidegrees "
             f"(cap {LIMITS.monomial_limit})"
         )
+
+
+@lru_cache(maxsize=32)
+def level_multidegree_counts(n: int) -> Mapping[tuple[int, int], int]:
+    """Multidegree distribution of W_n (subset-sum fold over tail factors);
+    W_n has F_n - 1 distinct multidegrees for n >= 3."""
+    check_level(n)
     dd: dict[tuple[int, int], int] = {tuple(gr_pivot(n)): 1}
     for j in range(basis_mod.tail_width(n)):
         ta, tb = gr_tail(j)
@@ -294,13 +293,12 @@ def count_weights_at_most(levels: Sequence[int], x: GoldenInt) -> int:
     )
 
 
-def weight_growth_levels(x: GoldenInt, max_level: int = 64) -> list[int]:
+def weight_growth_levels(x: GoldenInt) -> list[int]:
     """Levels that can contain W-monomials of weight <= x."""
     levels = []
     n = 1
     while (lambda_power(n - 1) - x).sign() < 0:
+        check_level(n)
         levels.append(n)
         n += 1
-        if n > max_level:
-            raise LevelCeilingError(f"level ceiling {max_level} reached")
     return levels

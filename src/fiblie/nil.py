@@ -3,8 +3,8 @@ iterated squaring, the structural pivot-shift invariant, and the two
 floating index-growth constants.
 
 For a basis-form element spanning pivots n..m the index never exceeds
-m - n + 2; squaring advances the pivot floor by two, so depth rather
-than width is what keeps the computation finite.
+m - n + 2, where every squaring loop here stops; squaring advances the
+pivot floor by two, so depth rather than width keeps the work finite.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    LIMITS,
     Element,
     FibLieError,
     InputError,
@@ -21,6 +20,7 @@ from .core import (
     element,
     is_basis_element,
     monomial,
+    monomial_cap,
     square,
 )
 from .grading import LAMBDA_FLOAT
@@ -28,10 +28,6 @@ from .grading import LAMBDA_FLOAT
 # N < C (m - n + 1) while a^(2^N) != 0, and exponent < C1 * senior-index
 EST_LOW_C = math.log(LAMBDA_FLOAT) / math.log(LAMBDA_FLOAT**2 / 2)  # ~ 1.787
 EST_UP_C1 = math.log(LAMBDA_FLOAT) / math.log(2 / LAMBDA_FLOAT)  # ~ 2.27
-
-
-class NilCapError(FibLieError):
-    """The exponent cap was reached before the element vanished."""
 
 
 @dataclass(frozen=True)
@@ -51,13 +47,13 @@ class NilReport:
         return self.max_pivot + 1 if self.scalar_senior_tail else self.max_pivot
 
 
-def nil_index(e: Element, cap: int = 64, limit: int | None = None) -> NilReport:
-    """Minimal N with e^(2^N) = 0, by iterated squaring."""
+def nil_index(e: Element, limit: int | None = None) -> NilReport:
+    """Minimal N with e^(2^N) = 0, by iterated squaring up to the bound."""
     if not e:
         raise InputError("nil index of the zero element is undefined")
     if not is_basis_element(e):
         raise InputError("expected a basis-form element")
-    mono_cap = LIMITS.monomial_limit if limit is None else limit
+    mono_cap = monomial_cap(limit)
     lo, hi = e.pivot_range()
     bound = hi - lo + 2
     scalar_senior = any(m.pivot == hi and m.tail == 0 for m in e.monomials)
@@ -65,8 +61,8 @@ def nil_index(e: Element, cap: int = 64, limit: int | None = None) -> NilReport:
     power = e
     index = 0
     while power:
-        if index >= cap:
-            raise NilCapError(f"element did not vanish within exponent cap {cap}")
+        if index == bound:
+            raise FibLieError(f"e^(2^{bound}) != 0 past the guaranteed bound {bound}")
         power = square(power)
         index += 1
         peak = max(peak, len(power))
@@ -74,12 +70,10 @@ def nil_index(e: Element, cap: int = 64, limit: int | None = None) -> NilReport:
             raise MonomialLimitError(
                 f"intermediate element has {len(power)} monomials (cap {mono_cap})"
             )
-    if index > bound:
-        raise FibLieError(f"index {index} exceeded the guaranteed bound {bound}")
     return NilReport(e, lo, hi, index, bound, peak, scalar_senior)
 
 
-def shift_structure_check(e: Element, max_steps: int | None = None) -> bool:
+def shift_structure_check(e: Element) -> bool:
     """Squares of a basis-form element keep the structural shape
     sum_{i=n+2N}^{m+N} r v_i + (scalar-free tail) v_{m+N+1}."""
     if not e:
@@ -87,9 +81,8 @@ def shift_structure_check(e: Element, max_steps: int | None = None) -> bool:
     if not is_basis_element(e):
         raise InputError("expected a basis-form element")
     lo, hi = e.pivot_range()
-    steps = hi - lo + 2 if max_steps is None else max_steps
     power = e
-    for big_n in range(1, steps + 1):
+    for big_n in range(1, hi - lo + 3):  # N <= m - n + 2
         power = square(power)
         if not power:
             return True
@@ -118,7 +111,7 @@ class ScanRow:
     peak_monomials: int
 
 
-def conjecture_scan(n_range: tuple[int, int], m_max: int, cap: int = 64) -> list[ScanRow]:
+def conjecture_scan(n_range: tuple[int, int], m_max: int) -> list[ScanRow]:
     """Exact indices of v_n + ... + v_m against the bound m - n + 2.
 
     The bound is not attained in general: for n = 1 the index stays below it
@@ -128,7 +121,7 @@ def conjecture_scan(n_range: tuple[int, int], m_max: int, cap: int = 64) -> list
     rows = []
     for n in range(n_range[0], n_range[1] + 1):
         for m in range(n, m_max + 1):
-            report = nil_index(pivot_interval(n, m), cap=cap)
+            report = nil_index(pivot_interval(n, m))
             rows.append(
                 ScanRow(
                     n,
@@ -142,10 +135,10 @@ def conjecture_scan(n_range: tuple[int, int], m_max: int, cap: int = 64) -> list
     return rows
 
 
-def bound_constants_check(reports: list[NilReport], tol: float = 1e-3) -> bool:
+def bound_constants_check(reports: list[NilReport]) -> bool:
     """Soft check of both floating index estimates on observed minimal
     indices: N - 1 < C (m - n + 1) and N - 1 < C1 * s."""
-    if abs(EST_LOW_C - 1.787) > tol or abs(EST_UP_C1 - 2.27) > 5 * tol:
+    if abs(EST_LOW_C - 1.787) > 1e-3 or abs(EST_UP_C1 - 2.27) > 5e-3:
         return False
     for r in reports:
         if not r.index - 1 < EST_LOW_C * (r.max_pivot - r.min_pivot + 1):

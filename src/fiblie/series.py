@@ -16,17 +16,13 @@ from fractions import Fraction
 from typing import Literal
 
 from .core import LIMITS, FibLieError, InputError, MonomialLimitError
-from .grading import fib, gr_pivot, level_multidegree_counts
+from .grading import check_level, fib, gr_pivot, level_multidegree_counts
 
 Kind = Literal["lie", "restricted"]
 
 
 class SupportError(FibLieError):
     """A series left the admissible lattice quadrant."""
-
-
-class TruncationError(FibLieError):
-    """The requested degree exceeds what the inputs can support."""
 
 
 @dataclass
@@ -85,14 +81,19 @@ class LatticeSeries:
         return sorted(self.coeffs.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]))
 
 
-def _triangle(s: LatticeSeries, bound: int, depth: int) -> list[list[int]]:
-    """The terms of ``s`` (in N0^2, with a <= depth) through the bound on the
-    dense triangle rows[a][b], a <= depth, a + b <= bound."""
+def _check_triangle(bound: int, depth: int) -> None:
+    """Refuse a triangle a <= depth, a + b <= bound past the monomial limit."""
     entries = (depth + 1) * (2 * bound + 2 - depth) // 2
     if entries > LIMITS.monomial_limit:
         raise MonomialLimitError(
             f"a degree-{bound} triangle has {entries} entries (cap {LIMITS.monomial_limit})"
         )
+
+
+def _triangle(s: LatticeSeries, bound: int, depth: int) -> list[list[int]]:
+    """The terms of ``s`` (in N0^2, with a <= depth) through the bound on the
+    dense triangle rows[a][b], a <= depth, a + b <= bound."""
+    _check_triangle(bound, depth)
     rows = [[0] * (bound + 1 - a) for a in range(depth + 1)]
     for (a, b), c in s.coeffs.items():
         if a + b <= bound:
@@ -153,10 +154,9 @@ def levels_for_degree(degree: int, kind: Kind = "lie") -> list[int]:
     levels = []
     n = 1
     while min_level_degree(n, kind) <= degree:
+        check_level(n)
         levels.append(n)
         n += 1
-        if n > 90:
-            raise TruncationError(f"level scan passed 90 for degree {degree}")
     return levels
 
 
@@ -273,6 +273,7 @@ def e_operator_1var(h: OneVarSeries) -> OneVarSeries:
 def euler_product(bound: int = 40) -> LatticeSeries:
     """Truncated prod over basis monomials w of (1 - x^Gr1(w) y^Gr2(w)): the
     product of E with the opposite sign, so E(L) * H(U(L)) = 1."""
+    _check_triangle(bound, bound)  # the factors reach a = 1: refuse before counting
     return _factor_product(hilbert_lie(bound), 1)
 
 

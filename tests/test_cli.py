@@ -167,6 +167,10 @@ def test_closed_pipe_exits_without_traceback():
         ("homology", "--max-total-degree", "-1"),
         ("presentation", "--max-degree", "40"),
         ("euler", "--degree", "100000"),
+        ("euler", "--degree", "1000000000"),
+        ("hilbert", "--method", "recursive", "--degree", "1000000000"),
+        ("envelope", "--growth", "--degree", "1000000000"),
+        ("nil", "--element", "v1", "--monomial-limit", "0"),
     ],
 )
 def test_input_errors_exit_2_without_traceback(argv):

@@ -13,6 +13,7 @@ from fiblie.basis import enumerate_W_upto
 from fiblie.core import (
     Element,
     IndexCeilingError,
+    InputError,
     Monomial,
     MonomialLimitError,
     RING_ONE,
@@ -97,6 +98,9 @@ def test_power_examples():
 def test_power_cap():
     with pytest.raises(MonomialLimitError):
         power_2k(element(W8[:20]), 3, limit=2)
+    for limit in (0, -5):
+        with pytest.raises(InputError):
+            power_2k(v(1), 1, limit=limit)
 
 
 def test_tau_examples():

@@ -13,7 +13,6 @@ from fiblie.grading import (
     GOLDEN_ONE,
     GoldenInt,
     LAMBDA,
-    LevelCeilingError,
     Multidegree,
     count_weights_at_most,
     degree_growth,
@@ -145,7 +144,7 @@ def test_local_nilpotency_bound():
         local_nilpotency_bound([])
 
 
-def weight_growth(x: GoldenInt, kind: str = "lie", max_level: int = 64) -> int:
+def weight_growth(x: GoldenInt, kind: str = "lie") -> int:
     """Test oracle: the scalar twin of count_weights_at_most, one exact
     GoldenInt comparison per basis monomial."""
     if x.sign() < 0:
@@ -156,8 +155,6 @@ def weight_growth(x: GoldenInt, kind: str = "lie", max_level: int = 64) -> int:
         # wt(W~_n) > lambda^(n-1), so once lambda^(n-1) >= x no level contributes
         if (lambda_power(n - 1) - x).sign() >= 0:
             return count
-        if n > max_level:
-            raise LevelCeilingError(f"level ceiling {max_level} reached")
         count += sum((weight(m).wt - x).sign() <= 0 for m in enumerate_W(n, kind))
         n += 1
 

@@ -7,12 +7,21 @@ import time
 
 import pytest
 
+from fiblie import nil
 from fiblie.basis import enumerate_W_upto
-from fiblie.core import ZERO, element, parse_element, power_2k, tau, v
+from fiblie.core import (
+    ZERO,
+    FibLieError,
+    InputError,
+    element,
+    parse_element,
+    power_2k,
+    tau,
+    v,
+)
 from fiblie.nil import (
     EST_LOW_C,
     EST_UP_C1,
-    NilCapError,
     bound_constants_check,
     conjecture_scan,
     nil_index,
@@ -31,13 +40,20 @@ def test_nil_index_examples():
     assert r.index == 3  # exact value by iterated squaring
 
 
-def test_nil_index_rejects():
+def test_nil_index_rejects(monkeypatch):
     with pytest.raises(ValueError):
         nil_index(ZERO)
     with pytest.raises(ValueError):
         nil_index(parse_element("t3*v4"))  # non-basis
-    with pytest.raises(NilCapError):
-        nil_index(v(1) + v(5), cap=1)
+    for limit in (0, -5):
+        with pytest.raises(InputError):
+            nil_index(v(1), limit=limit)
+    # an element that never vanishes is refused at its bound m - n + 2 = 6
+    squarings = []
+    monkeypatch.setattr(nil, "square", lambda e: squarings.append(e) or e)
+    with pytest.raises(FibLieError):
+        nil_index(v(1) + v(5))
+    assert len(squarings) == 6
 
 
 def test_shift_structure_examples():
@@ -48,7 +64,7 @@ def test_shift_structure_examples():
     for _ in range(60):
         e = element(rng.sample(pool, rng.choice((1, 2, 3))))
         if e:
-            assert shift_structure_check(e, max_steps=4)
+            assert shift_structure_check(e)
 
 
 def test_square_pivot_floor():

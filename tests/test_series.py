@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from fiblie.core import LIMITS, MonomialLimitError
-from fiblie.grading import GoldenInt, LAMBDA, gr
+from fiblie.grading import GoldenInt, LAMBDA, gr, lambda_power, weight_growth_levels
 from fiblie.basis import enumerate_W_upto
 from fiblie.series import (
     LatticeSeries,
@@ -221,6 +221,20 @@ def test_dense_triangle_is_held_to_the_monomial_limit(monkeypatch):
     for build in (lambda: e_operator(h6), lambda: t * t):
         with pytest.raises(MonomialLimitError):
             build()
+
+
+def test_deep_requests_are_refused_before_any_fold():
+    # level 31 folds into F_31 > 10^6 multidegrees; each scan stops at its
+    # level check, and euler_product at its triangle, before level 1 is folded
+    level_multidegree_counts.cache_clear()
+    for build in (
+        lambda: levels_for_degree(10**9),
+        lambda: weight_growth_levels(lambda_power(40)),
+        lambda: euler_product(100000),
+    ):
+        with pytest.raises(MonomialLimitError):
+            build()
+        assert level_multidegree_counts.cache_info().currsize == 0
 
 
 def test_euler_inverse_check():

@@ -25,16 +25,37 @@ def test_package_has_no_assert_guards():
     assert _nodes(lambda node: isinstance(node, ast.Assert)) == []
 
 
-def _raises_value_error(node) -> bool:
+def _name(node) -> str | None:
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _raised(node) -> str | None:
+    """The name of the class a raise statement raises, or None."""
     if not isinstance(node, ast.Raise) or node.exc is None:
-        return False
-    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return isinstance(exc, ast.Name) and exc.id == "ValueError"
+        return None
+    return _name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
 
 
 def test_package_raises_no_bare_value_error():
     # the CLI turns FibLieError into exit 2; InputError is also a ValueError
-    assert _nodes(_raises_value_error) == []
+    assert _nodes(lambda node: _raised(node) == "ValueError") == []
+
+
+def test_every_error_class_is_raised():
+    # an error class leaves the package with its last raise
+    nodes = [
+        node
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    ]
+    classes = [node for node in nodes if isinstance(node, ast.ClassDef)]
+    errors = {"FibLieError"}
+    for _ in classes:  # enough passes to reach every subclass of a subclass
+        errors |= {c.name for c in classes if any(_name(b) in errors for b in c.bases)}
+    raised = {_raised(node) for node in nodes}
+    assert sorted(errors - {"FibLieError"} - raised) == []
 
 
 def test_package_imports_only_stdlib_at_module_level():
@@ -53,12 +74,6 @@ def test_package_imports_only_stdlib_at_module_level():
             if node not in tree.body or not allowed.issuperset(roots):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
-
-
-def _name(node) -> str | None:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return node.id if isinstance(node, ast.Name) else None
 
 
 def _is_unbounded_cache(node) -> bool:
