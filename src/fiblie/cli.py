@@ -130,6 +130,7 @@ def _cmd_envelope(args) -> int:
         rows = [[n, f"{th:.4f}", f"{report.theta_target:.4f}"] for n, th in report.theta_hat]
         _emit_rows(["degree", "theta_hat", "theta_target"], rows, args.format, sys.stdout)
         return 0
+    series_mod.check_triangle(args.degree, args.degree)  # E's triangle, before counting
     h = series_mod.e_operator(series_mod.hilbert_lie(args.degree))
     rows = [[a, b, c] for (a, b), c in h.items_sorted()]
     _emit_rows(["a", "b", "coefficient"], rows, args.format, sys.stdout)

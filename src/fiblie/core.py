@@ -11,6 +11,10 @@ closed forms
     v_i^2      = t_{i-1} v_{i+2}
 
 so the infinite recursive expansion of the pivots is never materialised.
+By the Leibniz rule, v_n(t^S) has at most three terms: t_n, and the least
+two indices of S above n (every further index j of S gives a factor
+t_{n-1} ... t_{j-2} that contains the least one); so a monomial bracket is
+a few shifts and masks.
 
 Representation: a tail is a bitmask of t-indices (``RingMonomial``, a plain
 int; bit i set means the factor t_i, mask 0 means 1).  A ``RingElement`` is a
@@ -158,22 +162,29 @@ def _toggle(acc: set, item) -> None:
         acc.add(item)
 
 
-def _action_masks(n: int, smask: int) -> list[int]:
-    """Masks of v_n applied to the ring monomial smask (Leibniz over factors)."""
-    out = []
-    s = smask
-    while s:
-        lsb = s & -s
-        j = lsb.bit_length() - 1
-        s ^= lsb
-        rest = smask ^ lsb
-        if n == j:
-            out.append(rest)
-        elif n < j:
-            m = _range_mask(n - 1, j - 2)
-            if not (m & rest):
-                out.append(rest | m)
-        # n > j: v_n(t_j) = 0
+def _action_masks(n: int, s: int) -> list[int]:
+    """Masks of v_n(t^S) for the tail mask s of S: at most three terms, t_n,
+    and the least two indices of S above n.
+
+    v_n kills t_j for j < n and sends t_n to 1.  For j > n it sends t_j to
+    t_{n-1} ... t_{j-2}, which meets every index of S in [n-1, j-2]; so
+    j1, the least index of S above n, and j1 + 1 are the only candidates.
+    """
+    out = [s ^ (1 << n)] if s >> n & 1 else []
+    high = s >> (n + 1)
+    if not high:
+        return out
+    # the top index J > n of S gives the widest factor, t_{n-1} ... t_{J-2}
+    if s.bit_length() - 3 >= LIMITS.index_ceiling:
+        _check_index(s.bit_length() - 3)
+    j = (high & -high).bit_length() + n
+    m = ((1 << (j - n)) - 1) << (n - 1)  # t_{n-1} ... t_{j-2}
+    if not s & m:
+        out.append(s ^ (1 << j) | m)
+        if s >> (j + 1) & 1:
+            m |= 1 << (j - 1)
+            if not s & m:
+                out.append(s ^ (1 << (j + 1)) | m)
     return out
 
 
@@ -242,18 +253,24 @@ def ring_mul(r: Iterable[int], s: Iterable[int]) -> RingElement:
 
 
 def _bracket_mono(m1: Monomial, m2: Monomial, acc: set[Monomial]) -> None:
-    # [r v_n, s v_m] = r v_n(s) v_m + s v_m(r) v_n + r s [v_n, v_m]
+    # [r v_n, s v_m] = r v_n(s) v_m + s v_m(r) v_n + r s [v_n, v_m];
+    # v_n(s) = 0 when s has no t-index >= n
     n, r = m1
     m, s = m2
-    for am in _action_masks(n, s):
-        if not (am & r):
-            _toggle(acc, Monomial(m, am | r))
-    for am in _action_masks(m, r):
-        if not (am & s):
-            _toggle(acc, Monomial(n, am | s))
+    if s >> n:
+        for am in _action_masks(n, s):
+            if not (am & r):
+                _toggle(acc, Monomial(m, am | r))
+    if r >> m:
+        for am in _action_masks(m, r):
+            if not (am & s):
+                _toggle(acc, Monomial(n, am | s))
     if n != m and not (r & s):
         i, j = (n, m) if n < m else (m, n)
-        pmask = _range_mask(i - 1, j - 3)
+        # [v_i, v_j] = P v_{j+1} with P = t_{i-1} ... t_{j-3}, empty when j = i + 1
+        if j - 3 >= LIMITS.index_ceiling and j > i + 1:
+            _check_index(j - 3)
+        pmask = ((1 << (j - i - 1)) - 1) << (i - 1)
         rs = r | s
         if not (pmask & rs):
             _toggle(acc, Monomial(j + 1, pmask | rs))

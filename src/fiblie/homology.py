@@ -161,6 +161,7 @@ def homology_table(frontier: int, n_values: tuple[int, ...] | None = None) -> Ho
     """dim H_{n,(a,b)} for a+b <= frontier, scanning the homology strip."""
     if frontier < 0:
         raise InputError("the total-degree frontier must be >= 0")
+    series.check_triangle(frontier, frontier)  # one slice set per (a, b), a + b <= frontier
     entries: dict[tuple[int, int, int], int] = {}
     for d in range(frontier + 1):
         for a in range(d + 1):

@@ -81,7 +81,7 @@ class LatticeSeries:
         return sorted(self.coeffs.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]))
 
 
-def _check_triangle(bound: int, depth: int) -> None:
+def check_triangle(bound: int, depth: int) -> None:
     """Refuse a triangle a <= depth, a + b <= bound past the monomial limit."""
     entries = (depth + 1) * (2 * bound + 2 - depth) // 2
     if entries > LIMITS.monomial_limit:
@@ -93,7 +93,7 @@ def _check_triangle(bound: int, depth: int) -> None:
 def _triangle(s: LatticeSeries, bound: int, depth: int) -> list[list[int]]:
     """The terms of ``s`` (in N0^2, with a <= depth) through the bound on the
     dense triangle rows[a][b], a <= depth, a + b <= bound."""
-    _check_triangle(bound, depth)
+    check_triangle(bound, depth)
     rows = [[0] * (bound + 1 - a) for a in range(depth + 1)]
     for (a, b), c in s.coeffs.items():
         if a + b <= bound:
@@ -169,6 +169,8 @@ def hilbert_enumerated(upto: int, kind: Kind = "lie", bound: int = 40) -> Lattic
         raise InputError("W_{<=n} needs n >= 1")
     out: dict[tuple[int, int], int] = {}
     for n in range(1, upto + 1):
+        if min_level_degree(n, kind) > bound:
+            break  # the levels of levels_for_degree end here: the minimum grows with n
         if min_level_degree(n) <= bound:
             for (a, b), c in level_multidegree_counts(n).items():
                 if a + b <= bound:
@@ -273,7 +275,7 @@ def e_operator_1var(h: OneVarSeries) -> OneVarSeries:
 def euler_product(bound: int = 40) -> LatticeSeries:
     """Truncated prod over basis monomials w of (1 - x^Gr1(w) y^Gr2(w)): the
     product of E with the opposite sign, so E(L) * H(U(L)) = 1."""
-    _check_triangle(bound, bound)  # the factors reach a = 1: refuse before counting
+    check_triangle(bound, bound)  # the factors reach a = 1: refuse before counting
     return _factor_product(hilbert_lie(bound), 1)
 
 

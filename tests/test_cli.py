@@ -171,6 +171,8 @@ def test_closed_pipe_exits_without_traceback():
         ("hilbert", "--method", "recursive", "--degree", "1000000000"),
         ("envelope", "--growth", "--degree", "1000000000"),
         ("nil", "--element", "v1", "--monomial-limit", "0"),
+        ("homology", "--max-total-degree", "2000000"),
+        ("envelope", "--degree", "100000"),
     ],
 )
 def test_input_errors_exit_2_without_traceback(argv):

@@ -19,12 +19,14 @@ from fiblie.core import (
     RING_ONE,
     RING_ZERO,
     ZERO,
+    _action_masks,
     _bracket_mono,
     _check_index,
     _range_mask,
     _toggle,
     apply,
     bracket,
+    bracket_monomials,
     element,
     format_element,
     format_ring_element,
@@ -135,6 +137,12 @@ def test_index_ceiling():
         square(v(129))  # v_129^2 = t_128 v_131
     with pytest.raises(IndexCeilingError):
         square(v(1) + v(200))  # [v_1, v_200] = t_0 ... t_197 v_201
+    with pytest.raises(IndexCeilingError):
+        bracket(v(1), v(200))
+    with pytest.raises(IndexCeilingError):
+        bracket_monomials(Monomial(1, 0), Monomial(2, 1 << 131))  # v_1(t_131) = t_0 ... t_129
+    # [v_i, v_{i+1}] = v_{i+2} has an empty tail, so no ceiling applies
+    assert bracket(v(130), v(131)) == v(132)
 
 
 def test_canonical_order_and_roundtrip():
@@ -269,3 +277,54 @@ def test_square_and_bracket_match_the_derivation_definition():
         r = _random_ring_element(rng)
         assert apply(square(a), r) == apply(a, apply(a, r))
         assert apply(bracket(a, b), r) == apply(a, apply(b, r)) ^ apply(b, apply(a, r))
+
+
+# --- oracle: v_n on a ring monomial by the Leibniz rule over every factor ----
+
+
+def _action_masks_leibniz(n: int, smask: int) -> list[int]:
+    """Masks of v_n applied to the ring monomial smask (Leibniz over factors)."""
+    out = []
+    s = smask
+    while s:
+        lsb = s & -s
+        j = lsb.bit_length() - 1
+        s ^= lsb
+        rest = smask ^ lsb
+        if n == j:
+            out.append(rest)
+        elif n < j:
+            m = _range_mask(n - 1, j - 2)
+            if not (m & rest):
+                out.append(rest | m)
+        # n > j: v_n(t_j) = 0
+    return out
+
+
+def _action_outcome(action, n: int, s: int) -> set[int] | None:
+    """The set of output masks, or None when the action meets the ceiling."""
+    try:
+        return set(action(n, s))
+    except IndexCeilingError:
+        return None
+
+
+def test_action_masks_match_leibniz_oracle_on_every_small_tail():
+    for n in range(1, 15):
+        for s in range(1 << 14):
+            assert set(_action_masks(n, s)) == set(_action_masks_leibniz(n, s)), (n, s)
+
+
+def test_action_masks_match_leibniz_oracle_on_wide_tails():
+    rng = random.Random(1212)
+    for _ in range(20000):
+        n, s = rng.randint(1, 120), rng.getrandbits(rng.randint(1, 126))
+        assert set(_action_masks(n, s)) == set(_action_masks_leibniz(n, s)), (n, s)
+    # past the ceiling both raise on the same tails
+    raised = 0
+    for _ in range(20000):
+        n, s = rng.randint(1, 140), rng.getrandbits(rng.randint(120, 140))
+        out = _action_outcome(_action_masks, n, s)
+        assert out == _action_outcome(_action_masks_leibniz, n, s), (n, s)
+        raised += out is None
+    assert raised > 1000

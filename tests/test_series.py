@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,17 @@ def test_hilbert_enumerated_examples():
     for n in range(3, 10):
         total = sum(hilbert_enumerated(n, "lie", 100).coeffs.values())
         assert total == 1 + 2 ** (n - 2)
+
+
+def test_hilbert_enumerated_stops_at_the_last_level_under_the_bound():
+    for kind in ("lie", "restricted"):
+        deep = max(levels_for_degree(40, kind))
+        start = time.perf_counter()
+        wide = hilbert_enumerated(100000, kind, bound=40)
+        assert time.perf_counter() - start < 1.0
+        assert wide == hilbert_enumerated(deep, kind, bound=40)
+    # a small upto still needs no level past it, however large the bound
+    assert hilbert_enumerated(3, "lie", 10**9).coeffs == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
 
 
 def test_hilbert_recursive_examples():
