@@ -312,8 +312,9 @@ def square(e: Element) -> Element:
         for m in pivots[i + 1 :]:
             rm = groups[m]
             # [v_n, v_m] = P v_{m+1} with P = t_{n-1} ... t_{m-3}; as in
-            # _bracket_mono, P meets the ceiling once two tails are disjoint
-            if m - 3 >= LIMITS.index_ceiling and any(
+            # _bracket_mono, a non-empty P meets the ceiling once two tails
+            # are disjoint
+            if m - 3 >= LIMITS.index_ceiling and m >= n + 2 and any(
                 not a & b for a in rn for b in rm
             ):
                 _check_index(m - 3)

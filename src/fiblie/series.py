@@ -167,11 +167,22 @@ def hilbert_enumerated(upto: int, kind: Kind = "lie", bound: int = 40) -> Lattic
     """Coefficient at (a,b): number of basis monomials of W_{<=upto} there."""
     if upto < 1:
         raise InputError("W_{<=n} needs n >= 1")
-    out: dict[tuple[int, int], int] = {}
+    levels = []
     for n in range(1, upto + 1):
         if min_level_degree(n, kind) > bound:
             break  # the levels of levels_for_degree end here: the minimum grows with n
-        if min_level_degree(n) <= bound:
+        levels.append(n)
+    folded = [n for n in levels if min_level_degree(n) <= bound]
+    # level n folds into up to F_n multidegrees; the request holds them all
+    folds = sum(fib(n) for n in folded)
+    if folds > LIMITS.monomial_limit:
+        raise MonomialLimitError(
+            f"levels 1..{folded[-1]} fold into up to {folds} multidegrees "
+            f"(cap {LIMITS.monomial_limit})"
+        )
+    out: dict[tuple[int, int], int] = {}
+    for n in levels:
+        if n in folded:
             for (a, b), c in level_multidegree_counts(n).items():
                 if a + b <= bound:
                     out[(a, b)] = out.get((a, b), 0) + c

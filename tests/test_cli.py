@@ -173,6 +173,9 @@ def test_closed_pipe_exits_without_traceback():
         ("nil", "--element", "v1", "--monomial-limit", "0"),
         ("homology", "--max-total-degree", "2000000"),
         ("envelope", "--degree", "100000"),
+        ("hilbert", "--degree", "800000"),
+        ("presentation", "--max-degree", "25"),
+        ("presentation", "--max-degree", "1000000000"),
     ],
 )
 def test_input_errors_exit_2_without_traceback(argv):

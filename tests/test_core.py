@@ -141,8 +141,11 @@ def test_index_ceiling():
         bracket(v(1), v(200))
     with pytest.raises(IndexCeilingError):
         bracket_monomials(Monomial(1, 0), Monomial(2, 1 << 131))  # v_1(t_131) = t_0 ... t_129
-    # [v_i, v_{i+1}] = v_{i+2} has an empty tail, so no ceiling applies
+    # [v_i, v_{i+1}] = v_{i+2} has an empty tail, so no ceiling applies,
+    # in a bracket or in a square: (t0 v_130 + t1 v_131)^2 = [t0 v_130, t1 v_131]
     assert bracket(v(130), v(131)) == v(132)
+    a, b = parse_element("t0*v130"), parse_element("t1*v131")
+    assert square(a + b) == bracket(a, b) == parse_element("t0*t1*v132")
 
 
 def test_canonical_order_and_roundtrip():

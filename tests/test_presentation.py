@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,8 @@ from fiblie import gf2
 from fiblie.presentation import (
     RELATION_TREES,
     Poly,
+    _GradedQuotient,
+    _set_bits,
     bit_word,
     concat_mul,
     evaluate,
@@ -54,31 +57,15 @@ def test_standard_factorization():
     assert standard_factorization((1, 2, 2)) == ((1, 2), (2,))
 
 
-def necklace_dim(n: int, q: int = 2) -> int:
-    """Test oracle, the Witt formula: (1/n) sum_{d|n} mu(d) q^(n/d)."""
-
-    def mobius(m: int) -> int:
-        result = 1
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                m //= d
-                if m % d == 0:
-                    return 0
-                result = -result
-            d += 1
-        if m > 1:
-            result = -result
-        return result
-
-    total = sum(mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    assert total % n == 0
-    return total // n
+def lyndon_dims(degree: int) -> dict[int, int]:
+    """Test oracle: the free dimensions as Lyndon words counted by length."""
+    counts = Counter(len(w) for w in lyndon_words(2, degree))
+    return {d: counts[d] for d in range(1, degree + 1)}
 
 
-def test_free_dims_vs_necklace_oracle():
+def test_free_dims_vs_lyndon_oracle():
     for d in range(1, 17):
-        assert free_dims(d) == {k: necklace_dim(k) for k in range(1, d + 1)}
+        assert free_dims(d) == lyndon_dims(d)
 
 
 def test_pivot_tree_recursion():
@@ -125,7 +112,7 @@ def test_relations_vanish_and_shifts():
 
 
 def test_quotient_with_no_relations_is_free():
-    assert quotient_dims((), 6) == free_dims(6)
+    assert quotient_dims((), 12) == free_dims(12)
 
 
 def test_quotient_matches_algebra_dims():
@@ -152,15 +139,24 @@ def test_free_lie_rejects_bad_degree():
 
 
 def test_row_width_is_held_to_the_monomial_limit(monkeypatch):
-    # a degree-d polynomial is a 2^d-bit row; the default cap admits d <= 19
-    for build in (free_lie, free_dims, lambda d: quotient_dims(RELATION_TREES, d)):
-        with pytest.raises(MonomialLimitError):
-            build(20)
+    # a degree-d tail row has 2 dim Q_{d-1} <= 2 dim F_{d-1} bits: the
+    # default cap admits d <= 24 (2 * 364722 bits), not 25 (2 * 698870)
+    assert 2 * free_dims(24)[23] <= LIMITS.monomial_limit < 2 * free_dims(24)[24]
+    for d in (25, 40, 10**9):
+        for build in (free_dims, lambda d: quotient_dims(RELATION_TREES, d)):
+            with pytest.raises(MonomialLimitError):
+                build(d)
+    # a Lyndon polynomial is still a 2^d-bit row
+    with pytest.raises(MonomialLimitError):
+        free_lie(20)
     monkeypatch.setattr(LIMITS, "monomial_limit", 1 << 6)
-    assert quotient_dims(RELATION_TREES, 6) == presentation_report(6).quotient
-    for build in (free_lie, free_dims, lambda d: quotient_dims(RELATION_TREES, d)):
+    # 2 dim F_8 = 60 fits in 64 bits, 2 dim F_9 = 112 does not
+    assert list(quotient_dims(RELATION_TREES, 9).values()) == [2, 1, 2, 2, 2, 2, 4, 5, 8]
+    for build in (free_dims, lambda d: quotient_dims(RELATION_TREES, d)):
         with pytest.raises(MonomialLimitError):
-            build(7)
+            build(10)
+    with pytest.raises(MonomialLimitError):
+        free_lie(7)
 
 
 def test_quotient_against_evaluation_kernel_oracle():
@@ -188,6 +184,108 @@ def test_shifted_relations_vanish_and_extend_the_ideal():
     assert with_shift[8] <= base[8]
 
 
+def quotient_dims_dense(relation_trees, degree):
+    """Test oracle: the relation ideal expanded in the free associative
+    algebra, one 2^d-bit row per polynomial of its degree-d layer, closed
+    degree by degree under bracketing with the generators x1, x2 (enough,
+    since ad [a,b] = [ad a, ad b])."""
+    free = lyndon_dims(degree)
+    # spans[d]: reduced generating rows of the degree-d ideal layer;
+    # layer_polys[d]: its inserted polynomials, kept only where a bracket reads them
+    spans = {d: gf2.Span() for d in range(1, degree + 1)}
+    layer_polys = {d: [] for d in range(1, degree)}
+
+    def insert(p):
+        if spans[p.degree].add(p.bits) and p.degree < degree:
+            layer_polys[p.degree].append(p)
+
+    for t in relation_trees:
+        if tree_degree(t) <= degree:
+            insert(tree_poly(t))
+    gens = [tree_poly(1), tree_poly(2)]
+    for d in range(2, degree + 1):
+        for p in layer_polys[d - 1]:
+            for x in gens:
+                insert(lie_bracket_poly(p, x))
+    return {d: free[d] - len(spans[d]) for d in range(1, degree + 1)}
+
+
+def test_quotient_matches_dense_oracle():
+    for relations, top in (
+        (RELATION_TREES, 16),
+        (shifted_relation_trees(1), 12),
+        (shifted_relation_trees(2), 12),
+    ):
+        dense = quotient_dims_dense(relations, top)
+        for d in range(1, top + 1):
+            assert quotient_dims(relations, d) == {k: dense[k] for k in range(1, d + 1)}
+
+
+def test_quotient_matches_dense_oracle_on_random_relators():
+    rng = random.Random(20261018)
+
+    def random_tree(d):
+        if d == 1:
+            return rng.choice((1, 2))
+        k = rng.randint(1, d - 1)
+        return (random_tree(k), random_tree(d - k))
+
+    # degree-1 relators and relators that vanish in the free algebra included
+    for relations in [(1,), ((1, 1),)] + [
+        tuple(random_tree(rng.randint(2, 7)) for _ in range(rng.randint(1, 3)))
+        for _ in range(30)
+    ]:
+        assert quotient_dims(relations, 10) == quotient_dims_dense(relations, 10)
+
+
+class AllTriplesQuotient(_GradedQuotient):
+    """Test oracle: the engine with the Jacobi rows of every distinct basis
+    triple, not only of those with a degree-1 member."""
+
+    def __init__(self, relation_trees, degree):
+        super().__init__(relation_trees, degree)
+        self.tables = {}  # every degree's products, not only the last
+
+    def _step(self, c):
+        super()._step(c)
+        self.tables[c] = self.table
+
+    def _in_basis(self, du, u, dw, w):
+        """[u, w] in the basis of degree du + dw."""
+        table = self.tables[du + dw]
+        return table[dw][w][u] if 2 * dw >= du + dw else table[du][u][w]
+
+    def _jacobi_rows(self, c, products):
+        elements = [(d, i) for d in range(1, c - 1) for i in range(self.dims[d])]
+
+        def outer(vec, dz, z):  # [vec, z] as a tail row
+            row = 0
+            for x in _set_bits(vec):
+                row ^= products[dz][z][x]
+            return row
+
+        for x, (da, a) in enumerate(elements):
+            for y in range(x + 1, len(elements)):
+                db, b = elements[y]
+                for de, e in elements[y + 1 :]:
+                    if da + db + de == c:
+                        yield (
+                            outer(self._in_basis(da, a, db, b), de, e)
+                            ^ outer(self._in_basis(db, b, de, e), da, a)
+                            ^ outer(self._in_basis(de, e, da, a), db, b)
+                        )
+
+
+def test_generator_jacobi_rows_match_all_triples_oracle():
+    for relations, top in (
+        ((), 12),
+        (RELATION_TREES, 16),
+        (shifted_relation_trees(1), 12),
+        (shifted_relation_trees(2), 12),
+    ):
+        assert quotient_dims(relations, top) == AllTriplesQuotient(relations, top).build()
+
+
 def quotient_dims_all_lyndon(relation_trees, degree):
     """Test oracle: the ideal closed under bracketing each layer with every
     Lyndon basis element of every lower degree."""
@@ -212,21 +310,23 @@ def quotient_dims_all_lyndon(relation_trees, degree):
 
 def test_generator_closure_matches_all_lyndon_oracle():
     for relations in (RELATION_TREES, shifted_relation_trees(1), shifted_relation_trees(2)):
-        assert quotient_dims(relations, 10) == quotient_dims_all_lyndon(relations, 10)
+        assert quotient_dims_dense(relations, 10) == quotient_dims_all_lyndon(relations, 10)
 
 
-def test_presentation_report_pin_degree_16():
-    # the benchmark lattice workload's degree 14 and two degrees past it
-    report = presentation_report(16)
-    degrees = range(1, 17)
+def test_presentation_report_pin_degree_22():
+    # the benchmark lattice workload's degree 14 and eight degrees past it
+    report = presentation_report(22)
+    degrees = range(1, 23)
     assert [report.free[d] for d in degrees] == [
-        2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335, 630, 1161, 2182, 4080
+        2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335, 630, 1161, 2182, 4080,
+        7710, 14532, 27594, 52377, 99858, 190557,
     ]
     assert [report.quotient[d] for d in degrees] == [
-        2, 1, 2, 2, 2, 2, 4, 5, 8, 11, 18, 25, 40, 58, 90, 135
+        2, 1, 2, 2, 2, 2, 4, 5, 8, 11, 18, 25, 40, 58, 90, 135,
+        210, 316, 492, 750, 1164, 1791,
     ]
     assert [report.target[d] for d in degrees] == [
-        2, 1, 2, 2, 2, 2, 4, 2, 2, 4, 4, 4, 2, 2, 4, 4
+        2, 1, 2, 2, 2, 2, 4, 2, 2, 4, 4, 4, 2, 2, 4, 4, 6, 6, 4, 4, 2, 2
     ]
 
 

@@ -237,16 +237,30 @@ def test_dense_triangle_is_held_to_the_monomial_limit(monkeypatch):
 
 def test_deep_requests_are_refused_before_any_fold():
     # level 31 folds into F_31 > 10^6 multidegrees; each scan stops at its
-    # level check, and euler_product at its triangle, before level 1 is folded
+    # level check, and euler_product at its triangle, before level 1 is folded;
+    # at degree 800000 every level is under the cap (F_30 = 832040), but
+    # levels 1..30 together fold into F_32 - 1 > 10^6 multidegrees
     level_multidegree_counts.cache_clear()
     for build in (
         lambda: levels_for_degree(10**9),
         lambda: weight_growth_levels(lambda_power(40)),
         lambda: euler_product(100000),
+        lambda: hilbert_lie(800000),
     ):
         with pytest.raises(MonomialLimitError):
             build()
         assert level_multidegree_counts.cache_info().currsize == 0
+
+
+def test_hilbert_request_is_held_to_the_monomial_limit(monkeypatch):
+    # levels 1..8 fold into F_10 - 1 = 54 multidegrees, and level 9 starts at
+    # degree F_8 + 1 = 22
+    monkeypatch.setattr(LIMITS, "monomial_limit", 54)
+    assert max(levels_for_degree(21)) == 8
+    hilbert_lie(21)
+    for build in (lambda: hilbert_lie(22), lambda: hilbert_enumerated(9, "lie", 22)):
+        with pytest.raises(MonomialLimitError):
+            build()
 
 
 def test_euler_inverse_check():
