@@ -6,24 +6,33 @@ A slice (n, (a,b)) is finite because every basis monomial has positive
 total degree: its wedge basis draws only on monomials with multidegree
 componentwise at most (a,b).  In characteristic 2 all differential signs
 are 1 and repeated wedge factors vanish.
+
+The differential keys each wedge by the positions of its factors in the
+slice's pool, held as the bits of one int, so a term of d_n is found by
+setting one bit of the rest's key rather than by sorting a tuple.  Each
+slice's rank is taken once, when the slice is built, and serves both
+dim H_n and dim H_{n-1}.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import itemgetter
 
 from . import gf2, series
-from .basis import enumerate_W
+from .basis import enumerate_W, tail_width
 from .core import InputError, Monomial, bracket_monomials
 from .grading import (
     GoldenInt,
     LAMBDA,
     LAMBDA_FLOAT,
     Multidegree,
-    gr,
+    gr_pivot,
+    gr_tail,
     lambda_power,
     weight,
 )
@@ -33,15 +42,27 @@ Wedge = tuple[Monomial, ...]
 
 @lru_cache(maxsize=None)
 def _pool(degree: Multidegree) -> tuple[tuple[Monomial, Multidegree], ...]:
-    """Basis monomials usable in wedges of this multidegree, canonical order."""
+    """Basis monomials usable in wedges of this multidegree, canonical order.
+
+    Levels ascend and each level's tail masks ascend, which is the order of
+    ``Monomial``.  Gr of a tail mask is Gr of the mask without its lowest bit
+    plus Gr of that bit, so each mask costs one addition.
+    """
     a, b = degree
+    tails = [(0, 0)]
     out = []
     for n in series.levels_for_degree(a + b):
+        for mask in range(len(tails), 1 << tail_width(n)):
+            low = mask & -mask
+            ra, rb = tails[mask ^ low]
+            ta, tb = gr_tail(low.bit_length() - 1)
+            tails.append((ra + ta, rb + tb))
+        pa, pb = gr_pivot(n)
         for m in enumerate_W(n):
-            ma, mb = gr(m)
+            ta, tb = tails[m.tail]
+            ma, mb = pa + ta, pb + tb
             if 0 <= ma <= a and 0 <= mb <= b and (ma, mb) != (0, 0):
                 out.append((m, Multidegree(ma, mb)))
-    out.sort()
     return tuple(out)
 
 
@@ -52,19 +73,24 @@ def chain_basis(n: int, degree: Multidegree) -> tuple[Wedge, ...]:
     An n-wedge is a first factor m from the pool followed by an (n-1)-wedge
     of the remaining multidegree whose first factor exceeds m.  Every later
     factor lies in the smaller pool, a subset in the same order, so the
-    wedges come out in lexicographic order.
+    wedges come out in lexicographic order, and the rests after m are a
+    suffix of their tuple.  The recursion keys the cache by a plain pair,
+    which hashes and compares equal to the ``Multidegree``.
     """
     a, b = degree
     if a < 0 or b < 0 or n < 0:
         raise InputError("need n >= 0 and a nonnegative multidegree")
     if n == 0:
         return ((),) if (a, b) == (0, 0) else ()
-    return tuple(
-        (m,) + rest
-        for m, (ma, mb) in _pool(Multidegree(a, b))
-        for rest in chain_basis(n - 1, Multidegree(a - ma, b - mb))
-        if not rest or rest[0] > m
-    )
+    pool = _pool(degree)
+    if n == 1:
+        return tuple((m,) for m, md in pool if md == degree)
+    out: list[Wedge] = []
+    for m, (ma, mb) in pool:
+        rests = chain_basis(n - 1, (a - ma, b - mb))
+        if rests:
+            out.extend((m,) + rest for rest in rests[bisect_right(rests, m, key=itemgetter(0)) :])
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -74,41 +100,65 @@ class ChainSlice:
     basis: tuple[Wedge, ...]
     d_rows: tuple[int, ...]
     n_cols: int
+    rank: int
 
 
 _bracket_pair = lru_cache(maxsize=None)(bracket_monomials)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def differential(n: int, degree: Multidegree) -> ChainSlice:
-    """Matrix of d_n on the (n, degree) slice; d_1 = d_0 = 0."""
+    """Matrix of d_n on the (n, degree) slice, and its rank; d_1 = d_0 = 0.
+
+    A wedge is keyed by the set of its factors' positions in the pool, held
+    as the bits of one int.  The bracket of two factors has a multidegree
+    within the slice's, so its monomials are in the pool too, and the term
+    of d_n for a factor pair is the rest's key with one bit added.  The
+    table, the criteria and ``dd_is_zero`` read the slices of one
+    multidegree together, so a small cache serves them.
+    """
     degree = Multidegree(*degree)
     rows_basis = chain_basis(n, degree)
-    if n <= 1:
-        target_dim = len(chain_basis(n - 1, degree)) if n == 1 else 0
-        return ChainSlice(n, degree, rows_basis, tuple(0 for _ in rows_basis), target_dim)
-    target = chain_basis(n - 1, degree)
-    col_of = {w: i for i, w in enumerate(target)}
+    target = chain_basis(n - 1, degree) if n >= 1 else ()
+    if n <= 1 or not rows_basis:
+        return ChainSlice(n, degree, rows_basis, tuple(0 for _ in rows_basis), len(target), 0)
+    pool = _pool(degree)
+    pos = {m: i for i, (m, _) in enumerate(pool)}
+    col_of = {}
+    for i, w in enumerate(target):
+        key = 0
+        for m in w:
+            key |= 1 << pos[m]
+        col_of[key] = i
+    brackets: dict[tuple[int, int], tuple[int, ...]] = {}
     rows = []
     for wedge in rows_basis:
+        ps = [pos[m] for m in wedge]
+        full = 0
+        for i in ps:
+            full |= 1 << i
         row = 0
-        for s in range(len(wedge)):
-            for t in range(s + 1, len(wedge)):
-                rest = wedge[:s] + wedge[s + 1 : t] + wedge[t + 1 :]
-                for m in _bracket_pair(wedge[s], wedge[t]):
-                    if m not in rest:
-                        row ^= 1 << col_of[tuple(sorted(rest + (m,)))]
+        for s, i in enumerate(ps):
+            for j in ps[s + 1 :]:
+                terms = brackets.get((i, j))
+                if terms is None:
+                    terms = brackets[(i, j)] = tuple(
+                        1 << pos[m] for m in _bracket_pair(pool[i][0], pool[j][0])
+                    )
+                if terms:
+                    rest = full ^ (1 << i) ^ (1 << j)
+                    for bit in terms:
+                        if not rest & bit:
+                            row ^= 1 << col_of[rest | bit]
         rows.append(row)
-    return ChainSlice(n, degree, rows_basis, tuple(rows), len(target))
+    return ChainSlice(n, degree, rows_basis, tuple(rows), len(target), gf2.rank(rows, len(target)))
 
 
 def homology_dim(n: int, degree: Multidegree) -> int:
     """dim Ker d_n - rank d_{n+1} on the slice."""
     degree = Multidegree(*degree)
     d_n = differential(n, degree)
-    d_up = differential(n + 1, degree)
-    ker = len(d_n.basis) - gf2.rank(list(d_n.d_rows), d_n.n_cols)
-    return ker - gf2.rank(list(d_up.d_rows), d_up.n_cols)
+    return len(d_n.basis) - d_n.rank - differential(n + 1, degree).rank
 
 
 def dd_is_zero(n: int, degree: Multidegree) -> bool:
@@ -164,13 +214,17 @@ def homology_table(frontier: int, n_values: tuple[int, ...] | None = None) -> Ho
     series.check_triangle(frontier, frontier)  # one slice set per (a, b), a + b <= frontier
     entries: dict[tuple[int, int, int], int] = {}
     for d in range(frontier + 1):
+        ns = [n for n in (n_values if n_values is not None else range(d + 1)) if n <= d]
+        top = max(ns, default=0)
         for a in range(d + 1):
             b = d - a
-            ns = n_values if n_values is not None else tuple(range(d + 1))
+            # both strip inequalities grow with n, so the strip holds from the
+            # first n >= 1 inside it on
+            first = 1
+            while first <= top and not inside_homology_strip(first, a, b):
+                first += 1
             for n in ns:
-                if n > d:
-                    continue
-                if n >= 1 and not inside_homology_strip(n, a, b):
+                if 0 < n < first:
                     continue
                 h = homology_dim(n, Multidegree(a, b))
                 if h:

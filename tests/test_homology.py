@@ -8,7 +8,7 @@ import time
 import pytest
 
 from fiblie import gf2
-from fiblie.core import ZERO, InputError, bracket, element, monomial
+from fiblie.core import ZERO, InputError, bracket, bracket_monomials, element, monomial
 from fiblie.grading import GoldenInt, weight
 from fiblie.homology import (
     Multidegree,
@@ -85,6 +85,39 @@ def test_differential_examples():
     assert d2b.d_rows == (0,)
 
 
+def differential_oracle(n, degree):
+    """Labelled oracle: d_n row by row on wedge tuples.  Each term drops two
+    factors by slicing, adds their bracket's monomials one at a time and
+    finds the target column by sorting the new wedge."""
+    rows_basis = chain_basis(n, degree)
+    if n <= 1:
+        target_dim = len(chain_basis(n - 1, degree)) if n == 1 else 0
+        return rows_basis, tuple(0 for _ in rows_basis), target_dim
+    target = chain_basis(n - 1, degree)
+    col_of = {w: i for i, w in enumerate(target)}
+    rows = []
+    for wedge in rows_basis:
+        row = 0
+        for s in range(len(wedge)):
+            for t in range(s + 1, len(wedge)):
+                rest = wedge[:s] + wedge[s + 1 : t] + wedge[t + 1 :]
+                for m in bracket_monomials(wedge[s], wedge[t]):
+                    if m not in rest:
+                        row ^= 1 << col_of[tuple(sorted(rest + (m,)))]
+        rows.append(row)
+    return rows_basis, tuple(rows), len(target)
+
+
+def test_differential_matches_tuple_oracle():
+    # positional wedge keys give the same matrices as sorting wedge tuples
+    for d in range(15):
+        for a in range(d + 1):
+            degree = Multidegree(a, d - a)
+            for n in range(d + 2):
+                s = differential(n, degree)
+                assert (s.basis, s.d_rows, s.n_cols) == differential_oracle(n, degree)
+
+
 def test_homology_dims_examples():
     assert homology_dim(0, Multidegree(0, 0)) == 1
     assert homology_dim(1, Multidegree(1, 0)) == 1
@@ -138,6 +171,7 @@ def test_rank_oracle_agreement():
                 s = differential(n, Multidegree(a, d - a))
                 rows = list(s.d_rows)
                 assert gf2.rank(rows, s.n_cols) == gf2.rank_naive(rows, s.n_cols)
+                assert s.rank == gf2.rank_naive(rows, s.n_cols)
 
 
 def test_rank_rejects_rows_wider_than_n_cols():
@@ -178,6 +212,23 @@ def test_homology_strip_and_table():
                     outside += 1
                     assert homology_dim(n, Multidegree(a, d - a)) == 0
     assert outside == 520
+
+
+def test_homology_strip_grows_with_n():
+    # homology_table skips every n below the first one inside the strip
+    for d in range(41):
+        for a in range(d + 1):
+            for n in range(1, d):
+                if inside_homology_strip(n, a, d - a):
+                    assert inside_homology_strip(n + 1, a, d - a)
+    full = homology_table(20).entries
+    h2 = {key: h for key, h in full.items() if key[0] == 2}
+    assert homology_table(20, (2,)).entries == h2
+
+
+def test_homology_table_pin_frontier_28():
+    table = homology_table(28)
+    assert (len(table.entries), sum(table.entries.values())) == (287, 715)
 
 
 def test_wedge_weight_additivity_and_stratification():
