@@ -417,8 +417,13 @@ def parse_monomial(text: str) -> Monomial:
     match = _MONO_RE.match(compact)
     if not match:
         raise InputError(f"malformed monomial {text!r}")
-    pivot = int(compact.rsplit("v", 1)[1])
-    tails = [int(p[1:]) for p in compact.split("*")[:-1]]
+    try:
+        pivot = int(compact.rsplit("v", 1)[1])
+        tails = [int(p[1:]) for p in compact.split("*")[:-1]]
+    except ValueError:  # past the interpreter's int-string limit
+        raise InputError(
+            f"a number in a {len(compact)}-character monomial is too long"
+        ) from None
     return monomial(pivot, tails)
 
 

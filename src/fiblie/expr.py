@@ -1,4 +1,4 @@
-"""Parser and evaluator for Lie-word expressions.
+"""Lie-word expressions, evaluated as they are parsed.
 
 Grammar (whitespace free between tokens is not required):
 
@@ -7,17 +7,18 @@ Grammar (whitespace free between tokens is not required):
     bracket  := "[" expr { "," expr } "]"          (>= 2 arguments)
     atom     := { "t" INT "*" } "v" INT
 
-Bracket lists are left-normed.  A standalone power must be a power of
-two and means iterated squaring (only p-th powers exist).  Inside a
-bracket, a trailing-argument power ``[u, x^k]`` abbreviates k repeated
-bracketings by x, for any k >= 1; for powers of two the two readings
-agree by the restricted identity.
+The recursive-descent parser returns each value as soon as its text is
+read; no syntax tree is built.  Bracket lists are left-normed.  A
+standalone power must be a power of two and means iterated squaring (only
+p-th powers exist).  A bracket argument after the first that is exactly
+``x^k`` means ``ad(x)^k u`` for any k >= 1, computed as the product of
+``ad(x^[2^j])`` over the set bits j of k by the restricted identity
+``ad(x)^2 = ad(x^[2])``, so about log2 k brackets.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import (
     Element,
@@ -27,6 +28,7 @@ from .core import (
     _check_index,
     bracket,
     power_2k,
+    square,
 )
 
 
@@ -36,67 +38,63 @@ class ParseError(FibLieError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Atom:
-    tails: tuple[int, ...]
-    pivot: int
-    pos: int
+_TOKEN = re.compile(r"([tv]?\d+|[\[\],+*^])|(\S)")
+
+# a term "x^k" stays (x, k, position of k) until its reading is known
+Term = Element | tuple[Element, int, int]
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: Atom
-    exponent: int
-    pos: int
+def _number(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int-string limit
+        raise ParseError(f"number of {len(digits)} digits is too long", pos) from None
 
 
-@dataclass(frozen=True)
-class Brack:
-    args: tuple["Node", ...]
-    pos: int
+def _value(term: Term) -> Element:
+    """A term as an element: a power x^k needs k = 2^j and is x squared j times."""
+    if isinstance(term, Element):
+        return term
+    x, k, pos = term
+    if k < 1 or k & (k - 1):
+        raise ParseError(f"only powers of two exist; {k} is not one", pos)
+    return power_2k(x, k.bit_length() - 1)
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple["Node", ...]
-    pos: int
-
-
-Node = Atom | Pow | Brack | Sum
-
-_TOKEN = re.compile(r"\s*(?:(t\d+)|(v\d+)|(\d+)|([\[\],+*^]))")
+def _ad(u: Element, term: Term) -> Element:
+    """[u, term]; a bare power x^k gives ad(x)^k u, the product of
+    ad(x^[2^j]) over the set bits j of k applied to u."""
+    if isinstance(term, Element):
+        return bracket(u, term)
+    x, k, pos = term
+    if k < 1:
+        raise ParseError("bracket power must be >= 1", pos)
+    while u and k:
+        if k & 1:
+            u = bracket(u, x)
+        k >>= 1
+        if k:
+            x = square(x)
+    return u
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
-        self.text = text
         self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(text) - len(stripped)
-                raise ParseError(f"unexpected character {text[at]!r}", at)
-            token = next(g for g in m.groups() if g is not None)
-            self.tokens.append((token, m.end() - len(token)))
-            pos = m.end()
+        for m in _TOKEN.finditer(text):
+            if m.group(2):
+                raise ParseError(f"unexpected character {m.group(2)!r}", m.start())
+            self.tokens.append((m.group(1), m.start()))
+        self.tokens.append(("", len(text)))  # end of input
         self.i = 0
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def pos(self) -> int:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i][1]
-        return len(self.text)
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
 
     def take(self) -> tuple[str, int]:
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of input", len(self.text))
         tok = self.tokens[self.i]
+        if not tok[0]:
+            raise ParseError("unexpected end of input", tok[1])
         self.i += 1
         return tok
 
@@ -105,115 +103,68 @@ class _Parser:
         if tok != symbol:
             raise ParseError(f"expected {symbol!r}, found {tok!r}", pos)
 
-    def parse(self) -> Node:
-        node = self.parse_expr()
-        if self.i < len(self.tokens):
-            tok, pos = self.tokens[self.i]
-            raise ParseError(f"trailing input {tok!r}", pos)
-        return node
-
-    def parse_expr(self) -> Node:
-        start = self.pos()
-        terms = [self.parse_term()]
+    def expr(self) -> Term:
+        term = self.term()
         while self.peek() == "+":
             self.take()
-            terms.append(self.parse_term())
-        if len(terms) == 1:
-            return terms[0]
-        return Sum(tuple(terms), start)
+            term = _value(term) + _value(self.term())
+        return term
 
-    def parse_term(self) -> Node:
-        tok = self.peek()
-        if tok == "[":
-            return self.parse_bracket()
-        atom = self.parse_atom()
-        if self.peek() == "^":
-            self.take()
-            num, pos = self.take()
-            if not num.isdigit():
-                raise ParseError(f"expected an exponent, found {num!r}", pos)
-            return Pow(atom, int(num), pos)
-        return atom
+    def term(self) -> Term:
+        if self.peek() == "[":
+            return self.bracket()
+        x = self.atom()
+        if self.peek() != "^":
+            return x
+        self.take()
+        num, pos = self.take()
+        if not num.isdigit():
+            raise ParseError(f"expected an exponent, found {num!r}", pos)
+        return x, _number(num, pos), pos
 
-    def parse_bracket(self) -> Brack:
+    def bracket(self) -> Element:
         _, start = self.take()  # "["
-        args = [self.parse_expr()]
+        acc = self.expr()
+        args = 1
         while self.peek() == ",":
             self.take()
-            args.append(self.parse_expr())
+            acc = _ad(_value(acc), self.expr())
+            args += 1
         self.expect("]")
-        if len(args) < 2:
+        if args < 2:
             raise ParseError("bracket needs at least two arguments", start)
-        return Brack(tuple(args), start)
+        return acc
 
-    def parse_atom(self) -> Atom:
+    def atom(self) -> Element:
+        start = self.tokens[self.i][1]
         tails: list[int] = []
-        start = self.pos()
-        while True:
+        tok, pos = self.take()
+        while tok.startswith("t"):
+            tails.append(_number(tok[1:], pos))
+            self.expect("*")
             tok, pos = self.take()
-            if tok.startswith("t"):
-                tails.append(int(tok[1:]))
-                self.expect("*")
-                continue
-            if tok.startswith("v"):
-                return Atom(tuple(tails), int(tok[1:]), start)
+        if not tok.startswith("v"):
             raise ParseError(f"expected a monomial, found {tok!r}", pos)
-
-
-def parse(text: str) -> Node:
-    if text.strip() == "0":
-        return Sum((), 0)
-    return _Parser(text).parse()
-
-
-def _eval_atom(node: Atom) -> Element:
-    for i in node.tails:
-        _check_index(i)
-    mask = 0
-    for i in node.tails:
-        bit = 1 << i
-        if mask & bit:
+        pivot = _number(tok[1:], pos)
+        for i in tails:
+            _check_index(i)
+        if len(set(tails)) < len(tails):
             return ZERO  # t_i^2 = 0
-        mask |= bit
-    if node.pivot < 1:
-        raise ParseError("pivot index must be >= 1", node.pos)
-    return Element(frozenset({Monomial(node.pivot, mask)}))
-
-
-def _eval_power(node: Pow) -> Element:
-    k = node.exponent
-    if k < 1 or k & (k - 1):
-        raise ParseError(
-            f"only powers of two exist; {k} is not one", node.pos
-        )
-    return power_2k(_eval_atom(node.base), k.bit_length() - 1)
-
-
-def evaluate(node: Node) -> Element:
-    if isinstance(node, Atom):
-        return _eval_atom(node)
-    if isinstance(node, Pow):
-        return _eval_power(node)
-    if isinstance(node, Sum):
-        acc = ZERO
-        for term in node.terms:
-            acc = acc + evaluate(term)
-        return acc
-    if isinstance(node, Brack):
-        acc = evaluate(node.args[0])
-        for arg in node.args[1:]:
-            if isinstance(arg, Pow):
-                # [u, x^k] = [u, x, ..., x] with k repetitions
-                if arg.exponent < 1:
-                    raise ParseError("bracket power must be >= 1", arg.pos)
-                rep = _eval_atom(arg.base)
-                for _ in range(arg.exponent):
-                    acc = bracket(acc, rep)
-            else:
-                acc = bracket(acc, evaluate(arg))
-        return acc
-    raise TypeError(f"unknown node {node!r}")
+        if pivot < 1:
+            raise ParseError("pivot index must be >= 1", start)
+        return Element(frozenset({Monomial(pivot, sum(1 << i for i in tails))}))
 
 
 def eval_text(text: str) -> Element:
-    return evaluate(parse(text))
+    if text.strip() == "0":
+        return ZERO
+    parser = _Parser(text)
+    try:
+        term = parser.expr()
+    except RecursionError:
+        pos = parser.tokens[parser.i][1]
+        raise ParseError("expression nested too deeply", pos) from None
+    tok, pos = parser.tokens[parser.i]
+    if tok:
+        raise ParseError(f"trailing input {tok!r}", pos)
+    return _value(term)

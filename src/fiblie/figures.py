@@ -77,6 +77,14 @@ def _mix(green: int, blue: int) -> str:
     return f"rgb({r},{g},{b})"
 
 
+def _strip_lines(amax: int) -> list[tuple[float, float, float, float, str]]:
+    """The strip's two red border lines b = lambda a + c over 0 <= a <= amax."""
+    return [
+        (0.0, c, float(amax), LAMBDA_FLOAT * amax + c, "red")
+        for c in (-(LAMBDA_FLOAT**3), LAMBDA_FLOAT**2)
+    ]
+
+
 def figure1(max_n: int, outdir: Path) -> FigureFiles:
     """Lattice points of W_{<=N} with counts and colour mix."""
     cells: dict[tuple[int, int], list[int]] = {}
@@ -101,12 +109,8 @@ def figure1(max_n: int, outdir: Path) -> FigureFiles:
         fill = "red" if is_pivot else _mix(green, blue)
         pts.append((float(a), float(b), 2.0 * math.sqrt(count), fill))
     amax = max(r[0] for r in rows)
-    strip_lines = [
-        (0.0, -(LAMBDA_FLOAT**3), float(amax), LAMBDA_FLOAT * amax - LAMBDA_FLOAT**3, "red"),
-        (0.0, LAMBDA_FLOAT**2, float(amax), LAMBDA_FLOAT * amax + LAMBDA_FLOAT**2, "red"),
-    ]
     svg_path = outdir / "fig1.svg"
-    _svg_scatter(svg_path, pts, strip_lines)
+    _svg_scatter(svg_path, pts, _strip_lines(amax))
     return FigureFiles(csv_path, svg_path)
 
 
@@ -169,10 +173,6 @@ def figure4(degree: int, outdir: Path) -> FigureFiles:
         for a, b, c, _ in rows
     ]
     amax = max((r[0] for r in rows), default=1)
-    strip_lines = [
-        (0.0, -(LAMBDA_FLOAT**3), float(amax), LAMBDA_FLOAT * amax - LAMBDA_FLOAT**3, "red"),
-        (0.0, LAMBDA_FLOAT**2, float(amax), LAMBDA_FLOAT * amax + LAMBDA_FLOAT**2, "red"),
-    ]
     svg_path = outdir / "fig4.svg"
-    _svg_scatter(svg_path, pts, strip_lines)
+    _svg_scatter(svg_path, pts, _strip_lines(amax))
     return FigureFiles(csv_path, svg_path)

@@ -176,6 +176,9 @@ def test_closed_pipe_exits_without_traceback():
         ("hilbert", "--degree", "800000"),
         ("presentation", "--max-degree", "25"),
         ("presentation", "--max-degree", "1000000000"),
+        ("eval", "v" + "1" * 5000),
+        ("eval", "v1^" + "1" * 5000),
+        ("eval", "[v1," * 400 + "v2" + "]" * 400),
     ],
 )
 def test_input_errors_exit_2_without_traceback(argv):
