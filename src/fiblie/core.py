@@ -21,6 +21,15 @@ int; bit i set means the factor t_i, mask 0 means 1).  A ``RingElement`` is a
 frozenset of such masks.  GF(2) addition everywhere is symmetric difference
 of monomial sets.  Index masks are capped at ``LIMITS.index_ceiling``;
 exceeding the cap raises rather than truncating.
+
+Squares and the ring action group an element by pivot, e = sum_n R_n v_n,
+so their work is products in R of whole ring elements (``ring_mul``).
+Small products test every pair of tails.  Large ones, the bulk of
+``nil_index`` on v_1 + ... + v_m, run as a subset convolution over GF(2):
+both operands are shifted down to the window of t-indices their tails
+span, held per rank as one packed int of 2^w bits for a window of w
+indices, and multiplied through the ranked zeta transform.  The pair count
+and w pick the kernel, and w is capped, which bounds the packed ints.
 """
 
 from __future__ import annotations
@@ -28,6 +37,8 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Iterator, Literal, NamedTuple
 
 RingMonomial = int
@@ -242,14 +253,127 @@ def apply(e: Element, r: RingElement) -> RingElement:
     return frozenset(_apply_groups(_pivot_groups(e), r))
 
 
+# ring_mul's choice of kernel, from timing both on every call of
+# nil_index(v_1 + ... + v_m) for m <= 11 and on random operands up to w = 22:
+# the pair loop costs 55 to 115 ns a pair, the convolution at least 40 us and
+# up to 2 to 4 pair tests' worth per subset of the w-index window.
+_CONV_MIN_PAIRS = 512
+_CONV_PAIRS_PER_SET = 3
+# A convolution holds about 4w + 6 ints of 2^w bits (the ranked transforms
+# of both operands, the masks, the product); one at w = 22 peaked at 50 MiB
+# under tracemalloc, 8 MiB of it the result.
+_CONV_MAX_WIDTH = 22
+# The masks of one width serve every narrower one, so those of width 12 are
+# built once and kept: 25 ints of 512 bytes.  Building them per call would
+# add 16% to the convolutions of conjecture_scan((1, 2), 8).
+_MASK_WIDTH = 12
+
+_BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
+
+
 def ring_mul(r: Iterable[int], s: Iterable[int]) -> RingElement:
-    """Product in R; colliding t-indices annihilate."""
-    s = tuple(s)
+    """Product in R of two ring elements, each given by its distinct tails;
+    colliding t-indices annihilate.
+
+    Small operands take the pair loop, which tests every pair of tails.
+    When all tails lie in a window of w <= _CONV_MAX_WIDTH t-indices and
+    there are more than _CONV_MIN_PAIRS and _CONV_PAIRS_PER_SET * 2^w pairs,
+    the product runs as a subset convolution (``_subset_convolution``)
+    instead, whose cost follows the 2^w subsets of the window, not the pairs.
+    """
+    r, s = tuple(r), tuple(s)
+    pairs = len(r) * len(s)
+    if pairs > _CONV_MIN_PAIRS:
+        span = reduce(or_, r, 0) | reduce(or_, s, 0)
+        z = (span & -span).bit_length() - 1 if span else 0
+        w = (span >> z).bit_length()
+        if w <= _CONV_MAX_WIDTH and pairs > _CONV_PAIRS_PER_SET << w:
+            return _subset_convolution(r, s, z, w)
     acc: set[int] = set()
     for a in r:
         # b -> a | b is injective on the b disjoint from a
         acc ^= {a | b for b in s if not a & b}
     return frozenset(acc)
+
+
+def _build_masks(w: int) -> tuple[list[int], list[int]]:
+    """LOW_j (the sets without j) for j < w and POP_k (the sets of k
+    elements) for k <= w, as 2^w-bit ints indexed by the subsets of
+    {0, ..., w - 1}; built by doubling the width one element at a time."""
+    low: list[int] = []
+    pop = [1]
+    for i in range(w):
+        half = 1 << i
+        low = [m | m << half for m in low] + [(1 << half) - 1]
+        pop = [p | q << half for p, q in zip(pop + [0], [0] + pop)]
+    return low, pop
+
+
+@lru_cache(maxsize=1)
+def _narrow_masks() -> tuple[list[int], list[int]]:
+    return _build_masks(_MASK_WIDTH)
+
+
+def _zeta(f: int, low: list[int], w: int) -> int:
+    """Subset sums over GF(2): bit S of the result is the XOR of the bits T
+    of f over the subsets T of S.  Over GF(2) it is its own inverse."""
+    for j in range(w):
+        f ^= (f & low[j]) << (1 << j)
+    return f
+
+
+def _ranked_zetas(
+    tails: tuple[int, ...], z: int, w: int, low: list[int], pop: list[int]
+) -> dict[int, int]:
+    """k -> the zeta transform of the tails (shifted down by z) of k factors."""
+    buf = bytearray(((1 << w) + 7) >> 3)
+    for a in tails:
+        a >>= z
+        buf[a >> 3] ^= 1 << (a & 7)
+    f = int.from_bytes(buf, "little")
+    ranks = {}
+    for k in range(w + 1):
+        part = f & pop[k]
+        if part:
+            ranks[k] = _zeta(part, low, w)
+    return ranks
+
+
+def _subset_convolution(
+    r: tuple[int, ...], s: tuple[int, ...], z: int, w: int
+) -> RingElement:
+    """r * s for tails inside t_z ... t_{z+w-1}: the ranked subset
+    convolution of Bjoerklund, Husfeldt, Kaski and Koivisto ("Fourier meets
+    Moebius: fast subset convolution", STOC 2007) over GF(2).
+
+    A tail a, shifted down by z, is bit a of a 2^w-bit int.  a | b is a
+    term of the product exactly when |a| + |b| = |a | b|, so the product's
+    part of rank k is the Moebius transform of XOR_i zeta(r_i) & zeta(s_{k-i})
+    kept on the sets of rank k; over GF(2) Moebius is zeta.  No set has
+    rank above w.
+    """
+    low, pop = _narrow_masks() if w <= _MASK_WIDTH else _build_masks(w)
+    rz = _ranked_zetas(r, z, w, low, pop)
+    sz = _ranked_zetas(s, z, w, low, pop)
+    if not rz or not sz:
+        return RING_ZERO
+    out = 0
+    for k in range(min(rz) + min(sz), min(max(rz) + max(sz), w) + 1):
+        h = 0
+        for i, f in rz.items():
+            g = sz.get(k - i)
+            if g is not None:
+                h ^= f & g
+        if h:
+            out |= _zeta(h, low, w) & pop[k]
+    data = out.to_bytes(((1 << w) + 7) >> 3, "little")
+    tails = []
+    for hit in _NONZERO_BYTE.finditer(data):
+        at = hit.start()
+        for b in _BYTE_BITS[data[at]]:
+            tails.append((at << 3 | b) << z)
+    return frozenset(tails)
 
 
 def _bracket_mono(m1: Monomial, m2: Monomial, acc: set[Monomial]) -> None:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiblie import core
 from fiblie.basis import enumerate_W_upto
 from fiblie.core import (
     Element,
@@ -19,10 +20,13 @@ from fiblie.core import (
     RING_ONE,
     RING_ZERO,
     ZERO,
+    _CONV_MAX_WIDTH,
     _action_masks,
     _bracket_mono,
+    _build_masks,
     _check_index,
     _range_mask,
+    _subset_convolution,
     _toggle,
     apply,
     bracket,
@@ -37,6 +41,7 @@ from fiblie.core import (
     pivot_bracket,
     power_2k,
     ring_monomial,
+    ring_mul,
     square,
     tau,
     v,
@@ -249,7 +254,7 @@ def pairwise_square(e: Element) -> Element:
 
 
 def test_square_matches_pairwise_oracle_on_pivot_intervals():
-    for m in range(1, 8):
+    for m in range(1, 10):
         e = element(monomial(k) for k in range(1, m + 1))
         while e:
             sq = square(e)
@@ -331,3 +336,97 @@ def test_action_masks_match_leibniz_oracle_on_wide_tails():
         assert out == _action_outcome(_action_masks_leibniz, n, s), (n, s)
         raised += out is None
     assert raised > 1000
+
+
+# --- oracle: the product in R by testing every pair of tails ---------------
+
+
+def _pairwise_ring_mul(r, s) -> frozenset[int]:
+    acc: set[int] = set()
+    for a in r:
+        for b in s:
+            if not a & b:
+                _toggle(acc, a | b)
+    return frozenset(acc)
+
+
+def _window(r, s) -> tuple[int, int]:
+    """(z, w): the tails of r and s lie in t_z ... t_{z+w-1}."""
+    span = 0
+    for a in (*r, *s):
+        span |= a
+    z = (span & -span).bit_length() - 1 if span else 0
+    return z, (span >> z).bit_length()
+
+
+def _random_tails(rng: random.Random, count: int, width: int, shift: int) -> frozenset[int]:
+    # AND of two draws: tails of every rank, most of them below width / 2
+    return frozenset(
+        (rng.getrandbits(width) & rng.getrandbits(width)) << shift for _ in range(count)
+    )
+
+
+def test_build_masks_match_their_definition():
+    for w in range(8):
+        low, pop = _build_masks(w)
+        for j in range(w):
+            assert low[j] == sum(1 << a for a in range(1 << w) if not a >> j & 1)
+        for k in range(w + 1):
+            assert pop[k] == sum(1 << a for a in range(1 << w) if a.bit_count() == k)
+
+
+def test_subset_convolution_matches_pairwise_oracle():
+    rng = random.Random(1607)
+    cases = []
+    for _ in range(300):
+        width = rng.randint(0, 16)
+        cases.append(
+            (
+                _random_tails(rng, rng.randint(1, 80), width, rng.randint(0, 6)),
+                _random_tails(rng, rng.randint(1, 80), width, rng.randint(0, 6)),
+            )
+        )
+    # empty operands, single tails, the tail 1 alone
+    cases += [
+        (frozenset(), frozenset({0b1011})),
+        (frozenset({0b1011}), frozenset()),
+        (frozenset({0b0100}), frozenset({0b1011})),
+        (frozenset({0b0110}), frozenset({0b0011})),
+        (frozenset({0}), frozenset({0})),
+        (frozenset({0}), frozenset({0b101, 0b11})),
+    ]
+    # rank sums past w: dense tails of rank near w on both sides
+    full = (1 << 10) - 1
+    dense = frozenset(full ^ (1 << i) for i in range(10)) | {full, full ^ 0b11}
+    cases.append((dense, dense))
+    cases.append((dense, frozenset(range(1 << 4))))
+    # every tail far above t_0, up to just below the index ceiling
+    for shift in (64, 100, 127 - 16):
+        cases.append(
+            (
+                _random_tails(rng, 60, 16, shift) | {1 << shift},
+                _random_tails(rng, 60, 16, shift),
+            )
+        )
+    for r, s in cases:
+        z, w = _window(r, s)
+        assert _subset_convolution(tuple(r), tuple(s), z, w) == _pairwise_ring_mul(r, s)
+        assert ring_mul(r, s) == _pairwise_ring_mul(r, s)
+
+
+def test_ring_mul_matches_pairwise_oracle_on_both_sides_of_the_dispatch(monkeypatch):
+    widths = []
+
+    def convolution(r, s, z, w):
+        widths.append(w)
+        return _subset_convolution(r, s, z, w)
+
+    monkeypatch.setattr(core, "_subset_convolution", convolution)
+    rng = random.Random(1608)
+    for count in (4, 30, 100, 400):
+        for width in (6, 12, 20, _CONV_MAX_WIDTH + 2):
+            r = _random_tails(rng, count, width, 3)
+            s = _random_tails(rng, count, width, 3)
+            assert ring_mul(r, s) == _pairwise_ring_mul(r, s), (count, width)
+    # small operands and wide windows stay on the pair loop
+    assert 0 < len(widths) < 16 and max(widths) <= 12

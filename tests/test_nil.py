@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from fiblie import nil
+from fiblie import core, nil
 from fiblie.basis import enumerate_W_upto
 from fiblie.core import (
     ZERO,
@@ -106,11 +106,34 @@ def test_interval_indices_below_the_bound():
 
 
 def test_nil_index_runtime_guard():
-    # squaring by pivot groups; the monomial-pairwise square needs about a minute here
+    # squaring by pivot groups; the monomial-pairwise square needs about a
+    # minute at m = 10, and the pair loop of ring_mul about 13 s at m = 11
+    for m, index, peak in ((10, 8, 5232), (11, 8, 22144)):
+        start = time.perf_counter()
+        report = nil_index(pivot_interval(1, m))
+        elapsed = time.perf_counter() - start
+        assert (report.index, report.peak_monomials) == (index, peak)
+        assert elapsed < 5.0
+
+
+def test_high_pivot_interval_convolves_in_a_narrow_window(monkeypatch):
+    # the tails of v_60 + ... + v_66 and its squares lie in t_59 ... t_70; a
+    # convolution sized from t_0 would need a 2^75-bit int
+    windows = []
+
+    def convolution(r, s, z, w):
+        windows.append((z, w))
+        return real(r, s, z, w)
+
+    real = core._subset_convolution
+    monkeypatch.setattr(core, "_subset_convolution", convolution)
     start = time.perf_counter()
-    report = nil_index(pivot_interval(1, 10))
+    high = nil_index(pivot_interval(60, 66))
     elapsed = time.perf_counter() - start
-    assert (report.index, report.peak_monomials) == (8, 5232)
+    assert windows and all(z == 59 and w <= 12 for z, w in windows)
+    low = nil_index(pivot_interval(1, 7))
+    assert high.index == low.index == 8
+    assert high.peak_monomials == low.peak_monomials
     assert elapsed < 5.0
 
 
