@@ -89,19 +89,24 @@ def count_upto(n: int, kind: Kind = "lie") -> int:
     return sum(len(level) for level in enumerate_W_upto(n, kind))
 
 
-def build_W_recursive(n: int) -> set[Monomial]:
-    """W_{n+1} built as [v_{n-1}, W_n] plus [v_{n-2}, W_n] through the
-    bracket engine; cross-validates against direct enumeration."""
+def build_W_recursive(n: int) -> set[int]:
+    """The tails of W_{n+1}, built as [v_{n-1}, W_n] plus [v_{n-2}, W_n]
+    through the bracket engine; every bracket must give one monomial of
+    pivot n + 1, else ``BasisFormError``."""
     if n < 3:
         raise InputError("recursive construction starts at level 3")
-    out: set[Monomial] = set()
+    out: set[int] = set()
     gens = (Monomial(n - 1, 0), Monomial(n - 2, 0))
-    for m in enumerate_W(n):
+    for s in enumerate_W(n).masks:
+        m = Monomial(n, s)
         for gen in gens:
             res = bracket_monomials(gen, m)
             if len(res) != 1:
-                raise BasisFormError(f"bracket of v with {m} is not a monomial: {Element(res)}")
-            out.update(res)
+                raise BasisFormError(f"[{gen}, {m}] is not a monomial: {Element(res)}")
+            (pivot, tail), = res
+            if pivot != n + 1:
+                raise BasisFormError(f"[{gen}, {m}] has pivot {pivot}, expected {n + 1}")
+            out.add(tail)
     return out
 
 

@@ -217,17 +217,30 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = None if args.suite == "all" else [args.suite]
+    names = list(verify_mod.CRITERIA) if args.suite == "all" else [args.suite]
     results = verify_mod.run_suites(names)
-    failed = 0
-    for res in results:
-        status = "PASS" if res.ok else "FAIL"
-        if res.diagnostic and res.ok:
-            status = "PASS*"
-        print(f"{status} {res.name} ({res.seconds:.2f}s): {res.detail}")
-        if not res.ok:
-            failed += 1
-    print(f"{len(results) - failed}/{len(results)} suites passed")
+    failed = sum(not res.ok for res in results)
+    if args.format == "json":
+        records = [
+            {
+                "suite": suite,
+                "name": res.name,
+                "ok": res.ok,
+                "diagnostic": res.diagnostic,
+                "seconds": res.seconds,
+                "detail": res.detail,
+            }
+            for suite, res in zip(names, results)
+        ]
+        json.dump(records, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    else:
+        for res in results:
+            status = "PASS" if res.ok else "FAIL"
+            if res.diagnostic and res.ok:
+                status = "PASS*"
+            print(f"{status} {res.name} ({res.seconds:.2f}s): {res.detail}")
+        print(f"{len(results) - failed}/{len(results)} suites passed")
     return 1 if failed else 0
 
 
@@ -317,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("all", *verify_mod.CRITERIA))
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the randomized suites")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -146,12 +146,12 @@ class _Parser:
         if not tok.startswith("v"):
             raise ParseError(f"expected a monomial, found {tok!r}", pos)
         pivot = _number(tok[1:], pos)
+        if pivot < 1:
+            raise ParseError("pivot index must be >= 1", start)
         for i in tails:
             _check_index(i)
         if len(set(tails)) < len(tails):
             return ZERO  # t_i^2 = 0
-        if pivot < 1:
-            raise ParseError("pivot index must be >= 1", start)
         return Element(frozenset({Monomial(pivot, sum(1 << i for i in tails))}))
 
 

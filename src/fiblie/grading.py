@@ -10,9 +10,10 @@ Floats appear only in growth-exponent diagnostics.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -291,6 +292,26 @@ def count_weights_at_most(levels: Sequence[int], x: GoldenInt) -> int:
         for (a, b), c in level_multidegree_counts(n).items()
         if golden_sign(b - x.a, a + b - x.b) <= 0
     )
+
+
+class WeightTable:
+    """Exact counts of W-monomials with wt <= x over given levels, for many
+    thresholds x: the distinct weights b + (a+b)*lambda sorted in
+    GoldenInt's exact order with their cumulative counts, so that each
+    count is one bisection."""
+
+    def __init__(self, levels: Sequence[int]) -> None:
+        counts: dict[GoldenInt, int] = {}
+        for n in levels:
+            for (a, b), c in level_multidegree_counts(n).items():
+                wt = GoldenInt(b, a + b)
+                counts[wt] = counts.get(wt, 0) + c
+        self.weights = sorted(counts)
+        self.cumulative = [0, *accumulate(counts[wt] for wt in self.weights)]
+
+    def count(self, x: GoldenInt) -> int:
+        """Number of monomials with wt <= x, as ``count_weights_at_most``."""
+        return self.cumulative[bisect_right(self.weights, x)]
 
 
 def weight_growth_levels(x: GoldenInt) -> list[int]:

@@ -39,6 +39,7 @@ from .grading import (
     LAMBDA,
     LAMBDA_FLOAT,
     LOG_LAMBDA_2,
+    WeightTable,
     count_weights_at_most,
     degree_growth,
     fib,
@@ -103,8 +104,9 @@ def criterion_basis_counts() -> tuple[bool, str]:
 def criterion_recursive_basis() -> tuple[bool, str]:
     for n in range(3, 21):
         built = basis_mod.build_W_recursive(n)
-        direct = set(basis_mod.enumerate_W(n + 1))
-        if built != direct:
+        # 2^w distinct tails below 2^w are all of W_{n+1}'s tails
+        w = basis_mod.tail_width(n + 1)
+        if len(built) != 1 << w or max(built) >> w:
             return False, f"mismatch constructing W_{n + 1}"
     return True, "[v_{n-1},W_n] + [v_{n-2},W_n] = W_{n+1} for n = 3..20"
 
@@ -214,9 +216,9 @@ def criterion_growth() -> tuple[bool, str]:
             return False, f"gamma(lambda^{n}) = {got} != 1 + 2^{n - 2}"
     # sandwich at 1000 integer thresholds (from 2: below wt(v_1) = lambda
     # the weight growth function is still zero)
-    levels_1000 = weight_growth_levels(GoldenInt(1002, 0))
+    table = WeightTable(weight_growth_levels(GoldenInt(1002, 0)))
     for t in range(2, 1002):
-        got = count_weights_at_most(levels_1000, GoldenInt(t, 0))
+        got = table.count(GoldenInt(t, 0))
         low = t**LOG_LAMBDA_2 / 8
         high = 1 + t**LOG_LAMBDA_2 / 2
         if not low <= got <= high:

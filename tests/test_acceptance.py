@@ -31,8 +31,8 @@ def test_criterion_01_basis_counts():
 
 
 def test_criterion_02_recursive_construction():
-    """Bracket-built levels equal direct enumeration for n = 3..20."""
-    _run("recursion")
+    """Bracket-built levels equal direct enumeration for n = 3..20; < 10 s."""
+    _run("recursion", limit=10.0)
 
 
 def test_criterion_03_relations():
@@ -63,8 +63,8 @@ def test_criterion_07_euler_inversion():
 
 def test_criterion_08_growth():
     """Weight-growth identities, sandwich bounds, s(F_n) = s(F_n+1) = 2,
-    and the two no-limit witness sequences (C within 1e-3)."""
-    _run("growth")
+    and the two no-limit witness sequences (C within 1e-3); < 5 s."""
+    _run("growth", limit=5.0)
 
 
 def test_criterion_09_geometry():

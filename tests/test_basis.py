@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from fiblie import basis
 from fiblie.basis import (
     BasisFormError,
     build_W_recursive,
@@ -36,14 +37,25 @@ def test_restricted_levels():
 
 
 def test_recursive_construction_small():
-    assert build_W_recursive(3) == set(enumerate_W(4))
     for n in range(3, 13):
-        assert build_W_recursive(n) == set(enumerate_W(n + 1))
+        assert build_W_recursive(n) == set(enumerate_W(n + 1).masks)
 
 
 def test_recursive_step_matches_by_hand():
     # from W_3 = {v_3}: [v_2, v_3] = v_4 and [v_1, v_3] = t_0 v_4
-    assert build_W_recursive(3) == {Monomial(4, 0), Monomial(4, 1)}
+    assert build_W_recursive(3) == {0, 1}
+
+
+def test_recursive_construction_rejects_malformed_brackets(monkeypatch):
+    # criterion 02 must be able to fail: two monomials, or one of another pivot
+    monkeypatch.setattr(
+        basis, "bracket_monomials", lambda gen, m: frozenset({Monomial(5, 0), Monomial(5, 1)})
+    )
+    with pytest.raises(BasisFormError, match="not a monomial"):
+        build_W_recursive(4)
+    monkeypatch.setattr(basis, "bracket_monomials", lambda gen, m: frozenset({Monomial(6, 0)}))
+    with pytest.raises(BasisFormError, match="pivot 6, expected 5"):
+        build_W_recursive(4)
 
 
 def test_colour():

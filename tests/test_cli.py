@@ -133,6 +133,15 @@ def test_euler_csv():
     assert coeffs[(0, 0)] == 1 and coeffs[(1, 0)] == -1 and coeffs[(3, 1)] == 1
 
 
+def test_verify_json_records():
+    code, out = run_cli("verify", "relations", "--format", "json")
+    assert code == 0
+    (record,) = json.loads(out)
+    assert record["suite"] == "relations" and record["name"] == "03-relations"
+    assert record["ok"] is True and record["diagnostic"] is False
+    assert record["seconds"] >= 0 and "vanish" in record["detail"]
+
+
 def test_closed_pipe_exits_without_traceback():
     env = dict(os.environ, PYTHONPATH=str(Path(fiblie.__file__).parents[1]))
     proc = subprocess.Popen(
@@ -179,6 +188,7 @@ def test_closed_pipe_exits_without_traceback():
         ("eval", "v" + "1" * 5000),
         ("eval", "v1^" + "1" * 5000),
         ("eval", "[v1," * 400 + "v2" + "]" * 400),
+        ("eval", "t0*t0*v0"),
     ],
 )
 def test_input_errors_exit_2_without_traceback(argv):

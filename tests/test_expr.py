@@ -58,6 +58,8 @@ def test_errors_have_positions():
         "[v1]": 0,
         "v1 +": 4,
         "[v1,v2": 6,
+        "v0": 0,
+        "t0*t0*v0": 0,  # the pivot is checked before t_0^2 = 0
     }
     for text, pos in cases.items():
         with pytest.raises(ParseError) as err:

@@ -14,6 +14,7 @@ from fiblie.grading import (
     GoldenInt,
     LAMBDA,
     Multidegree,
+    WeightTable,
     count_weights_at_most,
     degree_growth,
     fib,
@@ -175,6 +176,28 @@ def test_weight_counts_match_scalar():
     thresholds += [GoldenInt(t, 0) for t in range(101)]
     for x in thresholds:
         assert count_weights_at_most(weight_growth_levels(x), x) == weight_growth(x), x
+
+
+def test_weight_table_matches_the_threshold_scan():
+    # every threshold of criterion 08's sandwich
+    levels = weight_growth_levels(GoldenInt(1002, 0))
+    table = WeightTable(levels)
+    for t in range(2, 1002):
+        x = GoldenInt(t, 0)
+        assert table.count(x) == count_weights_at_most(levels, x), t
+    # lambda^n is an attained weight, so `<` for `<=` shows
+    levels = weight_growth_levels(lambda_power(20))
+    table = WeightTable(levels)
+    for n in range(21):
+        for x in (lambda_power(n), lambda_power(n) - GOLDEN_ONE):
+            assert table.count(x) == count_weights_at_most(levels, x), x
+    # the scalar oracle through level 12: wt(W_13) > lambda^12 bounds x
+    table = WeightTable(range(1, 13))
+    thresholds = [lambda_power(n) for n in range(13)]
+    thresholds += [lambda_power(n) - GOLDEN_ONE for n in range(13)]
+    thresholds += [GoldenInt(t, 0) for t in range(101)] + [GoldenInt(7, 3)]
+    for x in thresholds:
+        assert table.count(x) == weight_growth(x), x
 
 
 def test_oversized_weights_are_counted_exactly():
