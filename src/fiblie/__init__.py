@@ -19,7 +19,6 @@ from .core import (
     format_element,
     is_basis_monomial,
     monomial,
-    parse_element,
     pivot_action,
     pivot_bracket,
     power_2k,
@@ -47,7 +46,6 @@ __all__ = [
     "gr",
     "is_basis_monomial",
     "monomial",
-    "parse_element",
     "pivot_action",
     "pivot_bracket",
     "power_2k",

@@ -20,6 +20,7 @@ from .core import (
     InputError,
     Monomial,
     bracket_monomials,
+    check_cap,
     is_basis_monomial,
 )
 
@@ -85,8 +86,13 @@ def enumerate_W_upto(n: int, kind: Kind = "lie") -> list[BasisLevel]:
     return [BasisLevel(k, kind) for k in range(1, n + 1)]
 
 
-def count_upto(n: int, kind: Kind = "lie") -> int:
-    return sum(len(level) for level in enumerate_W_upto(n, kind))
+def check_held(levels: list[BasisLevel]) -> None:
+    """Refuse, before any row is made, to hold every monomial of ``levels``
+    at once past the monomial limit, as JSON output and figures 2 and 3 do."""
+    # range.stop rather than len(), which overflows past 2^63 monomials
+    rows = sum(level.masks.stop + (level.square is not None) for level in levels)
+    lo, hi = levels[0].n, levels[-1].n
+    check_cap(rows, f"rows of W_{hi}" if lo == hi else f"rows of W_{lo}..W_{hi}")
 
 
 def build_W_recursive(n: int) -> set[int]:

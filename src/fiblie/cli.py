@@ -40,10 +40,18 @@ def _emit_rows(header: list[str], rows: Iterable[list], fmt: str, out) -> None:
         writer.writerows(rows)
 
 
+def _levels(args) -> list[basis_mod.BasisLevel]:
+    """The levels 1..max_n of a row listing; JSON holds every row, CSV streams."""
+    levels = basis_mod.enumerate_W_upto(args.max_n, args.kind)
+    if args.format == "json":
+        basis_mod.check_held(levels)
+    return levels
+
+
 def _cmd_basis(args) -> int:
     rows = (
         [level.n, format_ring_monomial(m.tail), m.pivot, basis_mod.colour(m)]
-        for level in basis_mod.enumerate_W_upto(args.max_n, args.kind)
+        for level in _levels(args)
         for m in level
     )
     _emit_rows(["length", "tail", "pivot", "colour"], rows, args.format, sys.stdout)
@@ -185,11 +193,7 @@ def _strip_row(m) -> list:
 
 
 def _cmd_strip(args) -> int:
-    rows = (
-        _strip_row(m)
-        for level in basis_mod.enumerate_W_upto(args.max_n, args.kind)
-        for m in level
-    )
+    rows = (_strip_row(m) for level in _levels(args) for m in level)
     _emit_rows(
         ["tail", "pivot", "a", "b", "wt", "swt", "wt_exact", "swt_exact", "colour"],
         rows,
@@ -201,7 +205,6 @@ def _cmd_strip(args) -> int:
 
 def _cmd_figures(args) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     which = args.which
     if which == 1:
         files = figures.figure1(args.max_n, outdir)

@@ -459,6 +459,15 @@ def monomial_cap(limit: int | None) -> int:
     return LIMITS.monomial_limit if limit is None else limit
 
 
+def check_cap(count: int, what: str, limit: int | None = None) -> None:
+    """Raise ``MonomialLimitError`` when ``count`` (of ``what``, for the
+    message) exceeds ``monomial_cap(limit)``: the package's one comparison
+    against the monomial limit and its one wording of the error."""
+    cap = monomial_cap(limit)
+    if count > cap:
+        raise MonomialLimitError(f"{count} {what} exceed the monomial limit {cap}")
+
+
 def power_2k(e: Element, k: int, limit: int | None = None) -> Element:
     """e^(2^k) by iterated squaring; k = 0 is the identity."""
     if k < 0:
@@ -466,10 +475,7 @@ def power_2k(e: Element, k: int, limit: int | None = None) -> Element:
     cap = monomial_cap(limit)
     for _ in range(k):
         e = square(e)
-        if len(e.monomials) > cap:
-            raise MonomialLimitError(
-                f"intermediate element has {len(e.monomials)} monomials (cap {cap})"
-            )
+        check_cap(len(e), "monomials in an intermediate element", cap)
     return e
 
 
@@ -508,8 +514,7 @@ def is_basis_element(e: Element) -> bool:
 
 
 # --- canonical text form: "t0*t1*v5", "0", "+"-separated terms -------------
-
-_MONO_RE = re.compile(r"^(?:t(\d+)\*)*v(\d+)$")
+# Output only: fiblie.expr.eval_text is the package's one parser of it.
 
 
 def format_monomial(m: Monomial) -> str:
@@ -528,31 +533,3 @@ def format_ring_monomial(mask: RingMonomial) -> str:
     if mask == 0:
         return "1"
     return "*".join(f"t{i}" for i in ring_indices(mask))
-
-
-def format_ring_element(r: RingElement) -> str:
-    if not r:
-        return "0"
-    return " + ".join(format_ring_monomial(m) for m in sorted(r))
-
-
-def parse_monomial(text: str) -> Monomial:
-    compact = text.replace(" ", "")
-    match = _MONO_RE.match(compact)
-    if not match:
-        raise InputError(f"malformed monomial {text!r}")
-    try:
-        pivot = int(compact.rsplit("v", 1)[1])
-        tails = [int(p[1:]) for p in compact.split("*")[:-1]]
-    except ValueError:  # past the interpreter's int-string limit
-        raise InputError(
-            f"a number in a {len(compact)}-character monomial is too long"
-        ) from None
-    return monomial(pivot, tails)
-
-
-def parse_element(text: str) -> Element:
-    compact = text.strip()
-    if compact == "0":
-        return ZERO
-    return element(parse_monomial(term) for term in compact.split("+"))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import series
-from .basis import colour, enumerate_W, enumerate_W_upto
+from .basis import check_held, colour, enumerate_W, enumerate_W_upto
 from .core import format_ring_monomial
 from .grading import LAMBDA_FLOAT, gr, weight
 
@@ -24,6 +24,7 @@ class FigureFiles:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -116,8 +117,10 @@ def figure1(max_n: int, outdir: Path) -> FigureFiles:
 
 def figure2(n: int, outdir: Path) -> FigureFiles:
     """W_N in its weight-coordinate rectangle."""
+    level = enumerate_W(n)
+    check_held([level])
     rows = []
-    for m in enumerate_W(n):
+    for m in level:
         a, b = gr(m)
         wv = weight(m)
         rows.append(
@@ -140,8 +143,10 @@ def figure2(n: int, outdir: Path) -> FigureFiles:
 
 def figure3(max_n: int, outdir: Path) -> FigureFiles:
     """All levels normalised into one rectangle (xi rescaled per level)."""
+    levels = enumerate_W_upto(max_n)
+    check_held(levels)
     rows = []
-    for level in enumerate_W_upto(max_n):
+    for level in levels:
         n = level.n
         lo, hi = LAMBDA_FLOAT ** (n - 1), LAMBDA_FLOAT**n
         for m in level:

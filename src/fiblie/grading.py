@@ -17,14 +17,7 @@ from itertools import accumulate, chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import (
-    LIMITS,
-    FibLieError,
-    InputError,
-    Monomial,
-    MonomialLimitError,
-    ring_indices,
-)
+from .core import FibLieError, InputError, Monomial, check_cap, ring_indices
 from . import basis as basis_mod
 
 
@@ -119,13 +112,6 @@ class GoldenInt:
 GOLDEN_ZERO = GoldenInt(0, 0)
 GOLDEN_ONE = GoldenInt(1, 0)
 LAMBDA = GoldenInt(0, 1)
-
-
-def parse_golden(text: str) -> GoldenInt:
-    a_part, b_part = text.replace(" ", "").split("+", 1)
-    if not b_part.endswith("*L"):
-        raise InputError(f"malformed GoldenInt {text!r}")
-    return GoldenInt(int(a_part), int(b_part[:-2]))
 
 
 def lambda_power(n: int) -> GoldenInt:
@@ -235,11 +221,7 @@ def degree_growth(series, upto: int) -> dict[int, int]:
 def check_level(n: int) -> None:
     """Refuse level n, before any scan takes it, if W_n may fold into more
     multidegrees than the monomial limit."""
-    if fib(n) > LIMITS.monomial_limit:
-        raise MonomialLimitError(
-            f"level {n} folds into up to F_{n} = {fib(n)} multidegrees "
-            f"(cap {LIMITS.monomial_limit})"
-        )
+    check_cap(fib(n), f"possible multidegrees of level {n} (F_{n})")
 
 
 @lru_cache(maxsize=32)

@@ -16,7 +16,7 @@ from .core import (
     Element,
     FibLieError,
     InputError,
-    MonomialLimitError,
+    check_cap,
     element,
     is_basis_element,
     monomial,
@@ -66,10 +66,7 @@ def nil_index(e: Element, limit: int | None = None) -> NilReport:
         power = square(power)
         index += 1
         peak = max(peak, len(power))
-        if len(power) > mono_cap:
-            raise MonomialLimitError(
-                f"intermediate element has {len(power)} monomials (cap {mono_cap})"
-            )
+        check_cap(len(power), "monomials in an intermediate element", mono_cap)
     return NilReport(e, lo, hi, index, bound, peak, scalar_senior)
 
 

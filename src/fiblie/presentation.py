@@ -28,7 +28,17 @@ from operator import xor
 from typing import Iterable, Iterator, NamedTuple
 
 from . import gf2, series
-from .core import LIMITS, Element, FibLieError, InputError, MonomialLimitError, bracket, power_2k, v
+from .core import (
+    LIMITS,
+    Element,
+    FibLieError,
+    InputError,
+    MonomialLimitError,
+    bracket,
+    check_cap,
+    power_2k,
+    v,
+)
 
 Word = tuple[int, ...]
 Tree = int | tuple  # a letter, or a pair of trees
@@ -205,11 +215,8 @@ def free_dims(degree: int) -> dict[int, int]:
         raise InputError(f"degree must be >= 1, got {degree}")
     dims: dict[int, int] = {}
     for d in range(1, degree + 1):
-        if d > 1 and 2 * dims[d - 1] > LIMITS.monomial_limit:
-            raise MonomialLimitError(
-                f"degree-{d} tail rows have up to {2 * dims[d - 1]} bits "
-                f"(cap {LIMITS.monomial_limit})"
-            )
+        if d > 1:
+            check_cap(2 * dims[d - 1], f"possible bits of a degree-{d} tail row")
         dims[d] = sum(_mobius(e) << (d // e) for e in range(1, d + 1) if d % e == 0) // d
     return dims
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal
 
-from .core import LIMITS, FibLieError, InputError, MonomialLimitError
+from .core import FibLieError, InputError, check_cap
 from .grading import check_level, fib, gr_pivot, level_multidegree_counts
 
 Kind = Literal["lie", "restricted"]
@@ -84,10 +84,7 @@ class LatticeSeries:
 def check_triangle(bound: int, depth: int) -> None:
     """Refuse a triangle a <= depth, a + b <= bound past the monomial limit."""
     entries = (depth + 1) * (2 * bound + 2 - depth) // 2
-    if entries > LIMITS.monomial_limit:
-        raise MonomialLimitError(
-            f"a degree-{bound} triangle has {entries} entries (cap {LIMITS.monomial_limit})"
-        )
+    check_cap(entries, f"entries of a degree-{bound} triangle")
 
 
 def _triangle(s: LatticeSeries, bound: int, depth: int) -> list[list[int]]:
@@ -175,11 +172,7 @@ def hilbert_enumerated(upto: int, kind: Kind = "lie", bound: int = 40) -> Lattic
     folded = [n for n in levels if min_level_degree(n) <= bound]
     # level n folds into up to F_n multidegrees; the request holds them all
     folds = sum(fib(n) for n in folded)
-    if folds > LIMITS.monomial_limit:
-        raise MonomialLimitError(
-            f"levels 1..{folded[-1]} fold into up to {folds} multidegrees "
-            f"(cap {LIMITS.monomial_limit})"
-        )
+    check_cap(folds, f"possible multidegrees of {len(folded)} levels")
     out: dict[tuple[int, int], int] = {}
     for n in levels:
         if n in folded:

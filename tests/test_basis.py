@@ -8,13 +8,23 @@ from fiblie import basis
 from fiblie.basis import (
     BasisFormError,
     build_W_recursive,
+    check_held,
     colour,
-    count_upto,
     decompose_W,
     enumerate_W,
     enumerate_W_upto,
 )
-from fiblie.core import Monomial, ZERO, bracket, element, monomial, parse_element, tau
+from fiblie.core import (
+    LIMITS,
+    Monomial,
+    MonomialLimitError,
+    ZERO,
+    bracket,
+    element,
+    monomial,
+    tau,
+)
+from fiblie.expr import eval_text
 
 
 def test_level_examples():
@@ -24,9 +34,20 @@ def test_level_examples():
 
 
 def test_counts_upto():
-    assert count_upto(3) == 3
-    assert count_upto(8) == 65
-    assert count_upto(15) == 8193
+    for n, count in ((3, 3), (8, 65), (15, 8193)):
+        assert sum(map(len, enumerate_W_upto(n))) == count
+
+
+def test_held_rows_are_held_to_the_monomial_limit(monkeypatch):
+    monkeypatch.setattr(LIMITS, "monomial_limit", 65)
+    check_held(enumerate_W_upto(8))  # 65 rows
+    check_held([enumerate_W(9)])  # 64 rows
+    for levels in (enumerate_W_upto(8, "restricted"), [enumerate_W(10)]):
+        with pytest.raises(MonomialLimitError):
+            check_held(levels)
+    # past 2^63 rows, where len() of a level overflows
+    with pytest.raises(MonomialLimitError):
+        check_held(enumerate_W_upto(100))
 
 
 def test_restricted_levels():
@@ -85,9 +106,10 @@ def test_decompose_counts_and_exactness():
     for n in range(2, 12):
         d = decompose_W(n)
         total = len(d.head) + len(d.shifted) + len(d.t0_shifted)
-        assert total == count_upto(n)
+        size = sum(map(len, enumerate_W_upto(n)))
+        assert total == size
         # |W_{<=n+1}| = 1 + |W_{<=n}| + (|W_{<=n}| - 2)
-        assert count_upto(n + 1) == 1 + 2 * count_upto(n) - 2
+        assert size + len(enumerate_W(n + 1)) == 1 + 2 * size - 2
         # the shifted part is exactly tau of the lower union
         lower = [element([m]) for lvl in enumerate_W_upto(n - 1) for m in lvl]
         assert {next(iter(tau(e, 1).monomials)) for e in lower} == set(d.shifted)
@@ -104,6 +126,6 @@ def test_abelian_ideal_exhaustive():
 
 
 def test_bracket_with_pivot_is_monomial():
-    w = parse_element("t0*t2*v6")
-    res = bracket(parse_element("v5"), w)
+    w = eval_text("t0*t2*v6")
+    res = bracket(eval_text("v5"), w)
     assert len(res) == 1 and next(iter(res.monomials)) == Monomial(7, 0b101)

@@ -189,6 +189,10 @@ def test_closed_pipe_exits_without_traceback():
         ("eval", "v1^" + "1" * 5000),
         ("eval", "[v1," * 400 + "v2" + "]" * 400),
         ("eval", "t0*t0*v0"),
+        ("figures", "--which", "2", "--max-n", "40"),
+        ("figures", "--which", "3", "--max-n", "40"),
+        ("basis", "--max-n", "40", "--format", "json"),
+        ("strip", "--max-n", "40", "--format", "json"),
     ],
 )
 def test_input_errors_exit_2_without_traceback(argv):

@@ -14,11 +14,11 @@ from fiblie.core import (
     FibLieError,
     InputError,
     element,
-    parse_element,
     power_2k,
     tau,
     v,
 )
+from fiblie.expr import eval_text
 from fiblie.nil import (
     EST_LOW_C,
     EST_UP_C1,
@@ -33,7 +33,7 @@ from fiblie.nil import (
 def test_nil_index_examples():
     r = nil_index(v(1))
     assert (r.index, r.bound) == (2, 2)
-    r = nil_index(parse_element("t0*v4"))
+    r = nil_index(eval_text("t0*v4"))
     assert r.index == 1
     r = nil_index(v(1) + v(2))
     assert r.index <= 3 and r.bound == 3
@@ -44,7 +44,7 @@ def test_nil_index_rejects(monkeypatch):
     with pytest.raises(ValueError):
         nil_index(ZERO)
     with pytest.raises(ValueError):
-        nil_index(parse_element("t3*v4"))  # non-basis
+        nil_index(eval_text("t3*v4"))  # non-basis
     for limit in (0, -5):
         with pytest.raises(InputError):
             nil_index(v(1), limit=limit)
@@ -93,7 +93,7 @@ def test_conjecture_scan_rows():
 
 def test_tau_invariance_of_index():
     for text in ("v1", "v1 + v2", "t0*v4 + v3"):
-        e = parse_element(text)
+        e = eval_text(text)
         base = nil_index(e).index
         for k in (1, 2, 5):
             assert nil_index(tau(e, k)).index == base

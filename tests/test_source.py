@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -109,3 +111,30 @@ def test_unbounded_caches_are_the_known_ones():
         "homology.chain_basis",
         "homology._bracket_pair",
     }
+
+
+def test_import_loads_neither_the_parser_nor_the_cli():
+    # a library import pays for neither fiblie.expr nor fiblie.cli
+    code = (
+        "import sys, fiblie; "
+        "print([m for m in ('fiblie.expr', 'fiblie.cli') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_text_is_parsed_in_expr_only():
+    # fiblie.expr.eval_text is the package's one parser of element text
+    found = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("parse_")
+    ]
+    assert all(name.startswith("expr.py:") for name in found), found
