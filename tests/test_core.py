@@ -44,7 +44,7 @@ from fiblie.core import (
     tau,
     v,
 )
-from fiblie.expr import eval_text
+from fiblie.expr import ParseError, eval_text
 
 W8 = [m for level in enumerate_W_upto(8, "restricted") for m in level]
 W9 = [m for level in enumerate_W_upto(9, "restricted") for m in level]
@@ -156,6 +156,13 @@ def test_canonical_order_and_roundtrip():
     e = eval_text("t1*v4 + v3 + t0*t1*v5")
     assert format_element(e) == "v3 + t1*v4 + t0*t1*v5"
     assert eval_text(format_element(e)) == e
+
+
+def test_parse_rejects_malformed():
+    # t0*t0*v4 is no longer malformed: t_0^2 = 0 makes it the zero element
+    for bad in ("t0v3", "v", "v0 x"):
+        with pytest.raises(ParseError):
+            eval_text(bad)
 
 
 @settings(max_examples=300, deadline=None)
