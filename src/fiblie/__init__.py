@@ -19,8 +19,6 @@ from .core import (
     format_element,
     is_basis_monomial,
     monomial,
-    pivot_action,
-    pivot_bracket,
     power_2k,
     square,
     tau,
@@ -46,8 +44,6 @@ __all__ = [
     "gr",
     "is_basis_monomial",
     "monomial",
-    "pivot_action",
-    "pivot_bracket",
     "power_2k",
     "square",
     "tau",

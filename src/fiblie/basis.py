@@ -9,6 +9,7 @@ is tail-mask ascending, which every downstream matrix and CSV inherits.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Literal
 
@@ -59,9 +60,14 @@ class BasisLevel:
             return Monomial(self.n, 1 << (self.n - 3))
         return None
 
+    @property
+    def size(self) -> int:
+        """The number of monomials, also past 2^63, where len() cannot return it."""
+        return self.masks.stop + (self.square is not None)
+
     def __len__(self) -> int:
-        extra = 0 if self.square is None else 1
-        return len(self.masks) + extra
+        check_cap(self.size, f"monomials of W_{self.n} for len()", sys.maxsize)
+        return self.size
 
     def __iter__(self) -> Iterator[Monomial]:
         for mask in self.masks:
@@ -89,8 +95,7 @@ def enumerate_W_upto(n: int, kind: Kind = "lie") -> list[BasisLevel]:
 def check_held(levels: list[BasisLevel]) -> None:
     """Refuse, before any row is made, to hold every monomial of ``levels``
     at once past the monomial limit, as JSON output and figures 2 and 3 do."""
-    # range.stop rather than len(), which overflows past 2^63 monomials
-    rows = sum(level.masks.stop + (level.square is not None) for level in levels)
+    rows = sum(level.size for level in levels)
     lo, hi = levels[0].n, levels[-1].n
     check_cap(rows, f"rows of W_{hi}" if lo == hi else f"rows of W_{lo}..W_{hi}")
 

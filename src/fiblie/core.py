@@ -78,14 +78,6 @@ def _check_index(i: int) -> None:
         raise IndexCeilingError(f"t-index {i} exceeds ceiling {LIMITS.index_ceiling}")
 
 
-def _range_mask(lo: int, hi: int) -> int:
-    """Bitmask of t_lo ... t_hi; the empty product (mask 0) when lo > hi."""
-    if lo > hi:
-        return 0
-    _check_index(hi)
-    return ((1 << (hi - lo + 1)) - 1) << lo
-
-
 def ring_monomial(indices: Iterable[int]) -> RingMonomial:
     """Mask of a squarefree ring monomial from distinct t-indices."""
     mask = 0
@@ -100,13 +92,15 @@ def ring_monomial(indices: Iterable[int]) -> RingMonomial:
     return mask
 
 
-def ring_indices(mask: RingMonomial) -> tuple[int, ...]:
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return tuple(out)
+def set_bits(v: int) -> list[int]:
+    """Indices of the set bits of v >= 0, lowest first: the t-indices of a
+    tail, or the positions of a GF(2) row."""
+    digits, out = bin(v)[:1:-1], []  # digits[i] is bit i of v
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 class Monomial(NamedTuple):
@@ -199,26 +193,12 @@ def _action_masks(n: int, s: int) -> list[int]:
     return out
 
 
-def pivot_action(n: int, j: int) -> RingElement:
-    """v_n(t_j) as a ring element."""
-    if n < 1 or j < 0:
-        raise InputError("need pivot >= 1 and t-index >= 0")
-    if n > j:
-        return RING_ZERO
-    if n == j:
-        return RING_ONE
-    return frozenset({_range_mask(n - 1, j - 2)})
-
-
-def pivot_bracket(i: int, j: int) -> Element:
-    """[v_i, v_j]; symmetric in characteristic 2, zero on the diagonal."""
-    if i < 1 or j < 1:
-        raise InputError("pivot indices must be >= 1")
-    if i == j:
-        return ZERO
-    if i > j:
-        i, j = j, i
-    return Element(frozenset({Monomial(j + 1, _range_mask(i - 1, j - 3))}))
+def _commutator_tail(i: int, j: int) -> int:
+    """P with [v_i, v_j] = P v_{j+1} for i < j: P = t_{i-1} ... t_{j-3}, the
+    empty product when j = i + 1.  The one ceiling test of such a term."""
+    if j > i + 1:
+        _check_index(j - 3)
+    return ((1 << (j - i - 1)) - 1) << (i - 1)
 
 
 def _pivot_groups(e: Element) -> dict[int, list[int]]:
@@ -391,10 +371,7 @@ def _bracket_mono(m1: Monomial, m2: Monomial, acc: set[Monomial]) -> None:
                 _toggle(acc, Monomial(n, am | s))
     if n != m and not (r & s):
         i, j = (n, m) if n < m else (m, n)
-        # [v_i, v_j] = P v_{j+1} with P = t_{i-1} ... t_{j-3}, empty when j = i + 1
-        if j - 3 >= LIMITS.index_ceiling and j > i + 1:
-            _check_index(j - 3)
-        pmask = ((1 << (j - i - 1)) - 1) << (i - 1)
+        pmask = _commutator_tail(i, j)
         rs = r | s
         if not (pmask & rs):
             _toggle(acc, Monomial(j + 1, pmask | rs))
@@ -429,20 +406,18 @@ def square(e: Element) -> Element:
         acc[m] ^= _apply_groups(groups, tails)
         if 0 in tails:
             # (1 v_m)^2 = t_{m-1} v_{m+2}; r^2 = 0 for every other tail
-            acc[m + 2] ^= {_range_mask(m - 1, m - 1)}
+            _check_index(m - 1)
+            acc[m + 2] ^= {1 << (m - 1)}
     pivots = sorted(groups)
     for i, n in enumerate(pivots):
         rn = groups[n]
         for m in pivots[i + 1 :]:
             rm = groups[m]
-            # [v_n, v_m] = P v_{m+1} with P = t_{n-1} ... t_{m-3}; as in
-            # _bracket_mono, a non-empty P meets the ceiling once two tails
-            # are disjoint
-            if m - 3 >= LIMITS.index_ceiling and m >= n + 2 and any(
-                not a & b for a in rn for b in rm
-            ):
-                _check_index(m - 3)
-            pmask = ((1 << (m - n - 1)) - 1) << (n - 1)
+            # R_n R_m [v_n, v_m] has a term only where two tails are disjoint;
+            # past the ceiling, where P would raise, test that before building P
+            if m - 3 >= LIMITS.index_ceiling and all(a & b for a in rn for b in rm):
+                continue
+            pmask = _commutator_tail(n, m)
             ra = [a for a in rn if not a & pmask]
             rb = [b for b in rm if not b & pmask]
             if ra and rb:
@@ -518,7 +493,7 @@ def is_basis_element(e: Element) -> bool:
 
 
 def format_monomial(m: Monomial) -> str:
-    parts = [f"t{i}" for i in ring_indices(m.tail)]
+    parts = [f"t{i}" for i in set_bits(m.tail)]
     parts.append(f"v{m.pivot}")
     return "*".join(parts)
 
@@ -532,4 +507,4 @@ def format_element(e: Element) -> str:
 def format_ring_monomial(mask: RingMonomial) -> str:
     if mask == 0:
         return "1"
-    return "*".join(f"t{i}" for i in ring_indices(mask))
+    return "*".join(f"t{i}" for i in set_bits(mask))

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import series
-from .basis import check_held, colour, enumerate_W, enumerate_W_upto
-from .core import format_ring_monomial
-from .grading import LAMBDA_FLOAT, gr, weight
+from .basis import check_held, enumerate_W, enumerate_W_upto, tail_width
+from .core import InputError, check_cap, format_ring_monomial
+from .grading import LAMBDA_FLOAT, fib, gr, gr_pivot, level_multidegree_counts, weight
 
 
 @dataclass
@@ -87,22 +87,33 @@ def _strip_lines(amax: int) -> list[tuple[float, float, float, float, str]]:
 
 
 def figure1(max_n: int, outdir: Path) -> FigureFiles:
-    """Lattice points of W_{<=N} with counts and colour mix."""
-    cells: dict[tuple[int, int], list[int]] = {}
-    pivots: set[tuple[int, int]] = set()
-    for level in enumerate_W_upto(max_n):
-        for m in level:
-            key = tuple(gr(m))
-            cell = cells.setdefault(key, [0, 0])
-            c = colour(m)
-            if c == "red":  # a bare pivot: marks the cell, counts as green
-                pivots.add(key)
-            cell[1 if c == "blue" else 0] += 1
+    """Lattice points of W_{<=N} with counts and colour mix, from the level
+    folds: the green part of W_n (no t_{n-4}) has the tails of W_{n-1}, so
+    it is W_{n-1}'s fold moved by Gr(v_n) - Gr(v_{n-1}); blue is the rest."""
+    if max_n < 1:
+        raise InputError("level index must be >= 1")
+    # W_{<=N} folds into at most F_1 + ... + F_N = F_{N+2} - 1 cells
+    check_cap(fib(max_n + 2) - 1, f"possible cells of W_1..W_{max_n}")
+    cells: dict[tuple[int, int], int] = {}
+    greens: dict[tuple[int, int], int] = {}
+    for n in range(1, max_n + 1):
+        for key, c in level_multidegree_counts(n).items():
+            cells[key] = cells.get(key, 0) + c
+        if tail_width(n):
+            (a0, b0), (a1, b1) = gr_pivot(n - 1), gr_pivot(n)
+            for (a, b), c in level_multidegree_counts(n - 1).items():
+                key = (a + a1 - a0, b + b1 - b0)
+                greens[key] = greens.get(key, 0) + c
+        else:  # W_n is the bare pivot alone
+            key = tuple(gr_pivot(n))
+            greens[key] = greens.get(key, 0) + 1
+    pivots = {tuple(gr_pivot(n)) for n in range(1, max_n + 1)}  # red cells
     rows = []
-    for (a, b), (green, blue) in sorted(cells.items()):
+    for (a, b), c in sorted(cells.items()):
         wt = a * LAMBDA_FLOAT + b * LAMBDA_FLOAT**2
         swt = -a / LAMBDA_FLOAT + b / LAMBDA_FLOAT**2
-        rows.append([a, b, green + blue, green, blue, int((a, b) in pivots), wt, swt])
+        g = greens.get((a, b), 0)
+        rows.append([a, b, c, g, c - g, int((a, b) in pivots), wt, swt])
     csv_path = outdir / "fig1.csv"
     _write_csv(csv_path, ["a", "b", "count", "green", "blue", "pivot", "wt", "swt"], rows)
     pts = []

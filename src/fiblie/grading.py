@@ -17,7 +17,7 @@ from itertools import accumulate, chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import FibLieError, InputError, Monomial, check_cap, ring_indices
+from .core import FibLieError, InputError, Monomial, check_cap, set_bits
 from . import basis as basis_mod
 
 
@@ -142,18 +142,11 @@ def gr_tail(j: int) -> Multidegree:
 
 def gr(m: Monomial) -> Multidegree:
     a, b = gr_pivot(m.pivot)
-    for j in ring_indices(m.tail):
+    for j in set_bits(m.tail):
         ta, tb = gr_tail(j)
         a += ta
         b += tb
     return Multidegree(a, b)
-
-
-def weight(m: Monomial) -> WeightVector:
-    wt = lambda_power(m.pivot)
-    for j in ring_indices(m.tail):
-        wt = wt - lambda_power(j)
-    return WeightVector(wt, wt.conj())
 
 
 def weight_coords(d: Multidegree | tuple[int, int]) -> tuple[GoldenInt, GoldenInt]:
@@ -164,10 +157,20 @@ def weight_coords(d: Multidegree | tuple[int, int]) -> tuple[GoldenInt, GoldenIn
     return xi, eta
 
 
+def weight(m: Monomial) -> WeightVector:
+    """(wt, swt) = (b + (a+b)*lambda, its conjugate) for the multidegree (a, b)."""
+    return WeightVector(*weight_coords(gr(m)))
+
+
+def _in_strip(a: int, b: int) -> bool:
+    """Exact test of -lambda < swt < 1 for swt = (a+2b) - (a+b)*lambda."""
+    # swt + lambda > 0  and  swt - 1 < 0
+    return golden_sign(a + 2 * b, 1 - a - b) > 0 and golden_sign(a + 2 * b - 1, -a - b) < 0
+
+
 def strip_check(m: Monomial) -> bool:
     """Exact test of -lambda < swt(m) < 1."""
-    swt = weight(m).swt
-    return (swt + LAMBDA).sign() > 0 and (swt - GOLDEN_ONE).sign() < 0
+    return _in_strip(*gr(m))
 
 
 def sign_split(
@@ -245,13 +248,7 @@ def level_strip_violations(n: int, kind: basis_mod.Kind = "lie") -> int:
     counts = level_multidegree_counts(n).items()
     if kind == "restricted" and n >= 3:
         counts = chain(counts, [(gr(Monomial(n, 1 << (n - 3))), 1)])
-    return sum(
-        c
-        for (a, b), c in counts
-        # swt + lambda > 0  and  swt - 1 < 0
-        if golden_sign(a + 2 * b, 1 - a - b) <= 0
-        or golden_sign(a + 2 * b - 1, -a - b) >= 0
-    )
+    return sum(c for (a, b), c in counts if not _in_strip(a, b))
 
 
 def level_rectangle_violations(n: int) -> int:

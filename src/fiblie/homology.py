@@ -25,7 +25,7 @@ from operator import itemgetter
 
 from . import gf2, series
 from .basis import enumerate_W, tail_width
-from .core import InputError, Monomial, bracket_monomials
+from .core import InputError, Monomial, bracket_monomials, set_bits
 from .grading import (
     GoldenInt,
     LAMBDA,
@@ -168,11 +168,8 @@ def dd_is_zero(n: int, degree: Multidegree) -> bool:
     d_n = differential(n, degree)
     for row in d_up.d_rows:
         composed = 0
-        r = row
-        while r:
-            low = r & -r
-            composed ^= d_n.d_rows[low.bit_length() - 1]
-            r ^= low
+        for i in set_bits(row):
+            composed ^= d_n.d_rows[i]
         if composed:
             return False
     return True

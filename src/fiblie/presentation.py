@@ -37,6 +37,7 @@ from .core import (
     bracket,
     check_cap,
     power_2k,
+    set_bits,
     v,
 )
 
@@ -60,20 +61,10 @@ def bit_word(bit: int, degree: int) -> Word:
     return tuple(int(c) + 1 for c in format(bit, f"0{degree}b"))
 
 
-def _set_bits(v: int) -> list[int]:
-    """Indices of the set bits of v, lowest first."""
-    digits, out = bin(v)[:1:-1], []  # digits[i] is bit i of v
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return out
-
-
 def concat_mul(p: Poly, q: Poly) -> Poly:
     """Concatenation product: word u of p times word w of q is at bit u 2^deg(q) + w."""
     acc = 0
-    for u in _set_bits(p.bits):
+    for u in set_bits(p.bits):
         acc ^= q.bits << (u << q.degree)
     return Poly(p.degree + q.degree, acc)
 
@@ -290,16 +281,16 @@ def _tail_images(rows: Iterable[int], width: int) -> tuple[list[int], list[int]]
     pivot_mask = 0
     for key in sorted(span.pivots):
         row = span.pivots[key]
-        for p in _set_bits(row & pivot_mask):
+        for p in set_bits(row & pivot_mask):
             row ^= reduced[p]
         reduced[key - 1] = row
         pivot_mask |= 1 << (key - 1)
-    basis = _set_bits(~pivot_mask & ((1 << width) - 1))
+    basis = set_bits(~pivot_mask & ((1 << width) - 1))
     images = [0] * width
     for i, t in enumerate(basis):
         images[t] = 1 << i
     for p, row in reduced.items():
-        images[p] = reduce(xor, map(images.__getitem__, _set_bits(row ^ (1 << p))), 0)
+        images[p] = reduce(xor, map(images.__getitem__, set_bits(row ^ (1 << p))), 0)
     return basis, images
 
 
@@ -374,7 +365,7 @@ class _GradedQuotient:
         basis, images = _tail_images(chain(consistency, relators), width)
 
         def image(v: int) -> int:
-            return reduce(xor, map(images.__getitem__, _set_bits(v)), 0)
+            return reduce(xor, map(images.__getitem__, set_bits(v)), 0)
 
         self.dims[c] = len(basis)
         self.values.update((t, image(v)) for t, v in tail_values.items())
@@ -384,7 +375,7 @@ class _GradedQuotient:
         if c > 1:
             n = self.dims[c - 1]
             self.defs[c] = [(t % n, t // n) for t in basis]
-            self.gen_bits[c - 1] = [[_set_bits(v) for v in col] for col in self.table[c - 1]]
+            self.gen_bits[c - 1] = [[set_bits(v) for v in col] for col in self.table[c - 1]]
 
     def _products(self, c: int) -> dict[int, list[list[int]]]:
         """products[j][w][u] = [u, w] as a tail row, w of degree j, u of degree c - j."""
@@ -434,10 +425,10 @@ class _GradedQuotient:
                         yield reduce(xor, map(right_b, self.gen_bits[da][a][g]), row)
 
     def _evaluate(self, t: tuple, products: dict[int, list[list[int]]]) -> int:
-        left = _set_bits(self.values[t[0]])
+        left = set_bits(self.values[t[0]])
         table = products[tree_degree(t[1])]
         row = 0
-        for y in _set_bits(self.values[t[1]]):
+        for y in set_bits(self.values[t[1]]):
             row = reduce(xor, map(table[y].__getitem__, left), row)
         return row
 

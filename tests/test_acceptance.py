@@ -3,8 +3,9 @@ pass/fail line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` (or ``fiblie verify``
 for the same checks outside pytest).  All checks are exact except the
-documented floating constants (tolerance 1e-3) and criterion 12, which
-reports diagnostics without hard thresholds.
+bounds with an irrational constant (nil index estimates, growth sandwich
+and witness) and criterion 12, which reports diagnostics without hard
+thresholds.
 """
 
 from __future__ import annotations
@@ -63,8 +64,13 @@ def test_criterion_07_euler_inversion():
 
 def test_criterion_08_growth():
     """Weight-growth identities, sandwich bounds, s(F_n) = s(F_n+1) = 2,
-    and the two no-limit witness sequences (C within 1e-3); < 5 s."""
+    and the two no-limit witness sequences; < 5 s."""
     _run("growth", limit=5.0)
+
+
+def test_witness_constant():
+    # the C of criterion 08's second witness bound
+    assert abs(verify.WITNESS_C - 1.0197) < 1e-3
 
 
 def test_criterion_09_geometry():

@@ -45,9 +45,16 @@ def test_held_rows_are_held_to_the_monomial_limit(monkeypatch):
     for levels in (enumerate_W_upto(8, "restricted"), [enumerate_W(10)]):
         with pytest.raises(MonomialLimitError):
             check_held(levels)
-    # past 2^63 rows, where len() of a level overflows
+    # past 2^63 rows, where len() of a level cannot return
     with pytest.raises(MonomialLimitError):
         check_held(enumerate_W_upto(100))
+
+
+def test_len_of_a_level_past_sys_maxsize_raises():
+    assert len(enumerate_W(65)) == 2**62
+    assert enumerate_W(66).size == 2**63
+    with pytest.raises(MonomialLimitError):
+        len(enumerate_W(66))
 
 
 def test_restricted_levels():

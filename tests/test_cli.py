@@ -6,6 +6,8 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -14,7 +16,10 @@ from pathlib import Path
 import pytest
 
 import fiblie
+from fiblie.basis import colour, enumerate_W_upto
 from fiblie.cli import main
+from fiblie.figures import figure1
+from fiblie.grading import gr
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -31,6 +36,20 @@ def test_eval_and_bracket():
     assert code == 0 and out.strip() == "t0*t1*v5"
     code, out = run_cli("eval", "[v2,v1^3]", "--format", "json")
     assert code == 0 and json.loads(out) == {"element": "0"}
+
+
+def test_readme_cli_examples():
+    # every `fiblie ...  # -> result` line of README's CLI block, run in process
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [
+        (shlex.split(command), result.split()[0])
+        for command, result in re.findall(r"^fiblie (.*?)\s+# -> (.*)$", block, re.M)
+    ]
+    assert len(examples) == 3
+    for argv, expected in examples:
+        code, out = run_cli(*argv)
+        assert (code, out) == (0, expected + "\n"), argv
 
 
 def test_eval_error_exit_code():
@@ -126,6 +145,26 @@ def test_figures_outputs(tmp_path: Path):
         assert len(csv_path.read_text().splitlines()) > 1
 
 
+def test_figure1_cells_match_the_monomial_walk(tmp_path: Path):
+    # oracle: fold every monomial of W_{<=12} into its cell by basis.colour
+    cells = {}
+    for level in enumerate_W_upto(12):
+        for m in level:
+            cell = cells.setdefault(tuple(gr(m)), [0, 0, 0])
+            c = colour(m)
+            cell[1 if c == "blue" else 0] += 1
+            cell[2] |= c == "red"
+    figure1(12, tmp_path)
+    with (tmp_path / "fig1.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    got = {
+        (int(r["a"]), int(r["b"])): [int(r["green"]), int(r["blue"]), int(r["pivot"])]
+        for r in rows
+    }
+    assert got == cells
+    assert all(int(r["count"]) == int(r["green"]) + int(r["blue"]) for r in rows)
+
+
 def test_euler_csv():
     code, out = run_cli("euler", "--degree", "8")
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -193,6 +232,7 @@ def test_closed_pipe_exits_without_traceback():
         ("figures", "--which", "3", "--max-n", "40"),
         ("basis", "--max-n", "40", "--format", "json"),
         ("strip", "--max-n", "40", "--format", "json"),
+        ("figures", "--which", "1", "--max-n", "40"),
     ],
 )
 def test_input_errors_exit_2_without_traceback(argv):

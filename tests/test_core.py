@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -25,7 +26,6 @@ from fiblie.core import (
     _bracket_mono,
     _build_masks,
     _check_index,
-    _range_mask,
     _subset_convolution,
     _toggle,
     apply,
@@ -35,11 +35,10 @@ from fiblie.core import (
     format_element,
     is_basis_monomial,
     monomial,
-    pivot_action,
-    pivot_bracket,
     power_2k,
     ring_monomial,
     ring_mul,
+    set_bits,
     square,
     tau,
     v,
@@ -56,22 +55,52 @@ ring_elems = st.lists(
 ).map(frozenset)
 
 
+def _range_mask(lo: int, hi: int) -> int:
+    """Oracle: the mask of t_lo ... t_hi, the empty product (mask 0) when
+    lo > hi; past the index ceiling it raises, as the engine does."""
+    if lo > hi:
+        return 0
+    _check_index(hi)
+    return ((1 << (hi - lo + 1)) - 1) << lo
+
+
 def test_pivot_bracket_examples():
-    assert format_element(pivot_bracket(1, 2)) == "v3"
-    assert pivot_bracket(3, 3) == ZERO
-    assert format_element(pivot_bracket(1, 4)) == "t0*t1*v5"
-    assert pivot_bracket(4, 1) == pivot_bracket(1, 4)
+    assert format_element(bracket(v(1), v(2))) == "v3"
+    assert bracket(v(3), v(3)) == ZERO
+    assert format_element(bracket(v(1), v(4))) == "t0*t1*v5"
+    assert bracket(v(4), v(1)) == bracket(v(1), v(4))
 
 
 def test_fibonacci_recursion():
     for i in range(1, 31):
-        assert pivot_bracket(i, i + 1) == v(i + 2)
+        assert bracket(v(i), v(i + 1)) == v(i + 2)
 
 
 def test_pivot_action_examples():
-    assert pivot_action(2, 2) == RING_ONE
-    assert pivot_action(5, 3) == RING_ZERO
-    assert pivot_action(1, 3) == frozenset({ring_monomial({0, 1})})
+    assert apply(v(2), frozenset({1 << 2})) == RING_ONE
+    assert apply(v(5), frozenset({1 << 3})) == RING_ZERO
+    assert apply(v(1), frozenset({1 << 3})) == frozenset({ring_monomial({0, 1})})
+
+
+def test_pivot_closed_forms_match_the_engine():
+    # [v_i, v_j] = t_{i-1} ... t_{j-3} v_{j+1} (i < j) and
+    # v_n(t_j) = t_{n-1} ... t_{j-2} | 1 | 0 (n < j | n = j | n > j)
+    for i in range(1, 41):
+        for j in range(1, 41):
+            lo, hi = min(i, j), max(i, j)
+            closed = ZERO if i == j else Element(
+                frozenset({Monomial(hi + 1, _range_mask(lo - 1, hi - 3))})
+            )
+            assert bracket(v(i), v(j)) == closed, (i, j)
+    for n in range(1, 41):
+        for j in range(41):
+            if n > j:
+                closed = RING_ZERO
+            elif n == j:
+                closed = RING_ONE
+            else:
+                closed = frozenset({_range_mask(n - 1, j - 2)})
+            assert apply(v(n), frozenset({1 << j})) == closed, (n, j)
 
 
 def test_apply_examples():
@@ -136,7 +165,7 @@ def test_index_ceiling():
     with pytest.raises(IndexCeilingError):
         tau(eval_text("t100*v200"), 30)
     with pytest.raises(IndexCeilingError):
-        pivot_bracket(1, 200)
+        bracket(v(200), v(1))
     with pytest.raises(IndexCeilingError):
         square(v(129))  # v_129^2 = t_128 v_131
     with pytest.raises(IndexCeilingError):
@@ -150,6 +179,23 @@ def test_index_ceiling():
     assert bracket(v(130), v(131)) == v(132)
     a, b = eval_text("t0*v130"), eval_text("t1*v131")
     assert square(a + b) == bracket(a, b) == eval_text("t0*t1*v132")
+
+
+def test_colliding_tails_never_meet_the_ceiling():
+    # [t0 v_1, t0 v_200] would carry t_0 ... t_197, but t_0^2 = 0 kills the
+    # term before its tail is formed, in a bracket and in a square
+    a, b = eval_text("t0*v1"), eval_text("t0*v200")
+    assert bracket(a, b) == ZERO
+    assert square(a + b) == ZERO
+    # nor is that tail built: 10^9 bits would take 125 MB
+    far = eval_text("t0*v1000000000")
+    tracemalloc.start()
+    try:
+        assert square(a + far) == ZERO
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_canonical_order_and_roundtrip():
@@ -330,6 +376,26 @@ def test_action_masks_match_leibniz_oracle_on_wide_tails():
         assert out == _action_outcome(_action_masks_leibniz, n, s), (n, s)
         raised += out is None
     assert raised > 1000
+
+
+# --- oracle: the set bits of an int by clearing the lowest one at a time ----
+
+
+def _set_bits_low_first(v: int) -> list[int]:
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out
+
+
+def test_set_bits_matches_the_low_bit_loop():
+    rng = random.Random(4096)
+    values = [0, 1, (1 << 4096) - 1, 1 << 4095]
+    values += [rng.getrandbits(rng.randint(1, 4096)) for _ in range(500)]
+    for value in values:
+        assert set_bits(value) == _set_bits_low_first(value)
 
 
 # --- oracle: the product in R by testing every pair of tails ---------------

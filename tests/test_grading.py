@@ -98,12 +98,26 @@ def test_weight_coords_examples():
     assert weight_coords((0, 0)) == (GoldenInt(0, 0), GoldenInt(0, 0))
 
 
+# --- oracle: wt(t^S v_n) = lambda^n - sum_{j in S} lambda^j, walked over the tail
+
+
+def _weight_by_lambda_powers(m) -> GoldenInt:
+    wt = lambda_power(m.pivot)
+    tail = m.tail
+    while tail:
+        low = tail & -tail
+        wt = wt - lambda_power(low.bit_length() - 1)
+        tail ^= low
+    return wt
+
+
 def test_weight_coords_match_weight_on_basis():
-    for level in enumerate_W_upto(10, "restricted"):
+    # weight reads (wt, swt) off the multidegree by weight_coords
+    for level in enumerate_W_upto(14, "restricted"):
         for m in level:
             wv = weight(m)
-            assert wv.swt == wv.wt.conj()
-            assert weight_coords(gr(m)) == (wv.wt, wv.swt)
+            assert wv.wt == _weight_by_lambda_powers(m), m
+            assert wv.swt == wv.wt.conj(), m
 
 
 def test_weight_additivity_under_bracket():

@@ -15,6 +15,7 @@ from fiblie.core import (
     MonomialLimitError,
     bracket,
     format_element,
+    set_bits,
     v,
 )
 from fiblie import gf2
@@ -22,7 +23,6 @@ from fiblie.presentation import (
     RELATION_TREES,
     Poly,
     _GradedQuotient,
-    _set_bits,
     bit_word,
     concat_mul,
     evaluate,
@@ -260,7 +260,7 @@ class AllTriplesQuotient(_GradedQuotient):
 
         def outer(vec, dz, z):  # [vec, z] as a tail row
             row = 0
-            for x in _set_bits(vec):
+            for x in set_bits(vec):
                 row ^= products[dz][z][x]
             return row
 
