@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator, Literal
 
 from .core import (
     LIMITS,
-    Element,
     FibLieError,
     IndexCeilingError,
     InputError,
     Monomial,
-    bracket_monomials,
+    bracket_each,
     check_cap,
+    element,
     is_basis_monomial,
 )
 
@@ -107,16 +108,18 @@ def build_W_recursive(n: int) -> set[int]:
     if n < 3:
         raise InputError("recursive construction starts at level 3")
     out: set[int] = set()
-    gens = (Monomial(n - 1, 0), Monomial(n - 2, 0))
-    for s in enumerate_W(n).masks:
-        m = Monomial(n, s)
-        for gen in gens:
-            res = bracket_monomials(gen, m)
+    masks = enumerate_W(n).masks
+    for gen in (Monomial(n - 1, 0), Monomial(n - 2, 0)):
+        for s, res in zip(masks, bracket_each(gen, zip(repeat(n), masks))):
             if len(res) != 1:
-                raise BasisFormError(f"[{gen}, {m}] is not a monomial: {Element(res)}")
+                raise BasisFormError(
+                    f"[{gen}, {Monomial(n, s)}] is not a monomial: {element(res)}"
+                )
             (pivot, tail), = res
             if pivot != n + 1:
-                raise BasisFormError(f"[{gen}, {m}] has pivot {pivot}, expected {n + 1}")
+                raise BasisFormError(
+                    f"[{gen}, {Monomial(n, s)}] has pivot {pivot}, expected {n + 1}"
+                )
             out.add(tail)
     return out
 

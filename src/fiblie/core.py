@@ -16,6 +16,11 @@ two indices of S above n (every further index j of S gives a factor
 t_{n-1} ... t_{j-2} that contains the least one); so a monomial bracket is
 a few shifts and masks.
 
+Every bracket runs through one kernel, ``bracket_each(m1, others)``: r v_n
+against a run of monomials s v_k, one list per pair.  v_k(r) and the
+commutator tail of [v_n, v_k] do not depend on s, so they are made once per
+pivot run; only v_n(s) is taken per pair.
+
 Representation: a tail is a bitmask of t-indices (``RingMonomial``, a plain
 int; bit i set means the factor t_i, mask 0 means 1).  A ``RingElement`` is a
 frozenset of such masks.  GF(2) addition everywhere is symmetric difference
@@ -37,7 +42,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import or_
 from typing import Iterable, Iterator, Literal, NamedTuple
 
@@ -108,6 +113,10 @@ class Monomial(NamedTuple):
 
     pivot: int
     tail: RingMonomial
+
+
+# Monomial((pivot, tail)) without the Python-level __new__ of a NamedTuple
+_monomial = partial(tuple.__new__, Monomial)
 
 
 def monomial(pivot: int, indices: Iterable[int] = ()) -> Monomial:
@@ -356,41 +365,65 @@ def _subset_convolution(
     return frozenset(tails)
 
 
-def _bracket_mono(m1: Monomial, m2: Monomial, acc: set[Monomial]) -> None:
-    # [r v_n, s v_m] = r v_n(s) v_m + s v_m(r) v_n + r s [v_n, v_m];
-    # v_n(s) = 0 when s has no t-index >= n
+def bracket_each(m1: Monomial, others: Iterable[tuple[int, int]]) -> Iterator[list[Monomial]]:
+    """[m1, m2] for each (pivot, tail) pair m2 of ``others``, in order, as a
+    list of distinct monomials.
+
+    [r v_n, s v_k] = r v_n(s) v_k + s v_k(r) v_n + r s [v_n, v_k]; v_n(s) = 0
+    when s has no t-index >= n.  The masks of v_k(r) and the commutator tail
+    P of [v_n, v_k] are made once per run of one pivot k, P only once some
+    r s is nonzero.  The three parts have pivots k, n and max(n, k) + 1, so
+    they can only meet when k = n, where P is absent.
+    """
     n, r = m1
-    m, s = m2
-    if s >> n:
-        for am in _action_masks(n, s):
-            if not (am & r):
-                _toggle(acc, Monomial(m, am | r))
-    if r >> m:
-        for am in _action_masks(m, r):
-            if not (am & s):
-                _toggle(acc, Monomial(n, am | s))
-    if n != m and not (r & s):
-        i, j = (n, m) if n < m else (m, n)
-        pmask = _commutator_tail(i, j)
-        rs = r | s
-        if not (pmask & rs):
-            _toggle(acc, Monomial(j + 1, pmask | rs))
+    act_k = tail_k = None
+    for k, s in others:
+        out = []
+        if s >> n:
+            for am in _action_masks(n, s):
+                if not am & r:
+                    out.append(_monomial((k, am | r)))
+        if r >> k:
+            if k != act_k:
+                act_k, act = k, _action_masks(k, r)
+            for am in act:
+                if not am & s:
+                    mono = _monomial((n, am | s))
+                    if mono in out:  # only when k = n: [t_n v_n, t_n v_n] = 0
+                        out.remove(mono)
+                    else:
+                        out.append(mono)
+        if k != n and not r & s:
+            if k != tail_k:
+                i, j = (n, k) if n < k else (k, n)
+                tail_k, tail, top = k, _commutator_tail(i, j), j + 1
+            rs = r | s
+            if not tail & rs:
+                out.append(_monomial((top, tail | rs)))
+        yield out
 
 
 def bracket_monomials(m1: Monomial, m2: Monomial) -> frozenset[Monomial]:
     """[m1, m2] as a set of monomials, without wrapping either in an Element."""
-    acc: set[Monomial] = set()
-    _bracket_mono(m1, m2, acc)
-    return frozenset(acc)
+    return frozenset(next(bracket_each(m1, (m2,))))
 
 
 def bracket(e1: Element, e2: Element) -> Element:
-    """Lie bracket, bilinear over the monomials of both arguments."""
+    """Lie bracket, bilinear over the monomials of both arguments.  Over
+    GF(2), [e1, e2] = [e2, e1], so the kernel runs once per monomial of the
+    smaller one."""
+    a, b = e1.monomials, e2.monomials
+    if len(a) > len(b):
+        a, b = b, a
     acc: set[Monomial] = set()
-    for m1 in e1.monomials:
-        for m2 in e2.monomials:
-            _bracket_mono(m1, m2, acc)
-    return Element(frozenset(acc))
+    for m1 in a:
+        for part in bracket_each(m1, b):
+            for m in part:
+                if m in acc:
+                    acc.remove(m)
+                else:
+                    acc.add(m)
+    return Element(frozenset(acc)) if acc else ZERO
 
 
 def square(e: Element) -> Element:

@@ -28,7 +28,7 @@ from .core import (
     Monomial,
     ZERO,
     bracket,
-    bracket_monomials,
+    bracket_each,
     element,
     is_basis_monomial,
     power_2k,
@@ -274,10 +274,12 @@ def criterion_geometry() -> tuple[bool, str]:
     plus, minus = sign_split(mons8)
     for side in (plus, minus):
         sign = weight(side[0]).swt.sign()
-        for m1, m2 in combinations(side, 2):
-            for m in bracket_monomials(m1, m2):
-                if weight(m).swt.sign() != sign:
-                    return False, f"bracket left its side: [{m1}, {m2}]"
+        for i, m1 in enumerate(side):
+            rest = side[i + 1 :]
+            for m2, res in zip(rest, bracket_each(m1, rest)):
+                for m in res:
+                    if weight(m).swt.sign() != sign:
+                        return False, f"bracket left its side: [{m1}, {m2}]"
     # sampled positive-side subalgebras nilpotize within ceil(1/mu)
     pool_plus = [
         m
@@ -307,14 +309,14 @@ def criterion_geometry() -> tuple[bool, str]:
         swt = weight(m1).swt
         if not (swt.sign() < 0 and (swt + LAMBDA).sign() > 0):
             return False, f"A-monomial {m1} outside (-lambda, 0)"
-        for m2 in a_mons:
-            if bracket_monomials(m1, m2):
+        for m2, res in zip(a_mons, bracket_each(m1, a_mons)):
+            if res:
                 return False, f"A-monomials bracketed nonzero: {m1}, {m2}"
     # sampled A-pairs higher up
     a_pool_12 = [m for m in _monomials_upto(12) if m.tail & 1]
     for _ in range(200):
         m1, m2 = rng.sample(a_pool_12, 2)
-        if bracket_monomials(m1, m2):
+        if next(bracket_each(m1, (m2,))):
             return False, f"A-monomials bracketed nonzero: {m1}, {m2}"
     return True, "strip/rectangles exact to level 24; split closed; A abelian"
 

@@ -76,12 +76,13 @@ def test_recursive_step_matches_by_hand():
 
 def test_recursive_construction_rejects_malformed_brackets(monkeypatch):
     # criterion 02 must be able to fail: two monomials, or one of another pivot
-    monkeypatch.setattr(
-        basis, "bracket_monomials", lambda gen, m: frozenset({Monomial(5, 0), Monomial(5, 1)})
-    )
+    def each(res):
+        return lambda gen, others: (res for _ in others)
+
+    monkeypatch.setattr(basis, "bracket_each", each([Monomial(5, 0), Monomial(5, 1)]))
     with pytest.raises(BasisFormError, match="not a monomial"):
         build_W_recursive(4)
-    monkeypatch.setattr(basis, "bracket_monomials", lambda gen, m: frozenset({Monomial(6, 0)}))
+    monkeypatch.setattr(basis, "bracket_each", each([Monomial(6, 0)]))
     with pytest.raises(BasisFormError, match="pivot 6, expected 5"):
         build_W_recursive(4)
 

@@ -23,13 +23,14 @@ from fiblie.core import (
     ZERO,
     _CONV_MAX_WIDTH,
     _action_masks,
-    _bracket_mono,
     _build_masks,
     _check_index,
+    _commutator_tail,
     _subset_convolution,
     _toggle,
     apply,
     bracket,
+    bracket_each,
     bracket_monomials,
     element,
     format_element,
@@ -280,6 +281,66 @@ def _square_mono(m: Monomial, acc: set[Monomial]) -> None:
         return
     am = _range_mask(n - 1, j - 2)
     _toggle(acc, Monomial(n, am | r))
+
+
+def _bracket_mono(m1: Monomial, m2: Monomial, acc: set[Monomial]) -> None:
+    """Oracle: [m1, m2] toggled into acc, one pair at a time, by the Leibniz
+    rule [r v_n, s v_m] = r v_n(s) v_m + s v_m(r) v_n + r s [v_n, v_m]."""
+    n, r = m1
+    m, s = m2
+    if s >> n:
+        for am in _action_masks(n, s):
+            if not (am & r):
+                _toggle(acc, Monomial(m, am | r))
+    if r >> m:
+        for am in _action_masks(m, r):
+            if not (am & s):
+                _toggle(acc, Monomial(n, am | s))
+    if n != m and not (r & s):
+        i, j = (n, m) if n < m else (m, n)
+        pmask = _commutator_tail(i, j)
+        rs = r | s
+        if not (pmask & rs):
+            _toggle(acc, Monomial(j + 1, pmask | rs))
+
+
+def _oracle_bracket(m1: Monomial, m2: Monomial) -> set[Monomial]:
+    acc: set[Monomial] = set()
+    _bracket_mono(m1, m2, acc)
+    return acc
+
+
+def test_bracket_each_matches_the_pairwise_oracle_on_mixed_runs():
+    rng = random.Random(2020)
+    by_pivot: dict[int, list[Monomial]] = {}
+    for m in W8:
+        by_pivot.setdefault(m.pivot, []).append(m)
+    for _ in range(300):
+        # runs of one pivot each, pivots repeated and out of order
+        others = [
+            m
+            for p in rng.choices(sorted(by_pivot), k=rng.randint(1, 6))
+            for m in rng.choices(by_pivot[p], k=rng.randint(1, 5))
+        ]
+        for m1 in rng.sample(W8, 4):
+            got = list(bracket_each(m1, others))
+            assert len(got) == len(others)
+            for m2, res in zip(others, got):
+                assert len(set(res)) == len(res), (m1, m2)
+                assert set(res) == _oracle_bracket(m1, m2), (m1, m2)
+
+
+def test_bracket_each_same_pivot_and_empty_runs():
+    # k = n: the parts r v_n(s) and s v_n(r) meet and cancel
+    t5v5 = Monomial(5, 1 << 5)
+    assert list(bracket_each(t5v5, [t5v5])) == [[]]
+    # [t_5 v_5, t_6 v_5] = t_4 t_5 v_5 + t_6 v_5, and the run repeats after v_3
+    others = [(5, 1 << 6), (3, 0), (5, 1 << 6), (5, 1 << 5)]
+    got = list(bracket_each(t5v5, others))
+    assert [sorted(res) for res in got] == [sorted(_oracle_bracket(t5v5, m)) for m in others]
+    assert set(got[0]) == {Monomial(5, 0b110000), Monomial(5, 1 << 6)}
+    assert list(bracket_each(t5v5, [])) == []
+    assert list(bracket_each(Monomial(1000, 1 << 999), ())) == []
 
 
 def pairwise_square(e: Element) -> Element:
