@@ -473,7 +473,9 @@ def check_cap(count: int, what: str, limit: int | None = None) -> None:
     against the monomial limit and its one wording of the error."""
     cap = monomial_cap(limit)
     if count > cap:
-        raise MonomialLimitError(f"{count} {what} exceed the monomial limit {cap}")
+        # by its size past 64 bits: Python prints no int of over 4300 digits
+        shown = count if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
+        raise MonomialLimitError(f"{shown} {what} exceed the monomial limit {cap}")
 
 
 def power_2k(e: Element, k: int, limit: int | None = None) -> Element:

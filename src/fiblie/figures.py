@@ -10,11 +10,12 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from . import series
-from .basis import check_held, enumerate_W, enumerate_W_upto, tail_width
-from .core import InputError, check_cap, format_ring_monomial
-from .grading import LAMBDA_FLOAT, fib, gr, gr_pivot, level_multidegree_counts, weight
+from .basis import check_held, enumerate_W, enumerate_W_upto
+from .core import InputError, format_ring_monomial
+from .grading import LAMBDA_FLOAT, check_levels, gr, gr_pivot, level_multidegree_counts, weight
 
 
 @dataclass
@@ -23,7 +24,7 @@ class FigureFiles:
     svg_path: Path
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -51,27 +52,26 @@ def _svg_scatter(
     def sy(y: float) -> float:
         return 720 - (y - y0) * scale
 
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="720" height="720" '
-        'viewBox="0 0 720 720">',
-        '<rect width="720" height="720" fill="white"/>',
-    ]
-    for lx1, ly1, lx2, ly2, colour in lines:
-        parts.append(
-            f'<line x1="{sx(lx1):.2f}" y1="{sy(ly1):.2f}" x2="{sx(lx2):.2f}" '
-            f'y2="{sy(ly2):.2f}" stroke="{colour}" stroke-width="1"/>'
+    with path.open("w") as fh:  # one element per line, no trailing newline
+        fh.write(
+            '<svg xmlns="http://www.w3.org/2000/svg" width="720" height="720" '
+            'viewBox="0 0 720 720">\n<rect width="720" height="720" fill="white"/>'
         )
-    for x, y, r, colour in points:
-        parts.append(
-            f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{max(r, 1.2):.2f}" '
-            f'fill="{colour}" fill-opacity="0.75"/>'
-        )
-    parts.append("</svg>")
-    path.write_text("\n".join(parts))
+        for lx1, ly1, lx2, ly2, colour in lines:
+            fh.write(
+                f'\n<line x1="{sx(lx1):.2f}" y1="{sy(ly1):.2f}" x2="{sx(lx2):.2f}" '
+                f'y2="{sy(ly2):.2f}" stroke="{colour}" stroke-width="1"/>'
+            )
+        for x, y, r, colour in points:
+            fh.write(
+                f'\n<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{max(r, 1.2):.2f}" '
+                f'fill="{colour}" fill-opacity="0.75"/>'
+            )
+        fh.write("\n</svg>")
 
 
-def _mix(green: int, blue: int) -> str:
-    frac = green / (green + blue) if green + blue else 0.0
+def _mix(green: int, count: int) -> str:
+    frac = green / count if count else 0.0
     r = int(40 + 30 * (1 - frac))
     g = int(90 + 110 * frac)
     b = int(200 - 140 * frac)
@@ -87,40 +87,37 @@ def _strip_lines(amax: int) -> list[tuple[float, float, float, float, str]]:
 
 
 def figure1(max_n: int, outdir: Path) -> FigureFiles:
-    """Lattice points of W_{<=N} with counts and colour mix, from the level
-    folds: the green part of W_n (no t_{n-4}) has the tails of W_{n-1}, so
-    it is W_{n-1}'s fold moved by Gr(v_n) - Gr(v_{n-1}); blue is the rest."""
+    """Lattice points of W_{<=N} with counts and colour mix.  The counts are
+    the Hilbert series of W_{<=N} through F_N, the degree of v_N and the
+    largest in W_{<=N}.  W_1 = v_1 is green, and for n >= 2 the green part
+    of W_n (no t_{n-4}) has the tails of W_{n-1}, so it is W_{n-1}'s fold
+    moved by Gr(v_n) - Gr(v_{n-1}); blue is the rest."""
     if max_n < 1:
         raise InputError("level index must be >= 1")
-    # W_{<=N} folds into at most F_1 + ... + F_N = F_{N+2} - 1 cells
-    check_cap(fib(max_n + 2) - 1, f"possible cells of W_1..W_{max_n}")
-    cells: dict[tuple[int, int], int] = {}
-    greens: dict[tuple[int, int], int] = {}
-    for n in range(1, max_n + 1):
-        for key, c in level_multidegree_counts(n).items():
-            cells[key] = cells.get(key, 0) + c
-        if tail_width(n):
-            (a0, b0), (a1, b1) = gr_pivot(n - 1), gr_pivot(n)
-            for (a, b), c in level_multidegree_counts(n - 1).items():
-                key = (a + a1 - a0, b + b1 - b0)
-                greens[key] = greens.get(key, 0) + c
-        else:  # W_n is the bare pivot alone
-            key = tuple(gr_pivot(n))
-            greens[key] = greens.get(key, 0) + 1
+    check_levels(range(1, max_n + 1))  # before F_N is formed
+    degree = sum(gr_pivot(max_n))  # F_N
+    cells = sorted(series.hilbert_enumerated(max_n, "lie", degree).coeffs.items())
+    greens = {(1, 0): 1}
+    for n in range(2, max_n + 1):
+        (a0, b0), (a1, b1) = gr_pivot(n - 1), gr_pivot(n)
+        for (a, b), c in level_multidegree_counts(n - 1).items():
+            key = (a + a1 - a0, b + b1 - b0)
+            greens[key] = greens.get(key, 0) + c
     pivots = {tuple(gr_pivot(n)) for n in range(1, max_n + 1)}  # red cells
-    rows = []
-    for (a, b), c in sorted(cells.items()):
-        wt = a * LAMBDA_FLOAT + b * LAMBDA_FLOAT**2
-        swt = -a / LAMBDA_FLOAT + b / LAMBDA_FLOAT**2
-        g = greens.get((a, b), 0)
-        rows.append([a, b, c, g, c - g, int((a, b) in pivots), wt, swt])
+    rows = (
+        [a, b, c, g, c - g, int((a, b) in pivots),
+         a * LAMBDA_FLOAT + b * LAMBDA_FLOAT**2, -a / LAMBDA_FLOAT + b / LAMBDA_FLOAT**2]
+        for (a, b), c in cells
+        for g in [greens.get((a, b), 0)]
+    )
     csv_path = outdir / "fig1.csv"
     _write_csv(csv_path, ["a", "b", "count", "green", "blue", "pivot", "wt", "swt"], rows)
-    pts = []
-    for a, b, count, green, blue, is_pivot, _, _ in rows:
-        fill = "red" if is_pivot else _mix(green, blue)
-        pts.append((float(a), float(b), 2.0 * math.sqrt(count), fill))
-    amax = max(r[0] for r in rows)
+    pts = [
+        (float(a), float(b), 2.0 * math.sqrt(c),
+         "red" if (a, b) in pivots else _mix(greens.get((a, b), 0), c))
+        for (a, b), c in cells
+    ]
+    amax = cells[-1][0][0]  # the cells sort by a first
     svg_path = outdir / "fig1.svg"
     _svg_scatter(svg_path, pts, _strip_lines(amax))
     return FigureFiles(csv_path, svg_path)

@@ -13,11 +13,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count, takewhile
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .core import FibLieError, InputError, Monomial, check_cap, set_bits
+from .core import FibLieError, InputError, Monomial, check_cap, monomial_cap, set_bits
 from . import basis as basis_mod
 
 
@@ -135,6 +135,12 @@ def gr_pivot(n: int) -> Multidegree:
     return Multidegree(fib(n - 2), fib(n - 1))
 
 
+def square_multidegree(n: int) -> Multidegree:
+    """Multidegree of the pivot square t_{n-3} v_n = v_{n-2}^2, n >= 3."""
+    a, b = gr_pivot(n - 2)
+    return Multidegree(2 * a, 2 * b)
+
+
 def gr_tail(j: int) -> Multidegree:
     # Gr(t_j) = Gr(v_{j+1}) - Gr(v_{j+2}) = (-F_{j-2}, -F_{j-1})
     return Multidegree(-fib(j - 2), -fib(j - 1))
@@ -214,24 +220,41 @@ def degree_growth(series, upto: int) -> dict[int, int]:
     return {n: series.coeffs.get(n, 0) for n in range(1, upto + 1)}
 
 
-# --- per-level scans over the multidegree fold --------------------------------
+# --- the levels a request folds, and per-level scans over each fold ---------
 #
 # wt = b + (a+b)*lambda and swt = (a+2b) - (a+b)*lambda depend on a monomial
 # only through its multidegree (a, b), so each scan tests every distinct
 # multidegree of W_n once and weighs it by its count.
 
 
-def check_level(n: int) -> None:
-    """Refuse level n, before any scan takes it, if W_n may fold into more
-    multidegrees than the monomial limit."""
-    check_cap(fib(n), f"possible multidegrees of level {n} (F_{n})")
+def check_levels(levels: Iterable[int]) -> list[int]:
+    """The levels a request will fold, in order, refused through ``check_cap``
+    at the first level where the multidegrees they may fold into (at most
+    F_n for W_n) pass the monomial limit.  A level past the limit on its own
+    is refused without forming its F_n."""
+    past = 1  # F_n passes the limit from n = past on
+    while fib(past) <= monomial_cap(None):
+        past += 1
+    held: list[int] = []
+    total = 0
+    for n in levels:
+        held.append(n)
+        where = f"W_{n}" if len(held) == 1 else f"{len(held)} levels through W_{n}"
+        total += fib(min(n, past))
+        check_cap(total, f"{'or more ' if n > past else ''}possible multidegrees of {where}")
+    return held
+
+
+def levels_while(holds: Callable[[int], bool]) -> list[int]:
+    """Levels 1, 2, ... while ``holds(n)``, each prefix held to ``check_levels``."""
+    return check_levels(takewhile(holds, count(1)))
 
 
 @lru_cache(maxsize=32)
 def level_multidegree_counts(n: int) -> Mapping[tuple[int, int], int]:
     """Multidegree distribution of W_n (subset-sum fold over tail factors);
     W_n has F_n - 1 distinct multidegrees for n >= 3."""
-    check_level(n)
+    check_levels((n,))
     dd: dict[tuple[int, int], int] = {tuple(gr_pivot(n)): 1}
     for j in range(basis_mod.tail_width(n)):
         ta, tb = gr_tail(j)
@@ -247,7 +270,7 @@ def level_strip_violations(n: int, kind: basis_mod.Kind = "lie") -> int:
     """Count of level-n basis monomials outside -lambda < swt < 1 (exact)."""
     counts = level_multidegree_counts(n).items()
     if kind == "restricted" and n >= 3:
-        counts = chain(counts, [(gr(Monomial(n, 1 << (n - 3))), 1)])
+        counts = chain(counts, [(square_multidegree(n), 1)])
     return sum(c for (a, b), c in counts if not _in_strip(a, b))
 
 
@@ -295,10 +318,4 @@ class WeightTable:
 
 def weight_growth_levels(x: GoldenInt) -> list[int]:
     """Levels that can contain W-monomials of weight <= x."""
-    levels = []
-    n = 1
-    while (lambda_power(n - 1) - x).sign() < 0:
-        check_level(n)
-        levels.append(n)
-        n += 1
-    return levels
+    return levels_while(lambda n: (lambda_power(n - 1) - x).sign() < 0)

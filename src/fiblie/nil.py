@@ -83,6 +83,7 @@ def shift_structure_check(e: Element) -> bool:
         power = square(power)
         if not power:
             return True
+        check_cap(len(power), "monomials in an intermediate element")
         for m in power.monomials:
             if m.pivot < lo + 2 * big_n or m.pivot > hi + big_n + 1:
                 return False

@@ -13,12 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal
 
+from .basis import Kind
 from .core import FibLieError, InputError, check_cap
-from .grading import check_level, fib, gr_pivot, level_multidegree_counts
-
-Kind = Literal["lie", "restricted"]
+from .grading import fib, level_multidegree_counts, levels_while, square_multidegree
 
 
 class SupportError(FibLieError):
@@ -84,7 +82,7 @@ class LatticeSeries:
 def check_triangle(bound: int, depth: int) -> None:
     """Refuse a triangle a <= depth, a + b <= bound past the monomial limit."""
     entries = (depth + 1) * (2 * bound + 2 - depth) // 2
-    check_cap(entries, f"entries of a degree-{bound} triangle")
+    check_cap(entries, "entries of a truncation triangle")
 
 
 def _triangle(s: LatticeSeries, bound: int, depth: int) -> list[list[int]]:
@@ -129,12 +127,6 @@ class OneVarSeries:
 # --- per-level degree data ---------------------------------------------------
 
 
-def square_multidegree(n: int) -> tuple[int, int]:
-    """Multidegree of the pivot square t_{n-3} v_n = v_{n-2}^2, n >= 3."""
-    a, b = gr_pivot(n - 2)
-    return (2 * a, 2 * b)
-
-
 def min_level_degree(n: int, kind: Kind = "lie") -> int:
     """Smallest total degree over W_n (full tail); equals F_{n-1} + 1 for n >= 4.
 
@@ -142,19 +134,18 @@ def min_level_degree(n: int, kind: Kind = "lie") -> int:
     which undercuts the standard minimum at level 4 (degree 2 vs 3)."""
     base = fib(n) - sum(fib(j) for j in range(max(n - 3, 0)))
     if kind == "restricted" and n >= 3:
-        return min(base, 2 * fib(n - 2))
+        return min(base, sum(square_multidegree(n)))
     return base
 
 
 def levels_for_degree(degree: int, kind: Kind = "lie") -> list[int]:
     """All levels whose cheapest basis monomial still fits under the bound."""
-    levels = []
-    n = 1
-    while min_level_degree(n, kind) <= degree:
-        check_level(n)
-        levels.append(n)
-        n += 1
-    return levels
+    return levels_while(lambda n: min_level_degree(n, kind) <= degree)
+
+
+def _levels_upto(upto: int, bound: int, kind: Kind = "lie") -> list[int]:
+    """The levels of ``levels_for_degree`` that W_{<=upto} holds."""
+    return levels_while(lambda n: n <= upto and min_level_degree(n, kind) <= bound)
 
 
 # --- Hilbert series ----------------------------------------------------------
@@ -164,21 +155,11 @@ def hilbert_enumerated(upto: int, kind: Kind = "lie", bound: int = 40) -> Lattic
     """Coefficient at (a,b): number of basis monomials of W_{<=upto} there."""
     if upto < 1:
         raise InputError("W_{<=n} needs n >= 1")
-    levels = []
-    for n in range(1, upto + 1):
-        if min_level_degree(n, kind) > bound:
-            break  # the levels of levels_for_degree end here: the minimum grows with n
-        levels.append(n)
-    folded = [n for n in levels if min_level_degree(n) <= bound]
-    # level n folds into up to F_n multidegrees; the request holds them all
-    folds = sum(fib(n) for n in folded)
-    check_cap(folds, f"possible multidegrees of {len(folded)} levels")
     out: dict[tuple[int, int], int] = {}
-    for n in levels:
-        if n in folded:
-            for (a, b), c in level_multidegree_counts(n).items():
-                if a + b <= bound:
-                    out[(a, b)] = out.get((a, b), 0) + c
+    for n in _levels_upto(upto, bound, kind):
+        for (a, b), c in level_multidegree_counts(n).items():
+            if a + b <= bound:
+                out[(a, b)] = out.get((a, b), 0) + c
         if kind == "restricted" and n >= 3:
             a, b = square_multidegree(n)
             if a + b <= bound:
@@ -203,6 +184,7 @@ def hilbert_recursive(upto: int, bound: int = 40) -> LatticeSeries:
     """
     if upto < 2:
         raise InputError("recursion starts at W_{<=2}")
+    _levels_upto(upto, bound)  # hilbert_enumerated's guard: both hold the cells of W_{<=upto}
     coeffs: dict[tuple[int, int], int] = {(1, 0): 1, (0, 1): 1}
     for _ in range(upto - 2):
         substituted: dict[tuple[int, int], int] = {}

@@ -89,9 +89,9 @@ def criterion_basis_counts() -> tuple[bool, str]:
         if count != 1 << (n - 3):
             return False, f"|W_{n}| = {count}, expected {1 << (n - 3)}"
         # independent count: the subset-sum fold over the tail factors
-        folded = sum(level_multidegree_counts(n).values())
-        if folded != 1 << (n - 3):
-            return False, f"multidegree fold of W_{n} counts {folded}"
+        total = sum(level_multidegree_counts(n).values())
+        if total != 1 << (n - 3):
+            return False, f"multidegree fold of W_{n} counts {total}"
         extra = len(basis_mod.enumerate_W(n, "restricted")) - count
         if extra != 1:
             return False, f"|W~_{n}| - |W_{n}| = {extra}, expected 1"

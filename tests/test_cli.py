@@ -233,6 +233,14 @@ def test_closed_pipe_exits_without_traceback():
         ("basis", "--max-n", "40", "--format", "json"),
         ("strip", "--max-n", "40", "--format", "json"),
         ("figures", "--which", "1", "--max-n", "40"),
+        ("figures", "--which", "1", "--max-n", "29"),
+        ("figures", "--which", "1", "--max-n", "50000"),
+        ("hilbert", "--degree", "317812"),
+        ("hilbert", "--upto", "100000", "--degree", "1" + "0" * 1000),
+        ("hilbert", "--method", "recursive", "--degree", "400000"),
+        ("euler", "--degree", "9" * 2500),
+        ("envelope", "--degree", "9" * 2500),
+        ("homology", "--max-total-degree", "9" * 2500),
     ],
 )
 def test_input_errors_exit_2_without_traceback(argv):

@@ -7,8 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiblie import grading
 from fiblie.basis import enumerate_W, enumerate_W_upto
-from fiblie.core import FibLieError, ZERO, bracket, element, monomial
+from fiblie.core import (
+    LIMITS,
+    ZERO,
+    FibLieError,
+    Monomial,
+    MonomialLimitError,
+    bracket,
+    element,
+    monomial,
+)
 from fiblie.expr import eval_text
 from fiblie.grading import (
     GOLDEN_ONE,
@@ -16,6 +26,7 @@ from fiblie.grading import (
     LAMBDA,
     Multidegree,
     WeightTable,
+    check_levels,
     count_weights_at_most,
     degree_growth,
     fib,
@@ -25,8 +36,10 @@ from fiblie.grading import (
     level_multidegree_counts,
     level_rectangle_violations,
     level_strip_violations,
+    levels_while,
     local_nilpotency_bound,
     sign_split,
+    square_multidegree,
     strip_check,
     weight,
     weight_coords,
@@ -220,6 +233,32 @@ def test_oversized_weights_are_counted_exactly():
     # level 45 folds into F_45 - 1 multidegrees: the cap must stop it at once
     with pytest.raises(FibLieError):
         level_multidegree_counts(45)
+
+
+def test_check_levels_sums_the_folds_in_order(monkeypatch):
+    # W_1..W_28 fold into F_30 - 1 = 832039 <= 10^6 multidegrees, W_1..W_29
+    # into F_31 - 1 > 10^6; the walk is refused at level 29 of an endless count
+    assert check_levels(range(1, 29)) == list(range(1, 29))
+    for build in (lambda: check_levels(range(1, 30)), lambda: levels_while(lambda n: True)):
+        with pytest.raises(MonomialLimitError, match="of 29 levels through W_29"):
+            build()
+    assert levels_while(lambda n: n < 5) == [1, 2, 3, 4]
+    monkeypatch.setattr(LIMITS, "monomial_limit", 7)  # F_1 + ... + F_4 = 7
+    check_levels([1, 2, 3, 4])
+    with pytest.raises(MonomialLimitError):
+        check_levels([1, 2, 3, 4, 1])
+
+
+def test_check_levels_refuses_a_deep_level_without_its_fibonacci(monkeypatch):
+    monkeypatch.setattr(grading, "_FIB", [0, 1])
+    with pytest.raises(MonomialLimitError, match="or more possible multidegrees of W_1000000"):
+        check_levels([10**6])
+    assert len(grading._FIB) < 100
+
+
+def test_square_multidegree_matches_the_pivot_square():
+    for n in range(3, 41):
+        assert square_multidegree(n) == gr(Monomial(n, 1 << (n - 3))), n
 
 
 def test_level_scans_match_scalar_counts():

@@ -10,9 +10,11 @@ import pytest
 from fiblie import core, nil
 from fiblie.basis import enumerate_W_upto
 from fiblie.core import (
+    LIMITS,
     ZERO,
     FibLieError,
     InputError,
+    MonomialLimitError,
     element,
     power_2k,
     tau,
@@ -65,6 +67,16 @@ def test_shift_structure_examples():
         e = element(rng.sample(pool, rng.choice((1, 2, 3))))
         if e:
             assert shift_structure_check(e)
+
+
+def test_shift_structure_check_is_held_to_the_monomial_limit(monkeypatch):
+    # the squares of v_1 + ... + v_5 hold 15, 19, 37, 40 and 20 monomials
+    e = pivot_interval(1, 5)
+    monkeypatch.setattr(LIMITS, "monomial_limit", 40)
+    assert shift_structure_check(e)
+    monkeypatch.setattr(LIMITS, "monomial_limit", 39)
+    with pytest.raises(MonomialLimitError, match="monomials in an intermediate element"):
+        shift_structure_check(e)
 
 
 def test_square_pivot_floor():

@@ -67,6 +67,13 @@ def test_hilbert_enumerated_stops_at_the_last_level_under_the_bound():
         assert wide == hilbert_enumerated(deep, kind, bound=40)
     # a small upto still needs no level past it, however large the bound
     assert hilbert_enumerated(3, "lie", 10**9).coeffs == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
+    # at bound 2 the restricted walk keeps level 4 for its square v_2^2 at
+    # (0, 2), while W_4 itself starts at degree 3
+    low = {(1, 0): 1, (0, 1): 1}
+    two = {**low, (1, 1): 1, (2, 0): 1, (0, 2): 1}
+    three = {**two, (1, 2): 1, (2, 1): 1}
+    for bound, coeffs in enumerate([{}, low, two, three, three]):
+        assert hilbert_enumerated(4, "restricted", bound).coeffs == coeffs
 
 
 def test_hilbert_recursive_examples():
@@ -236,10 +243,9 @@ def test_dense_triangle_is_held_to_the_monomial_limit(monkeypatch):
 
 
 def test_deep_requests_are_refused_before_any_fold():
-    # level 31 folds into F_31 > 10^6 multidegrees; each scan stops at its
-    # level check, and euler_product at its triangle, before level 1 is folded;
-    # at degree 800000 every level is under the cap (F_30 = 832040), but
-    # levels 1..30 together fold into F_32 - 1 > 10^6 multidegrees
+    # levels 1..29 together fold into F_31 - 1 > 10^6 multidegrees: each
+    # level walk is refused at level 29, and euler_product at its triangle,
+    # before level 1 is folded
     level_multidegree_counts.cache_clear()
     for build in (
         lambda: levels_for_degree(10**9),
@@ -257,8 +263,12 @@ def test_hilbert_request_is_held_to_the_monomial_limit(monkeypatch):
     # degree F_8 + 1 = 22
     monkeypatch.setattr(LIMITS, "monomial_limit", 54)
     assert max(levels_for_degree(21)) == 8
-    hilbert_lie(21)
-    for build in (lambda: hilbert_lie(22), lambda: hilbert_enumerated(9, "lie", 22)):
+    assert hilbert_recursive(8, 21) == hilbert_lie(21)
+    for build in (
+        lambda: hilbert_lie(22),
+        lambda: hilbert_enumerated(9, "lie", 22),
+        lambda: hilbert_recursive(9, 22),
+    ):
         with pytest.raises(MonomialLimitError):
             build()
 
