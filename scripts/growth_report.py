@@ -10,7 +10,9 @@ empirical enveloping-algebra exponent against theta ~ 0.5902.
 from __future__ import annotations
 
 import argparse
+import sys
 
+from fiblie.core import FibLieError
 from fiblie.grading import (
     LOG_LAMBDA_2,
     count_weights_at_most,
@@ -50,4 +52,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except FibLieError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -48,20 +48,31 @@ class LatticeSeries:
     def __mul__(self, other: "LatticeSeries") -> "LatticeSeries":
         """The product through the smaller bound; both factors must lie in N0^2.
 
-        Each term (a1, b1) of the left factor adds its multiple of the right
-        factor's rows a2 <= bound - a1 - b1, cut at b2 <= bound - a1 - b1 - a2,
-        so no pair past the bound is ever formed.
+        Each pair of packed rows d1 + d2 <= bound (see ``_unpack``) is one
+        integer product, so no pair past the bound is ever formed.  A cell
+        sums at most min(len) pairs, so a slot of bits(max|x|) +
+        bits(max|y|) + bits(min(len)) + 1 bits holds it.
         """
         self.assert_quadrant()
         other.assert_quadrant()
         bound = min(self.bound, other.bound)
-        right = _triangle(other, bound, bound)
-        out = _triangle(LatticeSeries(), bound, bound)
-        for (a1, b1), c1 in self.coeffs.items():
-            for a2 in range(bound - a1 - b1 + 1):
-                row = out[a1 + a2]
-                row[b1:] = [x + c1 * y for x, y in zip(row[b1:], right[a2])]
-        return _from_triangle(out, bound)
+        check_triangle(bound, bound)
+        if not (self.coeffs and other.coeffs):
+            return LatticeSeries({}, bound)
+        width = _slot_width(
+            max(map(abs, self.coeffs.values())).bit_length()
+            + max(map(abs, other.coeffs.values())).bit_length()
+            + min(len(self.coeffs), len(other.coeffs)).bit_length()
+        )
+        right = [(d, row) for d, row in enumerate(_pack(other, bound, width)) if row]
+        out = [0] * (bound + 1)
+        for d1, row1 in enumerate(_pack(self, bound, width)):
+            if row1:
+                for d2, row2 in right:
+                    if d1 + d2 > bound:
+                        break
+                    out[d1 + d2] += row1 * row2
+        return _unpack(out, width, bound)
 
     def one_var(self) -> "OneVarSeries":
         out: dict[int, int] = {}
@@ -85,21 +96,42 @@ def check_triangle(bound: int, depth: int) -> None:
     check_cap(entries, "entries of a truncation triangle")
 
 
-def _triangle(s: LatticeSeries, bound: int, depth: int) -> list[list[int]]:
-    """The terms of ``s`` (in N0^2, with a <= depth) through the bound on the
-    dense triangle rows[a][b], a <= depth, a + b <= bound."""
-    check_triangle(bound, depth)
-    rows = [[0] * (bound + 1 - a) for a in range(depth + 1)]
+def _slot_width(bits: int) -> int:
+    """Whole bytes for a signed slot that holds every value of at most ``bits`` bits."""
+    return (bits // 8 + 1) * 8
+
+
+def _pack(s: LatticeSeries, bound: int, width: int) -> list[int]:
+    """The terms of ``s`` (in N0^2) through the bound as packed rows."""
+    rows = [0] * (bound + 1)
     for (a, b), c in s.coeffs.items():
         if a + b <= bound:
-            rows[a][b] = c
+            rows[a + b] += c << (a * width)
     return rows
 
 
-def _from_triangle(rows: list[list[int]], bound: int) -> LatticeSeries:
-    return LatticeSeries(
-        {(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row)}, bound
-    )
+def _unpack(rows: list[int], width: int, bound: int) -> LatticeSeries:
+    """The series whose coefficient at (a, d - a) is slot a of rows[d].
+
+    Row d is the integer sum of c_(a, d-a) 2^(a width) over a <= d, so each
+    slot is signed; with |c| < 2^(width - 1) in every slot, adding
+    2^(width - 1) to each makes every slot a plain byte field.  Width 0
+    packs one variable: row d is the coefficient at (0, d) itself.
+    """
+    if not width:
+        return LatticeSeries({(0, d): c for d, c in enumerate(rows)}, bound)
+    size, half = width // 8, 1 << (width - 1)
+    coeffs: dict[tuple[int, int], int] = {}
+    bias = 0
+    for d, row in enumerate(rows):
+        bias |= half << (d * width)
+        if row:
+            data = (row + bias).to_bytes((d + 1) * size, "little")
+            for a in range(d + 1):
+                c = int.from_bytes(data[a * size : (a + 1) * size], "little") - half
+                if c:
+                    coeffs[(a, d - a)] = c
+    return LatticeSeries(coeffs, bound)
 
 
 @dataclass
@@ -212,32 +244,54 @@ def hilbert_one_var(bound: int, kind: Kind = "lie") -> OneVarSeries:
 
 
 def _factor_product(factors: LatticeSeries, sign: int) -> LatticeSeries:
-    """prod over points p of (1 - x^p)^(sign c_p) for the coefficients c_p of
+    """prod over points p of (1 - x^p)^(sign c_p) for the counts c_p >= 0 of
     ``factors`` (on N0^2 off the origin), truncated at the same bound.
 
-    The product lives on a dense triangle rows[a][b], a + b <= bound, whose
-    rows reach only as far as the factors do (a single row when every
-    factor has a = 0).  Each factor f visits the points p >= f: multiplying
-    by (1 - x^f) sweeps downwards, so out[p] -= out[p - f] reads the old
-    value; dividing by it sweeps upwards, so out[p] += out[p - f] reads the
-    new one.
+    The product lives on packed rows (see ``_unpack``), one per total
+    degree, with one slot per row (width 0) when every factor has a = 0.
+    Multiplying by x^f moves row d to row d + |f|, shifted by f_a slots.
+    Each factor f visits the rows d >= |f|: multiplying by (1 - x^f) sweeps
+    downwards, so rows[d] -= rows[d - |f|] reads the old row; dividing by
+    it sweeps upwards, so rows[d] += rows[d - |f|] reads the new one.
+
+    Rows are exact integers, so only the final slots must fit.  As the
+    counts are >= 0, |coefficient at (a, b)| <= [prod (1 + x^p)^c_p] at
+    (a, b) <= H(U) at (a, b) <= U1 at a + b, where U1 is the one-variable
+    envelope prod 1/(1 - t^|p|)^c_p: the slots are sized by max U1.
     """
     bound = factors.bound
     depth = bound if any(a for a, _ in factors.coeffs) else 0
-    rows = _triangle(LatticeSeries({(0, 0): 1}, bound), bound, depth)
-    for (fa, fb), c in factors.coeffs.items():
+    check_triangle(bound, depth)
+    width = 0
+    if depth:
+        by_degree: dict[int, int] = {}
+        for (a, b), c in factors.coeffs.items():
+            by_degree[a + b] = by_degree.get(a + b, 0) + c
+        envelope = _sweep([(0, d, c) for d, c in by_degree.items()], -1, 0, bound)
+        width = _slot_width(max(envelope).bit_length())
+    rows = _sweep([(a, a + b, c) for (a, b), c in factors.coeffs.items()], sign, width, bound)
+    return _unpack(rows, width, bound)
+
+
+def _sweep(factors: list[tuple[int, int, int]], sign: int, width: int, bound: int) -> list[int]:
+    """The packed rows of prod (1 - x^f)^(sign c) over the factors (f_a, |f|, c)."""
+    rows = [1] + [0] * bound
+    for fa, fd, c in factors:
+        shift = fa * width
         for _ in range(c):
-            if sign > 0:
-                for a in range(depth, fa - 1, -1):
-                    row, src = rows[a], rows[a - fa]
-                    for b in range(len(row) - 1, fb - 1, -1):
-                        row[b] -= src[b - fb]
+            if sign > 0 and shift:
+                for d in range(bound, fd - 1, -1):
+                    rows[d] -= rows[d - fd] << shift
+            elif sign > 0:
+                for d in range(bound, fd - 1, -1):
+                    rows[d] -= rows[d - fd]
+            elif shift:
+                for d in range(fd, bound + 1):
+                    rows[d] += rows[d - fd] << shift
             else:
-                for a in range(fa, depth + 1):
-                    row, src = rows[a], rows[a - fa]
-                    for b in range(fb, len(row)):
-                        row[b] += src[b - fb]
-    return _from_triangle(rows, bound)
+                for d in range(fd, bound + 1):
+                    rows[d] += rows[d - fd]
+    return rows
 
 
 def _on_b_axis(h: OneVarSeries) -> LatticeSeries:

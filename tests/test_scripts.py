@@ -1,5 +1,5 @@
 """Smoke tests for the exploration scripts: each runs on a small size and
-prints its table header."""
+prints its table header, and a refused size exits 2 like the CLI."""
 
 from __future__ import annotations
 
@@ -29,13 +29,25 @@ SCRIPTS = Path(__file__).parents[1] / "scripts"
     ],
 )
 def test_script_runs(argv, header):
+    proc = run_script(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert header in proc.stdout.splitlines()
+
+
+def test_growth_report_refusal_exits_2_without_traceback():
+    # --max-n 28 folds W_1..W_29, past the monomial limit
+    proc = run_script(("growth_report.py", "--max-n", "28"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def run_script(argv) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(fiblie.__file__).parents[1]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert header in proc.stdout.splitlines()
