@@ -11,8 +11,10 @@ the shifted relations stop sufficing.
 from __future__ import annotations
 
 import argparse
+import sys
 
 from fiblie import gf2, v
+from fiblie.core import FibLieError
 from fiblie.presentation import (
     evaluate,
     free_lie,
@@ -54,4 +56,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except FibLieError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -15,7 +15,15 @@ from typing import Iterable
 from . import series
 from .basis import check_held, enumerate_W, enumerate_W_upto
 from .core import InputError, format_ring_monomial
-from .grading import LAMBDA_FLOAT, check_levels, gr, gr_pivot, level_multidegree_counts, weight
+from .grading import (
+    LAMBDA_FLOAT,
+    check_levels,
+    gr,
+    gr_pivot,
+    level_multidegree_counts,
+    weight,
+    weight_coords_float,
+)
 
 
 @dataclass
@@ -105,8 +113,7 @@ def figure1(max_n: int, outdir: Path) -> FigureFiles:
             greens[key] = greens.get(key, 0) + c
     pivots = {tuple(gr_pivot(n)) for n in range(1, max_n + 1)}  # red cells
     rows = (
-        [a, b, c, g, c - g, int((a, b) in pivots),
-         a * LAMBDA_FLOAT + b * LAMBDA_FLOAT**2, -a / LAMBDA_FLOAT + b / LAMBDA_FLOAT**2]
+        [a, b, c, g, c - g, int((a, b) in pivots), *weight_coords_float((a, b))]
         for (a, b), c in cells
         for g in [greens.get((a, b), 0)]
     )

@@ -163,6 +163,12 @@ def weight_coords(d: Multidegree | tuple[int, int]) -> tuple[GoldenInt, GoldenIn
     return xi, eta
 
 
+def weight_coords_float(d: Multidegree | tuple[int, int]) -> tuple[float, float]:
+    """``weight_coords`` in floats, for plots and fits."""
+    x, y = d
+    return x * LAMBDA_FLOAT + y * LAMBDA_FLOAT**2, -x / LAMBDA_FLOAT + y / LAMBDA_FLOAT**2
+
+
 def weight(m: Monomial) -> WeightVector:
     """(wt, swt) = (b + (a+b)*lambda, its conjugate) for the multidegree (a, b)."""
     return WeightVector(*weight_coords(gr(m)))
@@ -209,15 +215,6 @@ def local_nilpotency_bound(gens: Sequence[Monomial]) -> int:
         if (acc - GOLDEN_ONE).sign() >= 0:
             return n
     raise FibLieError("nilpotency bound search exceeded 10^6 steps")
-
-
-def degree_growth(series, upto: int) -> dict[int, int]:
-    """s(n) = dim of the degree-n component, read off one-variable Hilbert data."""
-    if series.bound < upto:
-        raise InputError(
-            f"Hilbert data truncated at {series.bound}, need degree {upto}"
-        )
-    return {n: series.coeffs.get(n, 0) for n in range(1, upto + 1)}
 
 
 # --- the levels a request folds, and per-level scans over each fold ---------

@@ -29,12 +29,12 @@ from .core import InputError, Monomial, bracket_monomials, set_bits
 from .grading import (
     GoldenInt,
     LAMBDA,
-    LAMBDA_FLOAT,
     Multidegree,
     gr_pivot,
     gr_tail,
     lambda_power,
     weight,
+    weight_coords_float,
 )
 
 Wedge = tuple[Monomial, ...]
@@ -274,9 +274,7 @@ def paraboloid_report(
     for key, val in entries.items():
         if val == 0:
             continue
-        a, b = (key[-2], key[-1])
-        xi = a * LAMBDA_FLOAT + b * LAMBDA_FLOAT**2
-        eta = -a / LAMBDA_FLOAT + b / LAMBDA_FLOAT**2
+        xi, eta = weight_coords_float(key[-2:])
         if xi > 0:
             pts.append((xi, eta))
     theta = series.THETA

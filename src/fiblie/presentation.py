@@ -246,6 +246,8 @@ def _substitute(tree: Tree, images: dict[int, Tree]) -> Tree:
 def shifted_relation_trees(shifts: int) -> tuple[Tree, ...]:
     """The relations together with their first ``shifts`` shift images,
     written in the free generators via the pivot bracketings."""
+    if shifts < 0:
+        raise InputError("shift count must be >= 0")
     out = list(RELATION_TREES)
     for k in range(1, shifts + 1):
         images = {1: pivot_tree(1 + k), 2: pivot_tree(2 + k)}

@@ -4,8 +4,10 @@ recursion, the enveloping-series operator, and the Euler characteristic.
 
 Truncation is by total degree and the bound travels with the value; a
 product is exact through the smaller of its factors' bounds and carries
-that bound, so precision is never lost silently.  Coefficients are exact
-Python integers throughout.
+that bound, so precision is never lost silently.  A one-variable series
+is a plain list of coefficients for degrees 0..bound (its bound is
+len - 1): the width-0 rows of the packed lattice sweep.  Coefficients are
+exact Python integers throughout.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .basis import Kind
 from .core import FibLieError, InputError, check_cap
@@ -39,11 +42,6 @@ class LatticeSeries:
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         return self.coeffs.get(key, 0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LatticeSeries):
-            return NotImplemented
-        return self.bound == other.bound and self.coeffs == other.coeffs
 
     def __mul__(self, other: "LatticeSeries") -> "LatticeSeries":
         """The product through the smaller bound; both factors must lie in N0^2.
@@ -74,11 +72,12 @@ class LatticeSeries:
                     out[d1 + d2] += row1 * row2
         return _unpack(out, width, bound)
 
-    def one_var(self) -> "OneVarSeries":
-        out: dict[int, int] = {}
-        for (a, b), c in self.coeffs.items():
-            out[a + b] = out.get(a + b, 0) + c
-        return OneVarSeries(out, self.bound)
+    def one_var(self) -> list[int]:
+        """Coefficients by total degree a + b, for degrees 0..bound."""
+        out = [0] * (self.bound + 1)
+        for (a, b), c in self.assert_quadrant().coeffs.items():
+            out[a + b] += c
+        return out
 
     def assert_quadrant(self) -> "LatticeSeries":
         for a, b in self.coeffs:
@@ -115,11 +114,8 @@ def _unpack(rows: list[int], width: int, bound: int) -> LatticeSeries:
 
     Row d is the integer sum of c_(a, d-a) 2^(a width) over a <= d, so each
     slot is signed; with |c| < 2^(width - 1) in every slot, adding
-    2^(width - 1) to each makes every slot a plain byte field.  Width 0
-    packs one variable: row d is the coefficient at (0, d) itself.
+    2^(width - 1) to each makes every slot a plain byte field.
     """
-    if not width:
-        return LatticeSeries({(0, d): c for d, c in enumerate(rows)}, bound)
     size, half = width // 8, 1 << (width - 1)
     coeffs: dict[tuple[int, int], int] = {}
     bias = 0
@@ -132,28 +128,6 @@ def _unpack(rows: list[int], width: int, bound: int) -> LatticeSeries:
                 if c:
                     coeffs[(a, d - a)] = c
     return LatticeSeries(coeffs, bound)
-
-
-@dataclass
-class OneVarSeries:
-    coeffs: dict[int, int] = field(default_factory=dict)
-    bound: int = 0
-
-    def __post_init__(self) -> None:
-        if self.bound < 0:
-            raise InputError(f"truncation degree must be >= 0, got {self.bound}")
-        self.coeffs = {n: c for n, c in self.coeffs.items() if c != 0 and n <= self.bound}
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs.get(n, 0)
-
-    def partial_sums(self) -> list[int]:
-        out = [0] * (self.bound + 1)
-        acc = 0
-        for n in range(self.bound + 1):
-            acc += self.coeffs.get(n, 0)
-            out[n] = acc
-        return out
 
 
 # --- per-level degree data ---------------------------------------------------
@@ -216,9 +190,12 @@ def hilbert_recursive(upto: int, bound: int = 40) -> LatticeSeries:
     """
     if upto < 2:
         raise InputError("recursion starts at W_{<=2}")
-    _levels_upto(upto, bound)  # hilbert_enumerated's guard: both hold the cells of W_{<=upto}
+    # hilbert_enumerated's guard: both hold the cells of W_{<=upto}.  No
+    # round lowers a total degree, so past the last level with a cell within
+    # the bound each round maps the truncated series to itself.
+    rounds = max(_levels_upto(upto, bound), default=2) - 2
     coeffs: dict[tuple[int, int], int] = {(1, 0): 1, (0, 1): 1}
-    for _ in range(upto - 2):
+    for _ in range(rounds):
         substituted: dict[tuple[int, int], int] = {}
         for (a, b), c in coeffs.items():
             key = (b, a + b)
@@ -235,8 +212,8 @@ def hilbert_recursive(upto: int, bound: int = 40) -> LatticeSeries:
     return result
 
 
-def hilbert_one_var(bound: int, kind: Kind = "lie") -> OneVarSeries:
-    """One-variable Hilbert series (dimension per total degree in generators)."""
+def hilbert_one_var(bound: int, kind: Kind = "lie") -> list[int]:
+    """One-variable Hilbert series: the dimension in each total degree 0..bound."""
     return hilbert_lie(bound, kind).one_var()
 
 
@@ -248,11 +225,11 @@ def _factor_product(factors: LatticeSeries, sign: int) -> LatticeSeries:
     ``factors`` (on N0^2 off the origin), truncated at the same bound.
 
     The product lives on packed rows (see ``_unpack``), one per total
-    degree, with one slot per row (width 0) when every factor has a = 0.
-    Multiplying by x^f moves row d to row d + |f|, shifted by f_a slots.
-    Each factor f visits the rows d >= |f|: multiplying by (1 - x^f) sweeps
-    downwards, so rows[d] -= rows[d - |f|] reads the old row; dividing by
-    it sweeps upwards, so rows[d] += rows[d - |f|] reads the new one.
+    degree.  Multiplying by x^f moves row d to row d + |f|, shifted by f_a
+    slots.  Each factor f visits the rows d >= |f|: multiplying by
+    (1 - x^f) sweeps downwards, so rows[d] -= rows[d - |f|] reads the old
+    row; dividing by it sweeps upwards, so rows[d] += rows[d - |f|] reads
+    the new one.
 
     Rows are exact integers, so only the final slots must fit.  As the
     counts are >= 0, |coefficient at (a, b)| <= [prod (1 + x^p)^c_p] at
@@ -260,15 +237,8 @@ def _factor_product(factors: LatticeSeries, sign: int) -> LatticeSeries:
     envelope prod 1/(1 - t^|p|)^c_p: the slots are sized by max U1.
     """
     bound = factors.bound
-    depth = bound if any(a for a, _ in factors.coeffs) else 0
-    check_triangle(bound, depth)
-    width = 0
-    if depth:
-        by_degree: dict[int, int] = {}
-        for (a, b), c in factors.coeffs.items():
-            by_degree[a + b] = by_degree.get(a + b, 0) + c
-        envelope = _sweep([(0, d, c) for d, c in by_degree.items()], -1, 0, bound)
-        width = _slot_width(max(envelope).bit_length())
+    check_triangle(bound, bound if any(a for a, _ in factors.coeffs) else 0)
+    width = _slot_width(max(e_operator_1var(factors.one_var())).bit_length())
     rows = _sweep([(a, a + b, c) for (a, b), c in factors.coeffs.items()], sign, width, bound)
     return _unpack(rows, width, bound)
 
@@ -294,11 +264,6 @@ def _sweep(factors: list[tuple[int, int, int]], sign: int, width: int, bound: in
     return rows
 
 
-def _on_b_axis(h: OneVarSeries) -> LatticeSeries:
-    """A one-variable series as a lattice series at a = 0; one_var() undoes it."""
-    return LatticeSeries({(0, d): c for d, c in h.coeffs.items()}, h.bound)
-
-
 def e_operator(h: LatticeSeries) -> LatticeSeries:
     """H(U) = prod over lattice points of 1/(1 - x^a y^b)^{c_ab}, exact through
     the bound of ``h``."""
@@ -308,8 +273,12 @@ def e_operator(h: LatticeSeries) -> LatticeSeries:
     return _factor_product(h, -1)
 
 
-def e_operator_1var(h: OneVarSeries) -> OneVarSeries:
-    return e_operator(_on_b_axis(h)).one_var()
+def e_operator_1var(h: list[int]) -> list[int]:
+    """prod over degrees d of 1/(1 - t^d)^{h[d]}, exact through len(h) - 1."""
+    for d, c in enumerate(h):
+        if c < 0 or (d == 0 and c):
+            raise InputError(f"E needs counts >= 0 off degree 0, got {c} at degree {d}")
+    return _sweep_1var(h, -1)
 
 
 def euler_product(bound: int = 40) -> LatticeSeries:
@@ -319,8 +288,18 @@ def euler_product(bound: int = 40) -> LatticeSeries:
     return _factor_product(hilbert_lie(bound), 1)
 
 
-def euler_product_1var(bound: int) -> OneVarSeries:
-    return _factor_product(_on_b_axis(hilbert_one_var(bound)), 1).one_var()
+def euler_product_1var(bound: int) -> list[int]:
+    """prod over basis monomials w of (1 - t^|w|), exact through the bound."""
+    return _sweep_1var(hilbert_one_var(bound), 1)
+
+
+def _sweep_1var(h: list[int], sign: int) -> list[int]:
+    """prod over degrees d of (1 - t^d)^(sign h[d]) on width-0 rows."""
+    if not h:
+        raise InputError("truncation degree must be >= 0, got -1")
+    bound = len(h) - 1
+    check_triangle(bound, 0)
+    return _sweep([(0, d, c) for d, c in enumerate(h) if c], sign, 0, bound)
 
 
 def euler_inverse_mismatch(bound: int = 40) -> tuple[int, int] | None:
@@ -363,8 +342,7 @@ def enveloping_growth_report(bound: int = 120) -> EnvelopingGrowthReport:
     if bound < 6:
         # the smallest PBW witness degree is 2^(4-3) F_4 = 6
         raise InputError("the enveloping growth report needs degree >= 6")
-    h_u = e_operator_1var(hilbert_one_var(bound))
-    gamma = h_u.partial_sums()
+    gamma = list(accumulate(e_operator_1var(hilbert_one_var(bound))))
     theta_hat = []
     for n in range(4, bound + 1, max(1, bound // 24)):
         g = gamma[n]
@@ -402,16 +380,16 @@ class EulerEvalResult:
     tail_ok: bool
 
 
-def _hilbert_upper(u: float, s_exact: OneVarSeries) -> float:
+def _hilbert_upper(u: float, s_exact: list[int]) -> float:
     """Upper bound for H(L, u), 0 < u < 1: exact part plus 3k^2 tail."""
-    k_max = s_exact.bound
-    exact = sum(c * u**n for n, c in s_exact.coeffs.items())
+    k_max = len(s_exact) - 1
+    exact = sum(c * u**n for n, c in enumerate(s_exact))
     # sum_{k>K} 3 k^2 u^k <= 3 (K+1)^2 u^{K+1} (1+u)/(1-u)^3
     tail = 3 * (k_max + 1) ** 2 * u ** (k_max + 1) * (1 + u) / (1 - u) ** 3
     return exact + tail
 
 
-def _envelope_log_upper(x: float, s_exact: OneVarSeries) -> float:
+def _envelope_log_upper(x: float, s_exact: list[int]) -> float:
     """Upper bound for ln H(U(L), x) = sum_m H(L, x^m)/m."""
     m_terms = 60
     total = 0.0
@@ -437,7 +415,7 @@ def euler_eval_check(degree: int = 400) -> list[EulerEvalResult]:
     s_exact = hilbert_one_var(degree)
     results = []
     for t in (Fraction(1, 2), Fraction(3, 5), Fraction(7, 10)):
-        value = float(sum(Fraction(c) * t**n for n, c in e_series.coeffs.items()))
+        value = float(sum(Fraction(c) * t**n for n, c in enumerate(e_series) if c))
         best_tail = math.inf
         for x in (0.8, 0.85, 0.9, 0.95):
             if x <= float(t):

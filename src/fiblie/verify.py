@@ -42,7 +42,6 @@ from .grading import (
     LOG_LAMBDA_2,
     WeightTable,
     count_weights_at_most,
-    degree_growth,
     fib,
     lambda_power,
     level_multidegree_counts,
@@ -228,7 +227,7 @@ def criterion_growth() -> tuple[bool, str]:
         if not low <= got <= high:
             return False, f"sandwich failed at threshold {t}: {got}"
     # s(F_n) = s(F_n + 1) = 2 under F_1 = F_2 = 1
-    s_table = degree_growth(series_mod.hilbert_one_var(fib(20) + 1), fib(20) + 1)
+    s_table = series_mod.hilbert_one_var(fib(20) + 1)
     for n in range(4, 21):
         if s_table[fib(n)] != 2 or s_table[fib(n) + 1] != 2:
             return (

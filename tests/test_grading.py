@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,11 +26,11 @@ from fiblie.grading import (
     GOLDEN_ONE,
     GoldenInt,
     LAMBDA,
+    LAMBDA_FLOAT,
     Multidegree,
     WeightTable,
     check_levels,
     count_weights_at_most,
-    degree_growth,
     fib,
     golden_sign,
     gr,
@@ -43,6 +45,7 @@ from fiblie.grading import (
     strip_check,
     weight,
     weight_coords,
+    weight_coords_float,
     weight_growth_levels,
 )
 
@@ -109,6 +112,12 @@ def test_weight_coords_examples():
     xi, eta = weight_coords((0, 1))
     assert xi == GoldenInt(1, 1) and eta == GoldenInt(2, -1)
     assert weight_coords((0, 0)) == (GoldenInt(0, 0), GoldenInt(0, 0))
+
+
+def test_weight_coords_float_round_the_exact_coordinates():
+    for d in [(1, 0), (0, 1), (3, 5), (-2, 7), (13, 21)]:
+        for exact, approx in zip(weight_coords(d), weight_coords_float(d)):
+            assert math.isclose(exact.a + exact.b * LAMBDA_FLOAT, approx, abs_tol=1e-9)
 
 
 # --- oracle: wt(t^S v_n) = lambda^n - sum_{j in S} lambda^j, walked over the tail
@@ -282,12 +291,11 @@ def test_level_stratification():
 
 
 def test_degree_growth():
+    # s(n) = dim of the degree-n component, read off the one-variable series
     from fiblie.series import hilbert_one_var
 
-    s = degree_growth(hilbert_one_var(60), 60)
-    assert s[1] == 2 and s[2] == 1
+    s = hilbert_one_var(60)
+    assert s[0] == 0 and s[1] == 2 and s[2] == 1
     for n in range(4, 10):
         assert s[fib(n)] == 2 and s[fib(n) + 1] == 2
     assert all(s[k] >= 1 for k in range(1, 61))
-    with pytest.raises(ValueError):
-        degree_growth(hilbert_one_var(10), 20)

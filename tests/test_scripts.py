@@ -34,9 +34,21 @@ def test_script_runs(argv, header):
     assert header in proc.stdout.splitlines()
 
 
-def test_growth_report_refusal_exits_2_without_traceback():
-    # --max-n 28 folds W_1..W_29, past the monomial limit
-    proc = run_script(("growth_report.py", "--max-n", "28"))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # folds W_1..W_29, past the monomial limit
+        ("growth_report.py", "--max-n", "28"),
+        # free Lie rows of 2^30 bits, past the monomial limit
+        ("presentation_scan.py", "--max-degree", "30"),
+        ("presentation_scan.py", "--max-degree", "0"),
+        ("presentation_scan.py", "--shifts", "-1"),
+    ],
+    ids=["growth_report-max-n-28", "presentation_scan-max-degree-30",
+         "presentation_scan-max-degree-0", "presentation_scan-shifts--1"],
+)
+def test_script_refusal_exits_2_without_traceback(argv):
+    proc = run_script(argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

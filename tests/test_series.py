@@ -8,12 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from fiblie.core import LIMITS, MonomialLimitError
+from fiblie.core import LIMITS, InputError, MonomialLimitError
 from fiblie.grading import GoldenInt, LAMBDA, gr, lambda_power, weight_growth_levels
 from fiblie.basis import enumerate_W_upto
 from fiblie.series import (
     LatticeSeries,
-    OneVarSeries,
     SupportError,
     _factor_product,
     e_operator,
@@ -86,6 +85,31 @@ def test_hilbert_recursive_examples():
         assert h[tuple(gr_pivot_pair(n))] >= 1
 
 
+def hilbert_recursive_full_loop(upto: int, bound: int) -> LatticeSeries:
+    """Test oracle: the functional recursion run for all upto - 2 rounds."""
+    coeffs = {(1, 0): 1, (0, 1): 1}
+    for _ in range(upto - 2):
+        substituted: dict = {}
+        for (a, b), c in coeffs.items():
+            if a + 2 * b <= bound:
+                substituted[(b, a + b)] = substituted.get((b, a + b), 0) + c
+        nxt = dict(substituted)
+        for (a, b), c in substituted.items():
+            nxt[(a + 1, b - 1)] = nxt.get((a + 1, b - 1), 0) + c
+        nxt[(2, 0)] = nxt.get((2, 0), 0) - 1
+        coeffs = nxt
+    return LatticeSeries(coeffs, bound).assert_quadrant()
+
+
+def test_hilbert_recursive_stops_at_the_last_level_under_the_bound():
+    for bound in (0, 1, 2, 5, 13, 40):
+        for upto in range(2, 25):
+            assert hilbert_recursive(upto, bound) == hilbert_recursive_full_loop(upto, bound)
+    start = time.perf_counter()
+    assert hilbert_recursive(10**9, 40) == hilbert_recursive(20, 40)
+    assert time.perf_counter() - start < 1.0
+
+
 def gr_pivot_pair(n):
     from fiblie.grading import gr_pivot
 
@@ -123,8 +147,9 @@ def test_e_operator_rejects_bad_input():
         e_operator(series({(1, 0): -1}, 4))
     with pytest.raises(ValueError):
         e_operator(series({(-1, 2): 1}, 4))
-    with pytest.raises(ValueError):
-        e_operator_1var(OneVarSeries({0: 1, 1: 2}, 4))
+    for h in ([1, 2, 0, 0, 0], [0, 1, -1], []):
+        with pytest.raises(InputError):
+            e_operator_1var(h)
 
 
 def e_operator_exp(h: LatticeSeries) -> LatticeSeries:
@@ -348,7 +373,7 @@ def test_dense_triangle_is_held_to_the_monomial_limit(monkeypatch):
     s = series({(1, 0): 1}, 5)
     assert s * s == series({(2, 0): 1}, 5)
     t = series({(1, 0): 1}, 6)
-    for build in (lambda: e_operator(h6), lambda: t * t):
+    for build in (lambda: e_operator(h6), lambda: t * t, lambda: e_operator_1var(h20 + [1])):
         with pytest.raises(MonomialLimitError):
             build()
 
@@ -391,8 +416,7 @@ def test_euler_inverse_check():
 
 
 def test_one_var_specialization():
-    one = euler_product(15).one_var()
-    assert one.coeffs == euler_product_1var(15).coeffs
+    assert euler_product(15).one_var() == euler_product_1var(15)
     for bound in range(31):
         assert e_operator_1var(hilbert_one_var(bound)) == e_operator(hilbert_lie(bound)).one_var()
 
@@ -403,6 +427,21 @@ def test_hilbert_one_var_is_the_projection():
             assert hilbert_one_var(bound, kind) == hilbert_lie(bound, kind).one_var()
     # degree 2: v_3 = [v_1, v_2], v_1^2 = t_0 v_3 and v_2^2 = t_1 v_4
     assert hilbert_one_var(2, "restricted")[2] == 3
+
+
+def test_one_var_series_are_coefficient_lists_through_the_bound():
+    for kind in ("lie", "restricted"):
+        for bound in range(41):
+            assert len(hilbert_one_var(bound, kind)) == bound + 1
+    assert euler_product_1var(0) == [1] and e_operator_1var([0]) == [1]
+
+
+def test_one_var_euler_product_inverts_the_envelope():
+    for bound in range(81):
+        e, h_u = euler_product_1var(bound), e_operator_1var(hilbert_one_var(bound))
+        assert len(e) == len(h_u) == bound + 1
+        product = [sum(e[i] * h_u[d - i] for i in range(d + 1)) for d in range(bound + 1)]
+        assert product == [1] + [0] * bound
 
 
 def test_truncation_semantics():
