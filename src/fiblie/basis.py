@@ -77,9 +77,6 @@ class BasisLevel:
         if sq is not None:
             yield sq
 
-    def monomials(self) -> list[Monomial]:
-        return list(self)
-
 
 def enumerate_W(n: int, kind: Kind = "lie") -> BasisLevel:
     """Level n of the (restricted) standard-monomial basis."""

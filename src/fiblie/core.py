@@ -23,8 +23,11 @@ pivot run; only v_n(s) is taken per pair.
 
 Representation: a tail is a bitmask of t-indices (``RingMonomial``, a plain
 int; bit i set means the factor t_i, mask 0 means 1).  A ``RingElement`` is a
-frozenset of such masks.  GF(2) addition everywhere is symmetric difference
-of monomial sets.  Index masks are capped at ``LIMITS.index_ceiling``;
+frozenset of such masks, and an ``Element`` is the frozenset of its
+``Monomial``s (a frozenset subclass).  GF(2) addition everywhere is
+symmetric difference of monomial sets: ``e + f`` is ``e ^ f`` as an
+Element.  Iteration over an Element is unordered; ``sorted(e)`` is the
+canonical order.  Index masks are capped at ``LIMITS.index_ceiling``;
 exceeding the cap raises rather than truncating.
 
 Squares and the ring action group an element by pivot, e = sum_n R_n v_n,
@@ -127,53 +130,50 @@ def monomial(pivot: int, indices: Iterable[int] = ()) -> Monomial:
 
 def v(n: int) -> "Element":
     """The pivot element v_n as an Element."""
-    return Element(frozenset({monomial(n)}))
+    return Element({monomial(n)})
 
 
-@dataclass(frozen=True)
-class Element:
-    """GF(2) linear combination of monomials; the empty set is zero."""
+class Element(frozenset):
+    """GF(2) linear combination of monomials: the frozenset of its monomials,
+    the empty set being zero.
 
-    monomials: frozenset[Monomial] = frozenset()
+    ``+`` is the GF(2) sum, symmetric difference, and returns an Element;
+    the set operators ``^``, ``|`` and ``&`` return plain frozensets.  An
+    Element equals the plain frozenset of the same monomials.  Iteration
+    follows set order; ``sorted(e)`` is the canonical order.
+    ``Element(iterable)`` takes distinct monomials, while ``element()``
+    sums with repetition, so a repeated monomial cancels.
+    """
+
+    __slots__ = ()
 
     def __add__(self, other: "Element") -> "Element":
-        return Element(self.monomials ^ other.monomials)
-
-    def __bool__(self) -> bool:
-        return bool(self.monomials)
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(sorted(self.monomials))
+        return Element(self ^ other)
 
     def __str__(self) -> str:
         return format_element(self)
 
+    @property
+    def monomials(self) -> frozenset[Monomial]:
+        """The element itself, the set of its monomials."""
+        return self
+
     def pivot_range(self) -> tuple[int, int]:
         """(min, max) pivot index; raises on the zero element."""
-        if not self.monomials:
+        if not self:
             raise InputError("zero element has no pivot range")
-        pivots = [m.pivot for m in self.monomials]
-        return min(pivots), max(pivots)
+        return min(self).pivot, max(self).pivot
 
 
 ZERO = Element()
 
 
 def element(monomials: Iterable[Monomial]) -> Element:
+    """The GF(2) sum of ``monomials``: a monomial given twice cancels."""
     acc: set[Monomial] = set()
     for m in monomials:
-        _toggle(acc, m)
-    return Element(frozenset(acc))
-
-
-def _toggle(acc: set, item) -> None:
-    if item in acc:
-        acc.remove(item)
-    else:
-        acc.add(item)
+        acc ^= {m}
+    return Element(acc)
 
 
 def _action_masks(n: int, s: int) -> list[int]:
@@ -213,7 +213,7 @@ def _commutator_tail(i: int, j: int) -> int:
 def _pivot_groups(e: Element) -> dict[int, list[int]]:
     """e = sum_n R_n v_n as pivot -> tail masks of R_n."""
     groups: dict[int, list[int]] = {}
-    for n, tl in e.monomials:
+    for n, tl in e:
         groups.setdefault(n, []).append(tl)
     return groups
 
@@ -222,8 +222,7 @@ def _act(n: int, r: Iterable[int]) -> set[int]:
     """v_n(r) for a ring element r."""
     acc: set[int] = set()
     for s in r:
-        for am in _action_masks(n, s):
-            _toggle(acc, am)
+        acc.symmetric_difference_update(_action_masks(n, s))
     return acc
 
 
@@ -412,18 +411,13 @@ def bracket(e1: Element, e2: Element) -> Element:
     """Lie bracket, bilinear over the monomials of both arguments.  Over
     GF(2), [e1, e2] = [e2, e1], so the kernel runs once per monomial of the
     smaller one."""
-    a, b = e1.monomials, e2.monomials
-    if len(a) > len(b):
-        a, b = b, a
+    a, b = (e1, e2) if len(e1) <= len(e2) else (e2, e1)
     acc: set[Monomial] = set()
     for m1 in a:
         for part in bracket_each(m1, b):
-            for m in part:
-                if m in acc:
-                    acc.remove(m)
-                else:
-                    acc.add(m)
-    return Element(frozenset(acc)) if acc else ZERO
+            # each part holds distinct monomials, so this sums over GF(2)
+            acc.symmetric_difference_update(part)
+    return Element(acc)
 
 
 def square(e: Element) -> Element:
@@ -455,9 +449,7 @@ def square(e: Element) -> Element:
             rb = [b for b in rm if not b & pmask]
             if ra and rb:
                 acc[m + 1] ^= {q | pmask for q in ring_mul(ra, rb)}
-    return Element(
-        frozenset(Monomial(p, tl) for p, tails in acc.items() for tl in tails)
-    )
+    return Element(Monomial(p, tl) for p, tails in acc.items() for tl in tails)
 
 
 def monomial_cap(limit: int | None) -> int:
@@ -496,12 +488,12 @@ def tau(e: Element, k: int = 1) -> Element:
     if k == 0:
         return e
     out = set()
-    for n, r in e.monomials:
+    for n, r in e:
         shifted = r << k
         if shifted:
             _check_index(shifted.bit_length() - 1)
         out.add(Monomial(n + k, shifted))
-    return Element(frozenset(out))
+    return Element(out)
 
 
 BasisKind = Literal["standard", "square", "non-basis"]
@@ -520,7 +512,7 @@ def is_basis_monomial(m: Monomial) -> BasisKind:
 
 
 def is_basis_element(e: Element) -> bool:
-    return all(is_basis_monomial(m) != "non-basis" for m in e.monomials)
+    return all(is_basis_monomial(m) != "non-basis" for m in e)
 
 
 # --- canonical text form: "t0*t1*v5", "0", "+"-separated terms -------------
@@ -534,9 +526,9 @@ def format_monomial(m: Monomial) -> str:
 
 
 def format_element(e: Element) -> str:
-    if not e.monomials:
+    if not e:
         return "0"
-    return " + ".join(format_monomial(m) for m in sorted(e.monomials))
+    return " + ".join(format_monomial(m) for m in sorted(e))
 
 
 def format_ring_monomial(mask: RingMonomial) -> str:

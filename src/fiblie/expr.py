@@ -152,7 +152,7 @@ class _Parser:
             _check_index(i)
         if len(set(tails)) < len(tails):
             return ZERO  # t_i^2 = 0
-        return Element(frozenset({Monomial(pivot, sum(1 << i for i in tails))}))
+        return Element({Monomial(pivot, sum(1 << i for i in tails))})
 
 
 def eval_text(text: str) -> Element:

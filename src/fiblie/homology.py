@@ -28,8 +28,8 @@ from .basis import enumerate_W, tail_width
 from .core import InputError, Monomial, bracket_monomials, set_bits
 from .grading import (
     GoldenInt,
-    LAMBDA,
     Multidegree,
+    golden_sign,
     gr_pivot,
     gr_tail,
     lambda_power,
@@ -197,11 +197,8 @@ class HomologyTable:
 
 def inside_homology_strip(n: int, a: int, b: int) -> bool:
     """-lambda^3 n + lambda x < y < lambda x + lambda^2 n, exact."""
-    lam3 = GoldenInt(1, 2)
-    lam2 = GoldenInt(1, 1)
-    lower = GoldenInt(b, 0) - LAMBDA * a + lam3 * n
-    upper = LAMBDA * a + lam2 * n - GoldenInt(b, 0)
-    return lower.sign() > 0 and upper.sign() > 0
+    # lambda^2 = 1 + lambda and lambda^3 = 1 + 2 lambda
+    return golden_sign(b + n, 2 * n - a) > 0 and golden_sign(n - b, a + n) > 0
 
 
 def homology_table(frontier: int, n_values: tuple[int, ...] | None = None) -> HomologyTable:

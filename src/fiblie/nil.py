@@ -16,6 +16,7 @@ from .core import (
     Element,
     FibLieError,
     InputError,
+    Monomial,
     check_cap,
     element,
     is_basis_element,
@@ -56,7 +57,7 @@ def nil_index(e: Element, limit: int | None = None) -> NilReport:
     mono_cap = monomial_cap(limit)
     lo, hi = e.pivot_range()
     bound = hi - lo + 2
-    scalar_senior = any(m.pivot == hi and m.tail == 0 for m in e.monomials)
+    scalar_senior = Monomial(hi, 0) in e
     peak = len(e)
     power = e
     index = 0
@@ -84,7 +85,7 @@ def shift_structure_check(e: Element) -> bool:
         if not power:
             return True
         check_cap(len(power), "monomials in an intermediate element")
-        for m in power.monomials:
+        for m in power:
             if m.pivot < lo + 2 * big_n or m.pivot > hi + big_n + 1:
                 return False
             if m.pivot == hi + big_n + 1 and m.tail == 0:

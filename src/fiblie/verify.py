@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
@@ -30,7 +31,6 @@ from .core import (
     bracket,
     bracket_each,
     element,
-    is_basis_monomial,
     power_2k,
     square,
     v,
@@ -43,6 +43,7 @@ from .grading import (
     WeightTable,
     count_weights_at_most,
     fib,
+    gr,
     lambda_power,
     level_multidegree_counts,
     level_rectangle_violations,
@@ -83,22 +84,17 @@ def _monomials_upto(n: int, kind: basis_mod.Kind = "lie") -> list[Monomial]:
 
 
 def criterion_basis_counts() -> tuple[bool, str]:
+    # gr's set-bit walk over each monomial against the subset-sum fold
+    for n in range(3, 15):
+        walked = Counter(gr(m) for m in basis_mod.enumerate_W(n))
+        if walked != level_multidegree_counts(n):
+            return False, f"multidegrees of W_{n} disagree with the fold"
+    # the monomial W~_n adds to W_n is the square v_{n-2}^2 = t_{n-3} v_n
     for n in range(3, 25):
-        count = len(basis_mod.enumerate_W(n))
-        if count != 1 << (n - 3):
-            return False, f"|W_{n}| = {count}, expected {1 << (n - 3)}"
-        # independent count: the subset-sum fold over the tail factors
-        total = sum(level_multidegree_counts(n).values())
-        if total != 1 << (n - 3):
-            return False, f"multidegree fold of W_{n} counts {total}"
-        extra = len(basis_mod.enumerate_W(n, "restricted")) - count
-        if extra != 1:
-            return False, f"|W~_{n}| - |W_{n}| = {extra}, expected 1"
-        if n <= 14:
-            for m in basis_mod.enumerate_W(n):
-                if is_basis_monomial(m) != "standard":
-                    return False, f"non-standard monomial enumerated: {m}"
-    return True, "|W_n| = 2^(n-3) and |W~_n| = |W_n|+1 for n = 3..24"
+        sq = basis_mod.enumerate_W(n, "restricted").square
+        if square(v(n - 2)) != Element({sq}):
+            return False, f"v_{n - 2}^2 is not t_{n - 3} v_{n}, the square of W~_{n}"
+    return True, "gr = subset-sum fold on W_n to n = 14; v_{n-2}^2 = t_{n-3} v_n to n = 24"
 
 
 # --- criterion 2: recursive construction --------------------------------------
@@ -288,7 +284,7 @@ def criterion_geometry() -> tuple[bool, str]:
     rng = random.Random(_DEFAULT_SEED + 9)
     for _ in range(25):
         gens = [element([m]) for m in rng.sample(pool_plus, rng.choice((1, 2, 3)))]
-        n_bound = local_nilpotency_bound([m for g in gens for m in g.monomials])
+        n_bound = local_nilpotency_bound([m for g in gens for m in g])
         layer = list(gens)
         depth = 1
         while layer and depth < n_bound:

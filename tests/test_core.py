@@ -27,7 +27,6 @@ from fiblie.core import (
     _check_index,
     _commutator_tail,
     _subset_convolution,
-    _toggle,
     apply,
     bracket,
     bracket_each,
@@ -54,6 +53,14 @@ ring_elems = st.lists(
     st.lists(st.integers(0, 9), max_size=3).map(lambda ix: ring_monomial(set(ix))),
     max_size=3,
 ).map(frozenset)
+
+
+def _toggle(acc: set, item) -> None:
+    """Oracle: add one GF(2) term to acc."""
+    if item in acc:
+        acc.remove(item)
+    else:
+        acc.add(item)
 
 
 def _range_mask(lo: int, hi: int) -> int:
@@ -205,6 +212,41 @@ def test_canonical_order_and_roundtrip():
     assert eval_text(format_element(e)) == e
 
 
+def test_results_are_elements():
+    a, b = eval_text("t0*t1*v5 + v3"), v(2)
+    results = [
+        v(1),
+        element([Monomial(3, 0)]),
+        bracket(a, b),
+        bracket(v(1), v(1)),  # zero
+        square(a),
+        tau(a, 2),
+        eval_text("[v1,v2,v3^3]+t0*t2*v7"),
+        a + b,
+    ]
+    assert all(isinstance(x, Element) for x in results)
+
+
+def test_element_is_the_frozenset_of_its_monomials():
+    e = eval_text("t1*v4 + v3 + t0*t1*v5")
+    m = Monomial(3, 0)
+    assert isinstance(e, frozenset) and e.monomials is e
+    assert e == frozenset(e) and ZERO == frozenset()
+    assert e + e == ZERO
+    # element() sums over GF(2); Element() takes distinct monomials
+    assert element([m, m]) == ZERO
+    assert Element([m, m]) == {m}
+    # the set operators give plain frozensets, + gives an Element
+    for op in (e ^ v(3), e | v(3), e & v(3)):
+        assert type(op) is frozenset
+    assert type(e + v(3)) is Element and e + v(3) == e ^ v(3)
+    # iteration is unordered; sorted() is the canonical (pivot, tail) order
+    assert sorted(e) == [Monomial(3, 0), Monomial(4, 0b10), Monomial(5, 0b11)]
+    assert e.pivot_range() == (3, 5)
+    with pytest.raises(InputError):
+        ZERO.pivot_range()
+
+
 def test_parse_rejects_malformed():
     # t0*t0*v4 is no longer malformed: t_0^2 = 0 makes it the zero element
     for bad in ("t0v3", "v", "v0 x"):
@@ -351,7 +393,7 @@ def pairwise_square(e: Element) -> Element:
         _square_mono(m, acc)
     for m1, m2 in combinations(mons, 2):
         _bracket_mono(m1, m2, acc)
-    return Element(frozenset(acc))
+    return Element(acc)
 
 
 def test_square_matches_pairwise_oracle_on_pivot_intervals():

@@ -138,3 +138,10 @@ def test_text_is_parsed_in_expr_only():
         if isinstance(node, ast.FunctionDef) and node.name.startswith("parse_")
     ]
     assert all(name.startswith("expr.py:") for name in found), found
+
+
+def test_package_reads_no_monomials_alias():
+    # an Element is its own set of monomials; Element.monomials, which
+    # returns the element, stays as API for callers outside the package
+    found = _nodes(lambda node: isinstance(node, ast.Attribute) and node.attr == "monomials")
+    assert found == []
