@@ -229,9 +229,10 @@ def check_levels(levels: Iterable[int]) -> list[int]:
     at the first level where the multidegrees they may fold into (at most
     F_n for W_n) pass the monomial limit.  A level past the limit on its own
     is refused without forming its F_n."""
-    past = 1  # F_n passes the limit from n = past on
-    while fib(past) <= monomial_cap(None):
-        past += 1
+    cap = monomial_cap(None)
+    while _FIB[-1] <= cap:
+        fib(len(_FIB))
+    past = max(bisect_right(_FIB, cap), 1)  # F_n passes the limit from n = past on
     held: list[int] = []
     total = 0
     for n in levels:

@@ -7,11 +7,14 @@ total degree: its wedge basis draws only on monomials with multidegree
 componentwise at most (a,b).  In characteristic 2 all differential signs
 are 1 and repeated wedge factors vanish.
 
-The differential keys each wedge by the positions of its factors in the
-slice's pool, held as the bits of one int, so a term of d_n is found by
-setting one bit of the rest's key rather than by sorting a tuple.  Each
-slice's rank is taken once, when the slice is built, and serves both
-dim H_n and dim H_{n-1}.
+Every basis monomial has one canonical index, ``_offset(n) + S`` for
+t^S v_n, which ascends in ``Monomial`` order and decodes by bit length, so
+no table maps monomials to positions.  A wedge is held as its key: the
+indices of its factors as the bits of one int, the same key in every slice
+that holds it.  A term of d_n is the rest's key with one bit set, and
+brackets are cached on index pairs; ``wedge`` decodes a key into its
+``Monomial`` factors.  Each slice's rank is taken once, when the slice is
+built, and serves both dim H_n and dim H_{n-1}.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import itemgetter
 
 from . import gf2, series
 from .basis import enumerate_W, tail_width
@@ -40,113 +42,145 @@ from .grading import (
 Wedge = tuple[Monomial, ...]
 
 
-@lru_cache(maxsize=None)
-def _pool(degree: Multidegree) -> tuple[tuple[Monomial, Multidegree], ...]:
-    """Basis monomials usable in wedges of this multidegree, canonical order.
+def _offset(n: int) -> int:
+    """Index of v_n: levels 1..3 hold one monomial each, level n >= 4 holds
+    2^(n-3), so v_n follows 3 + 2 + 4 + ... + 2^(n-4) monomials."""
+    return n - 1 if n <= 4 else (1 << (n - 3)) + 1
 
-    Levels ascend and each level's tail masks ascend, which is the order of
-    ``Monomial``.  Gr of a tail mask is Gr of the mask without its lowest bit
-    plus Gr of that bit, so each mask costs one addition.
+
+def index_of(m: Monomial) -> int:
+    """Position of the basis monomial t^S v_n in the canonical order of W:
+    ``_offset(n) + S``, so indices ascend as ``Monomial``s do."""
+    return _offset(m.pivot) + m.tail
+
+
+def monomial_at(i: int) -> Monomial:
+    """The basis monomial at index i >= 0, inverse of ``index_of``."""
+    n = i + 1 if i < 3 else (i - 1).bit_length() + 2
+    return Monomial(n, i - _offset(n))
+
+
+@lru_cache(maxsize=None)
+def _pool(degree: Multidegree) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """Indices of the basis monomials usable in wedges of this multidegree,
+    ascending, with their multidegrees.
+
+    Gr of a tail mask is Gr of the mask without its lowest bit plus Gr of
+    that bit, so each mask costs one addition.
     """
     a, b = degree
     tails = [(0, 0)]
     out = []
     for n in series.levels_for_degree(a + b):
-        for mask in range(len(tails), 1 << tail_width(n)):
+        masks = enumerate_W(n).masks
+        for mask in range(len(tails), masks.stop):
             low = mask & -mask
             ra, rb = tails[mask ^ low]
             ta, tb = gr_tail(low.bit_length() - 1)
             tails.append((ra + ta, rb + tb))
         pa, pb = gr_pivot(n)
-        for m in enumerate_W(n):
-            ta, tb = tails[m.tail]
+        first = _offset(n)
+        for mask in masks:
+            ta, tb = tails[mask]
             ma, mb = pa + ta, pb + tb
             if 0 <= ma <= a and 0 <= mb <= b and (ma, mb) != (0, 0):
-                out.append((m, Multidegree(ma, mb)))
+                out.append((first + mask, (ma, mb)))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def chain_basis(n: int, degree: Multidegree) -> tuple[Wedge, ...]:
-    """Strictly increasing n-tuples of basis monomials with multidegree sum.
+def _low_bit(key: int) -> int:
+    return key & -key
 
-    An n-wedge is a first factor m from the pool followed by an (n-1)-wedge
-    of the remaining multidegree whose first factor exceeds m.  Every later
-    factor lies in the smaller pool, a subset in the same order, so the
-    wedges come out in lexicographic order, and the rests after m are a
-    suffix of their tuple.  The recursion keys the cache by a plain pair,
-    which hashes and compares equal to the ``Multidegree``.
+
+@lru_cache(maxsize=None)
+def chain_basis(n: int, degree: Multidegree) -> tuple[int, ...]:
+    """Keys of the n-wedges of basis monomials with multidegree sum.
+
+    A wedge is keyed by the set of its factors' indices, held as the bits of
+    one int.  An n-wedge is a first factor i from the pool followed by an
+    (n-1)-wedge of the remaining multidegree whose lowest factor exceeds i.
+    Every later factor lies in the smaller pool, a subset in the same order,
+    so the wedges come out in lexicographic order of their factors, and the
+    rests after i are the suffix of their tuple whose lowest bit exceeds
+    ``1 << i``.  The recursion keys the cache by a plain pair, which hashes
+    and compares equal to the ``Multidegree``.
     """
     a, b = degree
     if a < 0 or b < 0 or n < 0:
         raise InputError("need n >= 0 and a nonnegative multidegree")
     if n == 0:
-        return ((),) if (a, b) == (0, 0) else ()
+        return (0,) if (a, b) == (0, 0) else ()
     pool = _pool(degree)
     if n == 1:
-        return tuple((m,) for m, md in pool if md == degree)
-    out: list[Wedge] = []
-    for m, (ma, mb) in pool:
+        return tuple(1 << i for i, md in pool if md == degree)
+    out: list[int] = []
+    for i, (ma, mb) in pool:
         rests = chain_basis(n - 1, (a - ma, b - mb))
         if rests:
-            out.extend((m,) + rest for rest in rests[bisect_right(rests, m, key=itemgetter(0)) :])
+            bit = 1 << i
+            out.extend([bit | rest for rest in rests[bisect_right(rests, bit, key=_low_bit) :]])
     return tuple(out)
+
+
+def wedge(key: int, degree: Multidegree | None = None) -> Wedge:
+    """The factors of a wedge key, in canonical order.  Given the slice's
+    multidegree, a key with a factor outside the slice's pool, or whose
+    factors do not sum to it, is refused."""
+    if key < 0:
+        raise InputError(f"a wedge key is >= 0, got {key}")
+    indices = set_bits(key)
+    if degree is not None:
+        pool = dict(_pool(degree))
+        outside = [i for i in indices if i not in pool]
+        if outside:
+            raise InputError(f"factor {outside[0]} lies outside the pool of slice {tuple(degree)}")
+        total = (sum(pool[i][0] for i in indices), sum(pool[i][1] for i in indices))
+        if total != tuple(degree):
+            raise InputError(f"the factors of key {key} do not sum to {tuple(degree)}")
+    return tuple(monomial_at(i) for i in indices)
 
 
 @dataclass(frozen=True)
 class ChainSlice:
     n: int
     degree: Multidegree
-    basis: tuple[Wedge, ...]
+    basis: tuple[int, ...]  # wedge keys; ``wedge`` decodes them
     d_rows: tuple[int, ...]
     n_cols: int
     rank: int
 
 
-_bracket_pair = lru_cache(maxsize=None)(bracket_monomials)
+@lru_cache(maxsize=None)
+def _bracket_pair(i: int, j: int) -> tuple[int, ...]:
+    """Key bits of the bracket of the monomials at indices i and j."""
+    return tuple(1 << index_of(m) for m in bracket_monomials(monomial_at(i), monomial_at(j)))
 
 
 @lru_cache(maxsize=32)
 def differential(n: int, degree: Multidegree) -> ChainSlice:
     """Matrix of d_n on the (n, degree) slice, and its rank; d_1 = d_0 = 0.
 
-    A wedge is keyed by the set of its factors' positions in the pool, held
-    as the bits of one int.  The bracket of two factors has a multidegree
-    within the slice's, so its monomials are in the pool too, and the term
-    of d_n for a factor pair is the rest's key with one bit added.  The
-    table, the criteria and ``dd_is_zero`` read the slices of one
-    multidegree together, so a small cache serves them.
+    The bracket of two factors is a sum of basis monomials, each a key bit,
+    so the term of d_n for a factor pair is the rest's key with one bit
+    added, and its column is read from the target's keys.  The table, the
+    criteria and ``dd_is_zero`` read the slices of one multidegree
+    together, so a small cache serves them.
     """
     degree = Multidegree(*degree)
     rows_basis = chain_basis(n, degree)
     target = chain_basis(n - 1, degree) if n >= 1 else ()
     if n <= 1 or not rows_basis:
         return ChainSlice(n, degree, rows_basis, tuple(0 for _ in rows_basis), len(target), 0)
-    pool = _pool(degree)
-    pos = {m: i for i, (m, _) in enumerate(pool)}
-    col_of = {}
-    for i, w in enumerate(target):
-        key = 0
-        for m in w:
-            key |= 1 << pos[m]
-        col_of[key] = i
-    brackets: dict[tuple[int, int], tuple[int, ...]] = {}
+    col_of = dict(zip(target, range(len(target))))
     rows = []
-    for wedge in rows_basis:
-        ps = [pos[m] for m in wedge]
-        full = 0
-        for i in ps:
-            full |= 1 << i
+    for key in rows_basis:
+        factors = set_bits(key)
         row = 0
-        for s, i in enumerate(ps):
-            for j in ps[s + 1 :]:
-                terms = brackets.get((i, j))
-                if terms is None:
-                    terms = brackets[(i, j)] = tuple(
-                        1 << pos[m] for m in _bracket_pair(pool[i][0], pool[j][0])
-                    )
+        for s, i in enumerate(factors):
+            for j in factors[s + 1 :]:
+                terms = _bracket_pair(i, j)
                 if terms:
-                    rest = full ^ (1 << i) ^ (1 << j)
+                    rest = key ^ (1 << i) ^ (1 << j)
                     for bit in terms:
                         if not rest & bit:
                             row ^= 1 << col_of[rest | bit]
@@ -234,20 +268,20 @@ def h2_accumulation(frontier: int) -> list[int]:
     return list(accumulate(per_degree))
 
 
-def wedge_weight(wedge: Wedge) -> GoldenInt:
+def wedge_weight(key: int) -> GoldenInt:
     total = GoldenInt(0, 0)
-    for m in wedge:
+    for m in wedge(key):
         total = total + weight(m).wt
     return total
 
 
-def wedge_stratification_ok(wedge: Wedge) -> bool:
+def wedge_stratification_ok(key: int) -> bool:
     """lambda^(m-1) < wt(u) <= n lambda^m when the top factor level is m."""
-    if not wedge:
+    if not key:
         return True
-    n = len(wedge)
-    m = max(mon.pivot for mon in wedge)
-    wt = wedge_weight(wedge)
+    n = key.bit_count()
+    m = monomial_at(key.bit_length() - 1).pivot
+    wt = wedge_weight(key)
     lo = lambda_power(m - 1)
     hi = lambda_power(m) * n
     return (wt - lo).sign() > 0 and (wt - hi).sign() <= 0

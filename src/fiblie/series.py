@@ -414,8 +414,13 @@ def euler_eval_check(degree: int = 400) -> list[EulerEvalResult]:
     e_series = euler_product_1var(degree)
     s_exact = hilbert_one_var(degree)
     results = []
+    top = len(e_series) - 1
     for t in (Fraction(1, 2), Fraction(3, 5), Fraction(7, 10)):
-        value = float(sum(Fraction(c) * t**n for n, c in enumerate(e_series) if c))
+        # sum c_n (p/q)^n over the common denominator q^top: one exact division
+        p, q = t.numerator, t.denominator
+        value = float(
+            Fraction(sum(c * p**n * q ** (top - n) for n, c in enumerate(e_series) if c), q**top)
+        )
         best_tail = math.inf
         for x in (0.8, 0.85, 0.9, 0.95):
             if x <= float(t):

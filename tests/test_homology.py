@@ -8,8 +8,9 @@ import time
 import pytest
 
 from fiblie import gf2
+from fiblie.basis import enumerate_W, enumerate_W_upto
 from fiblie.core import ZERO, InputError, bracket, bracket_monomials, element, monomial
-from fiblie.grading import GoldenInt, weight
+from fiblie.grading import GoldenInt, gr, weight
 from fiblie.homology import (
     Multidegree,
     _bracket_pair,
@@ -22,28 +23,63 @@ from fiblie.homology import (
     h2_accumulation,
     homology_dim,
     homology_table,
+    index_of,
     inside_homology_strip,
+    monomial_at,
     paraboloid_report,
+    wedge,
     wedge_stratification_ok,
     wedge_weight,
 )
-from fiblie.series import euler_product
+from fiblie.series import euler_product, levels_for_degree
+
+
+def decoded(keys):
+    return tuple(wedge(key) for key in keys)
+
+
+def test_monomial_index_round_trips_in_monomial_order():
+    # levels 1..14 take the indices 0, 1, 2, ... in Monomial order
+    monomials = [m for level in enumerate_W_upto(14) for m in level]
+    assert monomials == sorted(monomials)
+    assert [index_of(m) for m in monomials] == list(range(len(monomials)))
+    assert [monomial_at(i) for i in range(len(monomials))] == monomials
 
 
 def test_chain_basis_examples():
-    assert chain_basis(2, Multidegree(1, 1)) == ((monomial(1), monomial(2)),)
-    assert chain_basis(1, Multidegree(1, 1)) == ((monomial(3),),)
-    assert chain_basis(0, Multidegree(0, 0)) == ((),)
+    assert decoded(chain_basis(2, Multidegree(1, 1))) == ((monomial(1), monomial(2)),)
+    assert decoded(chain_basis(1, Multidegree(1, 1))) == ((monomial(3),),)
+    assert decoded(chain_basis(0, Multidegree(0, 0))) == ((),)
     assert chain_basis(0, Multidegree(1, 0)) == ()
 
 
+def test_wedge_refuses_a_key_outside_its_slice():
+    degree = Multidegree(3, 1)
+    (key,) = chain_basis(2, degree)
+    assert wedge(key, degree) == (monomial(1), monomial(4, [0]))
+    # Gr(v_5) = (2, 3) does not fit under (3, 1), so v_5 is not in the pool
+    outside = 1 << index_of(monomial(5))
+    with pytest.raises(InputError, match="outside the pool"):
+        wedge(key | outside, degree)
+    with pytest.raises(InputError, match="do not sum"):
+        wedge(1 << index_of(monomial(1)), degree)
+    with pytest.raises(InputError):
+        wedge(-1)
+
+
 def backtracking_chain_basis(n, degree):
-    """Oracle: depth-first search over the pool, keeping the remaining
-    multidegree and the next pool index on an explicit stack."""
+    """Oracle: depth-first search over the basis monomials that fit under
+    the multidegree, in Monomial order, keeping the remaining multidegree
+    and the next monomial on an explicit stack."""
     a, b = degree
     if n == 0:
         return ((),) if (a, b) == (0, 0) else ()
-    pool = _pool(Multidegree(a, b))
+    pool = []
+    for level in levels_for_degree(a + b):
+        for m in enumerate_W(level):
+            ma, mb = gr(m)
+            if ma <= a and mb <= b:
+                pool.append((m, (ma, mb)))
     out = []
     stack = []
 
@@ -70,7 +106,7 @@ def test_chain_basis_matches_backtracking_oracle():
         for a in range(d + 1):
             degree = Multidegree(a, d - a)
             for n in range(d + 1):
-                assert chain_basis(n, degree) == backtracking_chain_basis(n, degree)
+                assert decoded(chain_basis(n, degree)) == backtracking_chain_basis(n, degree)
 
 
 def test_differential_examples():
@@ -81,27 +117,28 @@ def test_differential_examples():
     # [v_1, t_0 v_4] = 0: the action v_1(t_0) vanishes and t_0^2 kills the rest
     assert bracket(element([monomial(1)]), element([monomial(4, [0])])) == ZERO
     d2b = differential(2, Multidegree(3, 1))
-    assert d2b.basis == ((monomial(1), monomial(4, [0])),)
+    assert decoded(d2b.basis) == ((monomial(1), monomial(4, [0])),)
     assert d2b.d_rows == (0,)
 
 
 def differential_oracle(n, degree):
-    """Labelled oracle: d_n row by row on wedge tuples.  Each term drops two
-    factors by slicing, adds their bracket's monomials one at a time and
-    finds the target column by sorting the new wedge."""
-    rows_basis = chain_basis(n, degree)
+    """Labelled oracle: d_n row by row on the backtracking oracle's wedge
+    tuples.  Each term drops two factors by slicing, adds their bracket's
+    monomials one at a time and finds the target column by sorting the new
+    wedge."""
+    rows_basis = backtracking_chain_basis(n, degree)
     if n <= 1:
-        target_dim = len(chain_basis(n - 1, degree)) if n == 1 else 0
+        target_dim = len(backtracking_chain_basis(n - 1, degree)) if n == 1 else 0
         return rows_basis, tuple(0 for _ in rows_basis), target_dim
-    target = chain_basis(n - 1, degree)
+    target = backtracking_chain_basis(n - 1, degree)
     col_of = {w: i for i, w in enumerate(target)}
     rows = []
-    for wedge in rows_basis:
+    for w in rows_basis:
         row = 0
-        for s in range(len(wedge)):
-            for t in range(s + 1, len(wedge)):
-                rest = wedge[:s] + wedge[s + 1 : t] + wedge[t + 1 :]
-                for m in bracket_monomials(wedge[s], wedge[t]):
+        for s in range(len(w)):
+            for t in range(s + 1, len(w)):
+                rest = w[:s] + w[s + 1 : t] + w[t + 1 :]
+                for m in bracket_monomials(w[s], w[t]):
                     if m not in rest:
                         row ^= 1 << col_of[tuple(sorted(rest + (m,)))]
         rows.append(row)
@@ -109,13 +146,14 @@ def differential_oracle(n, degree):
 
 
 def test_differential_matches_tuple_oracle():
-    # positional wedge keys give the same matrices as sorting wedge tuples
+    # wedge keys over the canonical index give the same matrices as sorting
+    # wedge tuples
     for d in range(15):
         for a in range(d + 1):
             degree = Multidegree(a, d - a)
             for n in range(d + 2):
                 s = differential(n, degree)
-                assert (s.basis, s.d_rows, s.n_cols) == differential_oracle(n, degree)
+                assert (decoded(s.basis), s.d_rows, s.n_cols) == differential_oracle(n, degree)
 
 
 def test_homology_dims_examples():
@@ -234,12 +272,12 @@ def test_homology_table_pin_frontier_28():
 def test_wedge_weight_additivity_and_stratification():
     for deg in (Multidegree(3, 3), Multidegree(2, 5)):
         for n in range(1, 5):
-            for wedge in chain_basis(n, deg):
+            for key in chain_basis(n, deg):
                 total = GoldenInt(0, 0)
-                for m in wedge:
+                for m in wedge(key, deg):
                     total = total + weight(m).wt
-                assert wedge_weight(wedge) == total
-                assert wedge_stratification_ok(wedge)
+                assert wedge_weight(key) == total
+                assert wedge_stratification_ok(key)
 
 
 def test_paraboloid_report():

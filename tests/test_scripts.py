@@ -3,6 +3,7 @@ prints its table header, and a refused size exits 2 like the CLI."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -63,3 +64,30 @@ def run_script(argv) -> subprocess.CompletedProcess:
         env=env,
         timeout=60,
     )
+
+
+def test_reach_stops_at_the_budget_and_at_the_cap(tmp_path):
+    # homology: two tiny frontiers finish, and F = 60 is killed at the budget
+    out = tmp_path / "reach.json"
+    proc = run_script(
+        ("reach.py", "--workload", "homology", "--budget", "2", "--sizes", "2,4,60",
+         "--output", str(out))
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert [r["size"] for r in result["runs"]] == [2, 4, 60]
+    assert [r["exit"] == 0 for r in result["runs"]] == [True, True, False]
+    assert (result["reach"], result["stopped_at"], result["reason"]) == (4, 60, "time")
+    assert 2 <= result["runs"][-1]["seconds"] < 10
+    assert all(r["peak_rss_mib"] > 0 for r in result["runs"])
+    assert result["cpu_count"] == os.cpu_count()
+    assert proc.stdout.splitlines()[-1] == "reach 4; stopped: time"
+    # presentation: degree 30 exits 2 at the monomial limit
+    proc = run_script(
+        ("reach.py", "--workload", "presentation", "--budget", "2", "--sizes", "3,30",
+         "--output", str(out))
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert (result["reach"], result["stopped_at"], result["reason"]) == (3, 30, "monomial cap")
+    assert result["runs"][-1]["exit"] == 2
