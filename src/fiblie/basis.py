@@ -134,32 +134,3 @@ def colour(m: Monomial) -> Literal["red", "square", "green", "blue"]:
     if form == "square":
         return "square"
     return "blue" if m.tail >> (m.pivot - 4) & 1 else "green"
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """W_{<=n} split as {v_1} + tau(W_{<=n-1}) + t_0 tau(W_{<=n-1} - {v_1,v_2}).
-
-    Parts hold references into the enumerated levels, not copies.
-    """
-
-    head: list[Monomial]
-    shifted: list[Monomial]
-    t0_shifted: list[Monomial]
-
-
-def decompose_W(n: int) -> Decomposition:
-    if n < 2:
-        raise InputError("decomposition needs n >= 2")
-    head: list[Monomial] = []
-    shifted: list[Monomial] = []
-    t0_shifted: list[Monomial] = []
-    for level in enumerate_W_upto(n):
-        for m in level:
-            if m == Monomial(1, 0):
-                head.append(m)
-            elif m.tail & 1:
-                t0_shifted.append(m)
-            else:
-                shifted.append(m)
-    return Decomposition(head, shifted, t0_shifted)

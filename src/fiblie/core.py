@@ -52,7 +52,6 @@ from typing import Iterable, Iterator, Literal, NamedTuple
 RingMonomial = int
 RingElement = frozenset[int]
 
-RING_ONE: RingElement = frozenset({0})
 RING_ZERO: RingElement = frozenset()
 
 

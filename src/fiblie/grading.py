@@ -180,11 +180,6 @@ def _in_strip(a: int, b: int) -> bool:
     return golden_sign(a + 2 * b, 1 - a - b) > 0 and golden_sign(a + 2 * b - 1, -a - b) < 0
 
 
-def strip_check(m: Monomial) -> bool:
-    """Exact test of -lambda < swt(m) < 1."""
-    return _in_strip(*gr(m))
-
-
 def sign_split(
     monomials: Iterable[Monomial],
 ) -> tuple[list[Monomial], list[Monomial]]:

@@ -12,9 +12,9 @@ t^S v_n, which ascends in ``Monomial`` order and decodes by bit length, so
 no table maps monomials to positions.  A wedge is held as its key: the
 indices of its factors as the bits of one int, the same key in every slice
 that holds it.  A term of d_n is the rest's key with one bit set, and
-brackets are cached on index pairs; ``wedge`` decodes a key into its
-``Monomial`` factors.  Each slice's rank is taken once, when the slice is
-built, and serves both dim H_n and dim H_{n-1}.
+brackets are cached on index pairs; ``monomial_at`` decodes each bit of
+a key into its ``Monomial`` factor.  Each slice's rank is taken once, when
+the slice is built, and serves both dim H_n and dim H_{n-1}.
 """
 
 from __future__ import annotations
@@ -23,23 +23,17 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 from . import gf2, series
-from .basis import enumerate_W, tail_width
+from .basis import enumerate_W
 from .core import InputError, Monomial, bracket_monomials, set_bits
 from .grading import (
-    GoldenInt,
     Multidegree,
     golden_sign,
     gr_pivot,
     gr_tail,
-    lambda_power,
-    weight,
     weight_coords_float,
 )
-
-Wedge = tuple[Monomial, ...]
 
 
 def _offset(n: int) -> int:
@@ -122,29 +116,11 @@ def chain_basis(n: int, degree: Multidegree) -> tuple[int, ...]:
     return tuple(out)
 
 
-def wedge(key: int, degree: Multidegree | None = None) -> Wedge:
-    """The factors of a wedge key, in canonical order.  Given the slice's
-    multidegree, a key with a factor outside the slice's pool, or whose
-    factors do not sum to it, is refused."""
-    if key < 0:
-        raise InputError(f"a wedge key is >= 0, got {key}")
-    indices = set_bits(key)
-    if degree is not None:
-        pool = dict(_pool(degree))
-        outside = [i for i in indices if i not in pool]
-        if outside:
-            raise InputError(f"factor {outside[0]} lies outside the pool of slice {tuple(degree)}")
-        total = (sum(pool[i][0] for i in indices), sum(pool[i][1] for i in indices))
-        if total != tuple(degree):
-            raise InputError(f"the factors of key {key} do not sum to {tuple(degree)}")
-    return tuple(monomial_at(i) for i in indices)
-
-
 @dataclass(frozen=True)
 class ChainSlice:
     n: int
     degree: Multidegree
-    basis: tuple[int, ...]  # wedge keys; ``wedge`` decodes them
+    basis: tuple[int, ...]  # wedge keys; ``monomial_at`` decodes each bit
     d_rows: tuple[int, ...]
     n_cols: int
     rank: int
@@ -258,33 +234,6 @@ def homology_table(frontier: int, n_values: tuple[int, ...] | None = None) -> Ho
                 if h:
                     entries[(n, a, b)] = h
     return HomologyTable(entries, frontier)
-
-
-def h2_accumulation(frontier: int) -> list[int]:
-    """Partial sums of dim H_2 over a+b <= d, for d = 0..frontier."""
-    per_degree = [0] * (frontier + 1)
-    for (_, a, b), h in homology_table(frontier, (2,)).entries.items():
-        per_degree[a + b] += h
-    return list(accumulate(per_degree))
-
-
-def wedge_weight(key: int) -> GoldenInt:
-    total = GoldenInt(0, 0)
-    for m in wedge(key):
-        total = total + weight(m).wt
-    return total
-
-
-def wedge_stratification_ok(key: int) -> bool:
-    """lambda^(m-1) < wt(u) <= n lambda^m when the top factor level is m."""
-    if not key:
-        return True
-    n = key.bit_count()
-    m = monomial_at(key.bit_length() - 1).pivot
-    wt = wedge_weight(key)
-    lo = lambda_power(m - 1)
-    hi = lambda_power(m) * n
-    return (wt - lo).sign() > 0 and (wt - hi).sign() <= 0
 
 
 @dataclass

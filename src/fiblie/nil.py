@@ -1,6 +1,5 @@
 """Nil p-mapping experiments: exact minimal nilpotency indices under
-iterated squaring, the structural pivot-shift invariant, and the two
-floating index-growth constants.
+iterated squaring, and the index-vs-bound scan of v_n + ... + v_m.
 
 For a basis-form element spanning pivots n..m the index never exceeds
 m - n + 2, where every squaring loop here stops; squaring advances the
@@ -9,14 +8,12 @@ pivot floor by two, so depth rather than width keeps the work finite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import (
     Element,
     FibLieError,
     InputError,
-    Monomial,
     check_cap,
     element,
     is_basis_element,
@@ -24,11 +21,6 @@ from .core import (
     monomial_cap,
     square,
 )
-from .grading import LAMBDA_FLOAT
-
-# N < C (m - n + 1) while a^(2^N) != 0, and exponent < C1 * senior-index
-EST_LOW_C = math.log(LAMBDA_FLOAT) / math.log(LAMBDA_FLOAT**2 / 2)  # ~ 1.787
-EST_UP_C1 = math.log(LAMBDA_FLOAT) / math.log(2 / LAMBDA_FLOAT)  # ~ 2.27
 
 
 @dataclass(frozen=True)
@@ -39,13 +31,6 @@ class NilReport:
     index: int
     bound: int
     peak_monomials: int
-    scalar_senior_tail: bool
-
-    @property
-    def senior_index(self) -> int:
-        """s of the coarse presentation: max pivot, +1 if its tail has a
-        scalar term (the senior tail must be scalar-free)."""
-        return self.max_pivot + 1 if self.scalar_senior_tail else self.max_pivot
 
 
 def nil_index(e: Element, limit: int | None = None) -> NilReport:
@@ -57,7 +42,6 @@ def nil_index(e: Element, limit: int | None = None) -> NilReport:
     mono_cap = monomial_cap(limit)
     lo, hi = e.pivot_range()
     bound = hi - lo + 2
-    scalar_senior = Monomial(hi, 0) in e
     peak = len(e)
     power = e
     index = 0
@@ -68,29 +52,7 @@ def nil_index(e: Element, limit: int | None = None) -> NilReport:
         index += 1
         peak = max(peak, len(power))
         check_cap(len(power), "monomials in an intermediate element", mono_cap)
-    return NilReport(e, lo, hi, index, bound, peak, scalar_senior)
-
-
-def shift_structure_check(e: Element) -> bool:
-    """Squares of a basis-form element keep the structural shape
-    sum_{i=n+2N}^{m+N} r v_i + (scalar-free tail) v_{m+N+1}."""
-    if not e:
-        return True
-    if not is_basis_element(e):
-        raise InputError("expected a basis-form element")
-    lo, hi = e.pivot_range()
-    power = e
-    for big_n in range(1, hi - lo + 3):  # N <= m - n + 2
-        power = square(power)
-        if not power:
-            return True
-        check_cap(len(power), "monomials in an intermediate element")
-        for m in power:
-            if m.pivot < lo + 2 * big_n or m.pivot > hi + big_n + 1:
-                return False
-            if m.pivot == hi + big_n + 1 and m.tail == 0:
-                return False
-    return True
+    return NilReport(e, lo, hi, index, bound, peak)
 
 
 def pivot_interval(n: int, m: int) -> Element:
@@ -132,14 +94,3 @@ def conjecture_scan(n_range: tuple[int, int], m_max: int) -> list[ScanRow]:
                 )
             )
     return rows
-
-
-def bound_constants_check(reports: list[NilReport]) -> bool:
-    """Soft check of both floating index estimates on observed minimal
-    indices: N - 1 < C (m - n + 1) and N - 1 < C1 * s."""
-    for r in reports:
-        if not r.index - 1 < EST_LOW_C * (r.max_pivot - r.min_pivot + 1):
-            return False
-        if not r.index - 1 < EST_UP_C1 * r.senior_index:
-            return False
-    return True

@@ -3,9 +3,9 @@ the CLI ``verify`` subcommand and the acceptance test module.  A check takes
 no arguments and returns ``(ok, detail)``; ``run_suites`` times it.
 
 Every check is exact unless stated otherwise; the only floating-point
-gates are the bounds with an irrational constant (the nil index estimates,
-the growth sandwich, the second witness) and the two growth diagnostics,
-which report rather than assert.
+gates are the bounds with an irrational constant (the growth sandwich, the
+second witness) and the two growth diagnostics, which report rather than
+assert.
 """
 
 from __future__ import annotations
@@ -167,16 +167,13 @@ def criterion_nillity() -> tuple[bool, str]:
     v1 = nil_mod.nil_index(v(1))
     if v1.index != 2:
         return False, f"nil index of v_1 is {v1.index}, expected exactly 2"
+    # nil_index refuses an element still nonzero at its bound m - n + 2
     pool8 = _monomials_upto(8)
     rng = random.Random(_DEFAULT_SEED + 5)
-    reports = [v1]
     for _ in range(500):
         e = element(rng.sample(pool8, rng.choice((2, 3))))
-        if not e:
-            continue
-        reports.append(nil_mod.nil_index(e))
-    if not nil_mod.bound_constants_check(reports):
-        return False, "floating index estimates violated"
+        if e:
+            nil_mod.nil_index(e)
     return True, f"{checked} exhaustive + 500 random elements within bound"
 
 
@@ -322,6 +319,7 @@ def criterion_geometry() -> tuple[bool, str]:
 def criterion_homology() -> tuple[bool, str]:
     euler = series_mod.euler_product(10)
     first_h2: int | None = None
+    h2_total = 0
     for d in range(11):
         for a in range(d + 1):
             b = d - a
@@ -338,18 +336,15 @@ def criterion_homology() -> tuple[bool, str]:
                 return False, f"H_1({a},{b}) = {h1}, expected {expected_h1}"
             if not homology_mod.euler_crosscheck(deg, euler):
                 return False, f"Euler mismatch at ({a},{b})"
-            if first_h2 is None and homology_mod.homology_dim(2, deg) > 0:
+            h2 = homology_mod.homology_dim(2, deg)
+            if first_h2 is None and h2 > 0:
                 first_h2 = d
+            h2_total += h2
     if first_h2 is None or first_h2 > 5:
         return False, f"no nonzero H_2 slice by total degree 5 (found: {first_h2})"
-    sums = homology_mod.h2_accumulation(10)
-    if any(s2 < s1 for s1, s2 in zip(sums, sums[1:])):
-        return False, "H_2 partial sums decreased"
-    if sums[-1] <= 0:
-        return False, "H_2 accumulation stayed zero"
     return True, (
         "d.d = 0, H_0/H_1 exact, Euler matches for a+b <= 10; "
-        f"first H_2 at degree {first_h2}; H_2 partial sums reach {sums[-1]}"
+        f"first H_2 at degree {first_h2}; H_2 partial sums reach {h2_total}"
     )
 
 

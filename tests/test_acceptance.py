@@ -3,9 +3,8 @@ pass/fail line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` (or ``fiblie verify``
 for the same checks outside pytest).  All checks are exact except the
-bounds with an irrational constant (nil index estimates, growth sandwich
-and witness) and criterion 12, which reports diagnostics without hard
-thresholds.
+bounds with an irrational constant (growth sandwich and witness) and
+criterion 12, which reports diagnostics without hard thresholds.
 """
 
 from __future__ import annotations
@@ -47,8 +46,9 @@ def test_criterion_04_lie_laws():
 
 
 def test_criterion_05_nillity():
-    """e^(2^(m-n+2)) = 0 exhaustively (<= 3 monomials, pivots <= 6) and on
-    500 random samples; v_1 attains index exactly 2."""
+    """e^(2^(m-n+2)) = 0 exhaustively (<= 3 monomials, pivots <= 6) and,
+    through nil_index's bound guard, on 500 random samples; v_1 attains
+    index exactly 2."""
     _run("nil")
 
 
@@ -81,7 +81,7 @@ def test_criterion_09_geometry():
 
 def test_criterion_10_homology():
     """d.d = 0, H_0/H_1 exact, Euler cross-check for a+b <= 10, first
-    nonzero H_2 by degree 5, monotone H_2 accumulation; < 2 min."""
+    nonzero H_2 by degree 5, and the sum of dim H_2 there; < 2 min."""
     _run("homology", limit=120.0)
 
 

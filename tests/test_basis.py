@@ -10,7 +10,6 @@ from fiblie.basis import (
     build_W_recursive,
     check_held,
     colour,
-    decompose_W,
     enumerate_W,
     enumerate_W_upto,
 )
@@ -101,26 +100,34 @@ def test_colour():
         colour(monomial(5, [0, 2]))
 
 
+def decompose(n):
+    """W_{<=n} split as {v_1} + tau(W_{<=n-1}) + t_0 tau(W_{<=n-1} - {v_1,v_2}):
+    v_1, then the rest by whether t_0 divides the tail."""
+    rest = [m for lvl in enumerate_W_upto(n) for m in lvl if m != Monomial(1, 0)]
+    return (
+        {Monomial(1, 0)},
+        {m for m in rest if not m.tail & 1},
+        {m for m in rest if m.tail & 1},
+    )
+
+
 def test_decompose_small():
-    d3 = decompose_W(3)
-    assert d3.head == [Monomial(1, 0)]
-    assert set(d3.shifted) == {Monomial(2, 0), Monomial(3, 0)}
-    assert d3.t0_shifted == []
-    d4 = decompose_W(4)
-    assert set(d4.t0_shifted) == {Monomial(4, 1)}
+    assert decompose(3) == ({Monomial(1, 0)}, {Monomial(2, 0), Monomial(3, 0)}, set())
+    assert decompose(4)[2] == {Monomial(4, 1)}
 
 
 def test_decompose_counts_and_exactness():
     for n in range(2, 12):
-        d = decompose_W(n)
-        total = len(d.head) + len(d.shifted) + len(d.t0_shifted)
+        _, shifted, t0_shifted = decompose(n)
         size = sum(map(len, enumerate_W_upto(n)))
-        assert total == size
         # |W_{<=n+1}| = 1 + |W_{<=n}| + (|W_{<=n}| - 2)
         assert size + len(enumerate_W(n + 1)) == 1 + 2 * size - 2
-        # the shifted part is exactly tau of the lower union
-        lower = [element([m]) for lvl in enumerate_W_upto(n - 1) for m in lvl]
-        assert {next(iter(tau(e, 1).monomials)) for e in lower} == set(d.shifted)
+        # the parts are exactly tau of the lower union and t_0 times tau of
+        # it without v_1 and v_2
+        lower = [m for lvl in enumerate_W_upto(n - 1) for m in lvl]
+        taus = [next(iter(tau(element([m]), 1))) for m in lower]
+        assert set(taus) == shifted
+        assert {Monomial(m.pivot, m.tail | 1) for m in taus[2:]} == t0_shifted
 
 
 def test_abelian_ideal_exhaustive():

@@ -18,7 +18,6 @@ from fiblie.core import (
     InputError,
     Monomial,
     MonomialLimitError,
-    RING_ONE,
     RING_ZERO,
     ZERO,
     _CONV_MAX_WIDTH,
@@ -44,6 +43,8 @@ from fiblie.core import (
     v,
 )
 from fiblie.expr import ParseError, eval_text
+
+RING_ONE = frozenset({0})  # the ring's unit: the one empty tail
 
 W8 = [m for level in enumerate_W_upto(8, "restricted") for m in level]
 W9 = [m for level in enumerate_W_upto(9, "restricted") for m in level]

@@ -42,7 +42,6 @@ from fiblie.grading import (
     local_nilpotency_bound,
     sign_split,
     square_multidegree,
-    strip_check,
     weight,
     weight_coords,
     weight_coords_float,
@@ -154,12 +153,18 @@ def test_weight_additivity_under_bracket():
         assert gr(m) == Multidegree(ga.a + gb_.a, ga.b + gb_.b)
 
 
+def in_strip(m):
+    """-lambda < swt(m) < 1, from the exact signs of GoldenInt."""
+    swt = weight(m).swt
+    return (swt + LAMBDA).sign() > 0 and (swt - GoldenInt(1, 0)).sign() < 0
+
+
 def test_strip_examples():
-    assert strip_check(monomial(1))
-    assert strip_check(monomial(3, [0]))  # v_1^2
+    assert in_strip(monomial(1))
+    assert in_strip(monomial(3, [0]))  # v_1^2
     for level in enumerate_W_upto(12, "restricted"):
         for m in level:
-            assert strip_check(m)
+            assert in_strip(m)
 
 
 def test_sign_split_examples():
@@ -273,7 +278,7 @@ def test_square_multidegree_matches_the_pivot_square():
 def test_level_scans_match_scalar_counts():
     for n in range(1, 13):
         for kind in ("lie", "restricted"):
-            outside = sum(not strip_check(m) for m in enumerate_W(n, kind))
+            outside = sum(not in_strip(m) for m in enumerate_W(n, kind))
             assert level_strip_violations(n, kind) == outside
         lo, hi = lambda_power(n - 1), lambda_power(n)
         outside = sum(not lo < weight(m).wt <= hi for m in enumerate_W(n))

@@ -4,13 +4,22 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from fiblie import gf2
 from fiblie.basis import enumerate_W, enumerate_W_upto
-from fiblie.core import ZERO, InputError, bracket, bracket_monomials, element, monomial
-from fiblie.grading import GoldenInt, gr, weight
+from fiblie.core import (
+    ZERO,
+    InputError,
+    bracket,
+    bracket_monomials,
+    element,
+    monomial,
+    set_bits,
+)
+from fiblie.grading import GoldenInt, gr, lambda_power, weight, weight_coords
 from fiblie.homology import (
     Multidegree,
     _bracket_pair,
@@ -20,22 +29,23 @@ from fiblie.homology import (
     differential,
     euler_crosscheck,
     euler_slice,
-    h2_accumulation,
     homology_dim,
     homology_table,
     index_of,
     inside_homology_strip,
     monomial_at,
     paraboloid_report,
-    wedge,
-    wedge_stratification_ok,
-    wedge_weight,
 )
 from fiblie.series import euler_product, levels_for_degree
 
 
+def factors(key):
+    """The monomials of a wedge key, in canonical order."""
+    return tuple(monomial_at(i) for i in set_bits(key))
+
+
 def decoded(keys):
-    return tuple(wedge(key) for key in keys)
+    return tuple(factors(key) for key in keys)
 
 
 def test_monomial_index_round_trips_in_monomial_order():
@@ -51,20 +61,6 @@ def test_chain_basis_examples():
     assert decoded(chain_basis(1, Multidegree(1, 1))) == ((monomial(3),),)
     assert decoded(chain_basis(0, Multidegree(0, 0))) == ((),)
     assert chain_basis(0, Multidegree(1, 0)) == ()
-
-
-def test_wedge_refuses_a_key_outside_its_slice():
-    degree = Multidegree(3, 1)
-    (key,) = chain_basis(2, degree)
-    assert wedge(key, degree) == (monomial(1), monomial(4, [0]))
-    # Gr(v_5) = (2, 3) does not fit under (3, 1), so v_5 is not in the pool
-    outside = 1 << index_of(monomial(5))
-    with pytest.raises(InputError, match="outside the pool"):
-        wedge(key | outside, degree)
-    with pytest.raises(InputError, match="do not sum"):
-        wedge(1 << index_of(monomial(1)), degree)
-    with pytest.raises(InputError):
-        wedge(-1)
 
 
 def backtracking_chain_basis(n, degree):
@@ -229,10 +225,14 @@ def test_gf2_span():
     assert len(span) == 2
 
 
-def test_h2_accumulation_monotone_and_positive():
-    sums = h2_accumulation(6)
-    assert sums == sorted(sums)
-    assert sums[4] >= 1  # nonzero H_2 slice by total degree 4
+def test_h2_dims_per_total_degree():
+    per_degree = Counter()
+    for (_, a, b), h in homology_table(60, (2,)).entries.items():
+        per_degree[a + b] += h
+    assert dict(per_degree) == {
+        4: 1, 5: 2, 8: 3, 9: 1, 12: 2, 13: 4, 19: 2, 20: 2,
+        21: 2, 30: 2, 32: 2, 33: 2, 48: 2, 51: 2, 53: 2,
+    }
 
 
 def test_homology_strip_and_table():
@@ -270,14 +270,19 @@ def test_homology_table_pin_frontier_28():
 
 
 def test_wedge_weight_additivity_and_stratification():
+    # the factors' weights add up to the wt of the slice's multidegree, and
+    # an n-wedge with top factor level m has lambda^(m-1) < wt <= n lambda^m
     for deg in (Multidegree(3, 3), Multidegree(2, 5)):
+        wt, _ = weight_coords(deg)
         for n in range(1, 5):
             for key in chain_basis(n, deg):
+                wedge = factors(key)
                 total = GoldenInt(0, 0)
-                for m in wedge(key, deg):
+                for m in wedge:
                     total = total + weight(m).wt
-                assert wedge_weight(key) == total
-                assert wedge_stratification_ok(key)
+                assert total == wt
+                top = wedge[-1].pivot
+                assert lambda_power(top - 1) < total <= lambda_power(top) * n
 
 
 def test_paraboloid_report():

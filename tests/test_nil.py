@@ -10,26 +10,17 @@ import pytest
 from fiblie import core, nil
 from fiblie.basis import enumerate_W_upto
 from fiblie.core import (
-    LIMITS,
     ZERO,
     FibLieError,
     InputError,
-    MonomialLimitError,
     element,
     power_2k,
+    square,
     tau,
     v,
 )
 from fiblie.expr import eval_text
-from fiblie.nil import (
-    EST_LOW_C,
-    EST_UP_C1,
-    bound_constants_check,
-    conjecture_scan,
-    nil_index,
-    pivot_interval,
-    shift_structure_check,
-)
+from fiblie.nil import conjecture_scan, nil_index, pivot_interval
 
 
 def test_nil_index_examples():
@@ -59,32 +50,27 @@ def test_nil_index_rejects(monkeypatch):
 
 
 def test_shift_structure_examples():
-    assert shift_structure_check(v(1))
-    assert shift_structure_check(v(1) + v(2))
+    # e^(2^N) of a basis-form element on pivots n..m keeps the shape
+    # sum_{i=n+2N}^{m+N} r_i v_i + (scalar-free tail) v_{m+N+1}
     rng = random.Random(7)
     pool = [m for lvl in enumerate_W_upto(7) for m in lvl]
+    samples = [v(1), v(1) + v(2)]
     for _ in range(60):
-        e = element(rng.sample(pool, rng.choice((1, 2, 3))))
-        if e:
-            assert shift_structure_check(e)
-
-
-def test_shift_structure_check_is_held_to_the_monomial_limit(monkeypatch):
-    # the squares of v_1 + ... + v_5 hold 15, 19, 37, 40 and 20 monomials
-    e = pivot_interval(1, 5)
-    monkeypatch.setattr(LIMITS, "monomial_limit", 40)
-    assert shift_structure_check(e)
-    monkeypatch.setattr(LIMITS, "monomial_limit", 39)
-    with pytest.raises(MonomialLimitError, match="monomials in an intermediate element"):
-        shift_structure_check(e)
+        samples.append(element(rng.sample(pool, rng.choice((1, 2, 3)))))
+    for e in filter(None, samples):
+        lo, hi = e.pivot_range()
+        power = e
+        for big_n in range(1, hi - lo + 3):
+            power = square(power)
+            for m in power:
+                assert lo + 2 * big_n <= m.pivot <= hi + big_n + 1, (e, big_n, m)
+                assert m.pivot <= hi + big_n or m.tail, (e, big_n, m)
 
 
 def test_square_pivot_floor():
     # the pure-tail part of e^2 starts at min pivot + 2
     rng = random.Random(11)
     pool = [m for lvl in enumerate_W_upto(7) for m in lvl]
-    from fiblie.core import square
-
     for _ in range(80):
         e = element(rng.sample(pool, 2))
         if not e:
@@ -101,6 +87,14 @@ def test_conjecture_scan_rows():
     assert rows[(1, 2)].bound == 3
     assert rows[(2, 4)].bound == 4
     assert all(r.index <= r.bound for r in rows.values())
+
+
+def test_scan_rows_depend_on_the_length_only():
+    # tau-invariance: row (n, m) of the scan equals row (1, m - n + 1)
+    rows = {(r.n, r.m): r for r in conjecture_scan((1, 3), 9)}
+    for (n, m), row in rows.items():
+        base = rows[(1, m - n + 1)]
+        assert (row.index, row.peak_monomials) == (base.index, base.peak_monomials)
 
 
 def test_tau_invariance_of_index():
@@ -147,13 +141,6 @@ def test_high_pivot_interval_convolves_in_a_narrow_window(monkeypatch):
     assert high.index == low.index == 8
     assert high.peak_monomials == low.peak_monomials
     assert elapsed < 5.0
-
-
-def test_bound_constants():
-    assert abs(EST_LOW_C - 1.787) < 1e-3
-    assert abs(EST_UP_C1 - 2.27) < 5e-3
-    reports = [nil_index(pivot_interval(n, m)) for n in (1, 2) for m in range(n, n + 4)]
-    assert bound_constants_check(reports)
 
 
 def test_exhaustive_small_family():

@@ -145,3 +145,62 @@ def test_package_reads_no_monomials_alias():
     # returns the element, stays as API for callers outside the package
     found = _nodes(lambda node: isinstance(node, ast.Attribute) and node.attr == "monomials")
     assert found == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# second implementations kept as labelled oracles: only tests call them
+ORACLES = {"gf2.rank_naive"}
+
+
+def _top_level_names(tree) -> list[tuple[str, object]]:
+    """(name, defining statement) for each top-level function, class and
+    constant; module dunders such as ``__all__`` are protocol, not API."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((stmt.name, stmt))
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            out.extend((t.id, stmt) for t in targets if isinstance(t, ast.Name))
+    return [(name, stmt) for name, stmt in out if not name.startswith("__")]
+
+
+def _named(tree, skip=None) -> set[str]:
+    """Identifiers, attributes, imported names and string constants (each
+    dotted part) of the tree, outside the statement ``skip``."""
+    inside = set(map(id, ast.walk(skip))) if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_package_holds_only_what_runs():
+    # every top-level name of the package is named outside its own
+    # definition by the package, the scripts or the benchmark; a name only
+    # tests reach is dead code unless it is a labelled oracle
+    sources = [
+        path
+        for folder in (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+        for path in sorted(folder.glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    named = {path: _named(tree) for path, tree in trees.items()}
+    unnamed = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        elsewhere = set().union(*(n for p, n in named.items() if p != path))
+        for name, stmt in _top_level_names(trees[path]):
+            if name not in elsewhere and name not in _named(trees[path], skip=stmt):
+                unnamed.add(f"{path.stem}.{name}")
+    assert unnamed == ORACLES
