@@ -45,9 +45,6 @@ class Span:
         self.pivots[r.bit_length()] = r
         return True
 
-    def __contains__(self, vec: int) -> bool:
-        return self.reduce(vec) == 0
-
     def __len__(self) -> int:
         return len(self.pivots)
 

@@ -13,8 +13,11 @@ no table maps monomials to positions.  A wedge is held as its key: the
 indices of its factors as the bits of one int, the same key in every slice
 that holds it.  A term of d_n is the rest's key with one bit set, and
 brackets are cached on index pairs; ``monomial_at`` decodes each bit of
-a key into its ``Monomial`` factor.  Each slice's rank is taken once, when
-the slice is built, and serves both dim H_n and dim H_{n-1}.
+a key into its ``Monomial`` factor.  A slice holds its keys, its rows over
+the keys one wedge degree down, and its rank: the rank is taken once, when
+the slice is built, and serves both dim H_n and dim H_{n-1}.  The Euler
+cross-check needs no rank at all, since the alternating sum of dim H_n
+reduces to that of the chain counts.
 """
 
 from __future__ import annotations
@@ -118,11 +121,8 @@ def chain_basis(n: int, degree: Multidegree) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ChainSlice:
-    n: int
-    degree: Multidegree
     basis: tuple[int, ...]  # wedge keys; ``monomial_at`` decodes each bit
-    d_rows: tuple[int, ...]
-    n_cols: int
+    d_rows: tuple[int, ...]  # over the keys of chain_basis(n - 1, degree)
     rank: int
 
 
@@ -144,9 +144,9 @@ def differential(n: int, degree: Multidegree) -> ChainSlice:
     """
     degree = Multidegree(*degree)
     rows_basis = chain_basis(n, degree)
-    target = chain_basis(n - 1, degree) if n >= 1 else ()
     if n <= 1 or not rows_basis:
-        return ChainSlice(n, degree, rows_basis, tuple(0 for _ in rows_basis), len(target), 0)
+        return ChainSlice(rows_basis, tuple(0 for _ in rows_basis), 0)
+    target = chain_basis(n - 1, degree)
     col_of = dict(zip(target, range(len(target))))
     rows = []
     for key in rows_basis:
@@ -161,7 +161,7 @@ def differential(n: int, degree: Multidegree) -> ChainSlice:
                         if not rest & bit:
                             row ^= 1 << col_of[rest | bit]
         rows.append(row)
-    return ChainSlice(n, degree, rows_basis, tuple(rows), len(target), gf2.rank(rows, len(target)))
+    return ChainSlice(rows_basis, tuple(rows), gf2.rank(rows, len(target)))
 
 
 def homology_dim(n: int, degree: Multidegree) -> int:
@@ -185,24 +185,19 @@ def dd_is_zero(n: int, degree: Multidegree) -> bool:
     return True
 
 
-def euler_slice(degree: Multidegree) -> int:
-    """Alternating sum of homology dimensions at the multidegree."""
-    a, b = degree
-    # dim H_n = c_n - rank d_n - rank d_{n+1} and d_0 = d_1 = d_{a+b+1} = 0,
-    # so the ranks cancel and the sum of (-1)^n dim H_n is that of (-1)^n c_n
-    return sum((-1) ** n * len(chain_basis(n, Multidegree(a, b))) for n in range(a + b + 1))
-
-
 def euler_crosscheck(degree: Multidegree, euler: series.LatticeSeries) -> bool:
     """The slice's alternating homology sum equals the Euler coefficient."""
     a, b = degree
-    return euler_slice(Multidegree(a, b)) == euler[(a, b)]
+    # dim H_n = c_n - rank d_n - rank d_{n+1} and d_0 = d_1 = d_{a+b+1} = 0,
+    # so the ranks cancel and the sum of (-1)^n dim H_n is that of (-1)^n c_n
+    return euler[(a, b)] == sum(
+        (-1) ** n * len(chain_basis(n, Multidegree(a, b))) for n in range(a + b + 1)
+    )
 
 
 @dataclass
 class HomologyTable:
     entries: dict[tuple[int, int, int], int]
-    frontier: int
 
 
 def inside_homology_strip(n: int, a: int, b: int) -> bool:
@@ -233,15 +228,13 @@ def homology_table(frontier: int, n_values: tuple[int, ...] | None = None) -> Ho
                 h = homology_dim(n, Multidegree(a, b))
                 if h:
                     entries[(n, a, b)] = h
-    return HomologyTable(entries, frontier)
+    return HomologyTable(entries)
 
 
 @dataclass
 class ParaboloidReport:
-    theta_target: float
     fitted_exponent: float | None
     fitted_constant: float
-    points: list[tuple[float, float]]
 
 
 def paraboloid_report(
@@ -250,15 +243,13 @@ def paraboloid_report(
     """Envelope of nonzero entries in weight coordinates against
     |eta| < C xi^theta, theta ~ 0.5902.  The constant is unspecified in
     theory, so only the fitted exponent is reported."""
-    pts = []
+    nonzero = []
     for key, val in entries.items():
-        if val == 0:
-            continue
-        xi, eta = weight_coords_float(key[-2:])
-        if xi > 0:
-            pts.append((xi, eta))
+        if val:
+            xi, eta = weight_coords_float(key[-2:])
+            if xi > 0 and abs(eta) > 1e-12:
+                nonzero.append((xi, abs(eta)))
     theta = series.THETA
-    nonzero = [(x, abs(e)) for x, e in pts if abs(e) > 1e-12]
     fitted_c = max((e / x**theta for x, e in nonzero), default=0.0)
     exponent = None
     if len(nonzero) >= 4:
@@ -278,4 +269,4 @@ def paraboloid_report(
             denom = sum((x - mx) ** 2 for x in xs)
             if denom > 0:
                 exponent = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
-    return ParaboloidReport(theta, exponent, fitted_c, pts)
+    return ParaboloidReport(exponent, fitted_c)

@@ -25,7 +25,6 @@ from .core import (
 
 @dataclass(frozen=True)
 class NilReport:
-    element: Element
     min_pivot: int
     max_pivot: int
     index: int
@@ -52,7 +51,7 @@ def nil_index(e: Element, limit: int | None = None) -> NilReport:
         index += 1
         peak = max(peak, len(power))
         check_cap(len(power), "monomials in an intermediate element", mono_cap)
-    return NilReport(e, lo, hi, index, bound, peak)
+    return NilReport(lo, hi, index, bound, peak)
 
 
 def pivot_interval(n: int, m: int) -> Element:

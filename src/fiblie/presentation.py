@@ -10,13 +10,14 @@ counts the free algebra by Witt's formula and holds the tail rows, at most
 2 dim F_{d-1} bits, to ``LIMITS.monomial_limit``.
 
 The free algebra itself is realised inside the free associative algebra
-on x1, x2, for the Lyndon basis (``free_lie``).  A homogeneous polynomial
-of degree d is a ``Poly(d, bits)``: bits is a packed int over the 2^d
-words of length d, the word (l_1, ..., l_d) at bit sum (l_i - 1) 2^(d-i).
-Bit order is then lexicographic order, so the leading (least) word of a
-polynomial is its lowest set bit.  Lyndon-word standard bracketings expand
-triangularly with leading word the Lyndon word itself, so they stay
-independent over GF(2).
+on x1, x2, for the Lyndon basis (``free_lie``).  No dimension above reads
+it: it is the tests' independent oracle of the quotient engine.  A
+homogeneous polynomial of degree d is a ``Poly(d, bits)``: bits is a
+packed int over the 2^d words of length d, the word (l_1, ..., l_d) at bit
+sum (l_i - 1) 2^(d-i).  Bit order is then lexicographic order, so the
+leading (least) word of a polynomial is its lowest set bit.  Lyndon-word
+standard bracketings expand triangularly with leading word the Lyndon word
+itself, so they stay independent over GF(2).
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class Poly(NamedTuple):
 def word_bit(w: Word) -> int:
     """Bit of the word w: its letters minus one, read as a binary number."""
     return sum((letter - 1) << (len(w) - 1 - i) for i, letter in enumerate(w))
-
-
-def bit_word(bit: int, degree: int) -> Word:
-    return tuple(int(c) + 1 for c in format(bit, f"0{degree}b"))
 
 
 def concat_mul(p: Poly, q: Poly) -> Poly:
@@ -135,40 +132,16 @@ def left_normed(letters: list[int]) -> Tree:
 
 @dataclass
 class FreeLieBasis:
-    """Lyndon basis through total degree ``degree``."""
+    """The Lyndon words, their standard bracketings and their polynomials."""
 
-    degree: int
-    words: list[Word] = field(default_factory=list)
+    words: list[Word]
     trees: dict[Word, Tree] = field(default_factory=dict)
     polys: dict[Word, Poly] = field(default_factory=dict)
-
-    def by_degree(self, d: int) -> list[Word]:
-        return [w for w in self.words if len(w) == d]
-
-    def bracket_in_basis(self, w1: Word, w2: Word) -> set[Word]:
-        """Structure constants: [b(w1), b(w2)] expanded in the Lyndon basis."""
-        d = len(w1) + len(w2)
-        if d > self.degree:
-            raise InputError("bracket degree exceeds the table cap")
-        return self.express(lie_bracket_poly(self.polys[w1], self.polys[w2]))
-
-    def express(self, p: Poly) -> set[Word]:
-        """Write a Lie polynomial in the basis (triangular reduction on
-        leading Lyndon words, the lowest set bits)."""
-        support: set[Word] = set()
-        rest = p.bits
-        while rest:
-            lead = bit_word((rest & -rest).bit_length() - 1, p.degree)
-            if lead not in self.polys:
-                raise FibLieError(f"not in the Lie span: leading word {lead}")
-            support.add(lead)
-            rest ^= self.polys[lead].bits
-        return support
 
 
 def free_lie(degree: int) -> FreeLieBasis:
     """Lyndon basis and expansion data up to the total degree cap."""
-    fl = FreeLieBasis(degree, lyndon_words(2, degree))
+    fl = FreeLieBasis(lyndon_words(2, degree))
     # shorter words come first, so both standard factors are already in the table
     for w in fl.words:
         if len(w) == 1:
@@ -450,7 +423,6 @@ def target_dims(degree: int) -> dict[int, int]:
 
 @dataclass
 class PresentationReport:
-    degree: int
     free: dict[int, int]
     quotient: dict[int, int]
     target: dict[int, int]
@@ -461,7 +433,6 @@ class PresentationReport:
 
 def presentation_report(degree: int = 7) -> PresentationReport:
     return PresentationReport(
-        degree=degree,
         free=free_dims(degree),
         quotient=quotient_dims(RELATION_TREES, degree),
         target=target_dims(degree),

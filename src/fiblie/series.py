@@ -41,6 +41,9 @@ class LatticeSeries:
         }
 
     def __getitem__(self, key: tuple[int, int]) -> int:
+        """The coefficient at key; past the bound the series holds no answer."""
+        if key[0] + key[1] > self.bound:
+            raise InputError(f"{key} lies past the truncation degree {self.bound}")
         return self.coeffs.get(key, 0)
 
     def __mul__(self, other: "LatticeSeries") -> "LatticeSeries":
@@ -373,7 +376,6 @@ def enveloping_growth_report(bound: int = 120) -> EnvelopingGrowthReport:
 class EulerEvalResult:
     t: Fraction
     truncation: float
-    tail_bound: float
     upper: float
     positive_ok: bool
     upper_ok: bool
@@ -437,7 +439,6 @@ def euler_eval_check(degree: int = 400) -> list[EulerEvalResult]:
             EulerEvalResult(
                 t=t,
                 truncation=value,
-                tail_bound=tail,
                 upper=upper,
                 positive_ok=value - tail > 0,
                 upper_ok=value + tail <= upper,

@@ -19,7 +19,14 @@ from fiblie.core import (
     monomial,
     set_bits,
 )
-from fiblie.grading import GoldenInt, gr, lambda_power, weight, weight_coords
+from fiblie.grading import (
+    GoldenInt,
+    gr,
+    lambda_power,
+    weight,
+    weight_coords,
+    weight_coords_float,
+)
 from fiblie.homology import (
     Multidegree,
     _bracket_pair,
@@ -28,7 +35,6 @@ from fiblie.homology import (
     dd_is_zero,
     differential,
     euler_crosscheck,
-    euler_slice,
     homology_dim,
     homology_table,
     index_of,
@@ -36,7 +42,7 @@ from fiblie.homology import (
     monomial_at,
     paraboloid_report,
 )
-from fiblie.series import euler_product, levels_for_degree
+from fiblie.series import THETA, euler_product, levels_for_degree
 
 
 def factors(key):
@@ -46,6 +52,11 @@ def factors(key):
 
 def decoded(keys):
     return tuple(factors(key) for key in keys)
+
+
+def column_count(n, degree):
+    """The column count of d_n on the slice: the (n-1)-wedges there."""
+    return len(chain_basis(n - 1, degree)) if n >= 1 else 0
 
 
 def test_monomial_index_round_trips_in_monomial_order():
@@ -149,7 +160,8 @@ def test_differential_matches_tuple_oracle():
             degree = Multidegree(a, d - a)
             for n in range(d + 2):
                 s = differential(n, degree)
-                assert (decoded(s.basis), s.d_rows, s.n_cols) == differential_oracle(n, degree)
+                found = (decoded(s.basis), s.d_rows, column_count(n, degree))
+                assert found == differential_oracle(n, degree)
 
 
 def test_homology_dims_examples():
@@ -172,8 +184,7 @@ def test_dd_zero():
 
 def test_euler_crosscheck():
     euler = euler_product(8)
-    assert euler_slice(Multidegree(1, 0)) == -1
-    assert euler_slice(Multidegree(0, 0)) == 1
+    assert (euler[(0, 0)], euler[(1, 0)]) == (1, -1)
     for d in range(9):
         for a in range(d + 1):
             assert euler_crosscheck(Multidegree(a, d - a), euler)
@@ -185,11 +196,22 @@ def homology_euler_slice(degree):
     return sum((-1) ** n * homology_dim(n, Multidegree(a, b)) for n in range(a + b + 1))
 
 
-def test_euler_slice_matches_homology_oracle():
+def test_euler_crosscheck_matches_homology_oracle():
+    # the chain counts the cross-check sums and the homology dimensions give
+    # the same alternating sum, the Euler coefficient
+    euler = euler_product(14)
     for d in range(15):
         for a in range(d + 1):
             degree = Multidegree(a, d - a)
-            assert euler_slice(degree) == homology_euler_slice(degree)
+            assert euler_crosscheck(degree, euler)
+            assert homology_euler_slice(degree) == euler[degree]
+
+
+def test_euler_crosscheck_refuses_a_slice_past_the_series_bound():
+    # E(3, 6) = -1, but a series through degree 8 holds no answer at 9
+    assert euler_product(9)[(3, 6)] == -1
+    with pytest.raises(InputError):
+        euler_crosscheck(Multidegree(3, 6), euler_product(8))
 
 
 def test_rank_oracle_agreement():
@@ -202,10 +224,11 @@ def test_rank_oracle_agreement():
     for d in range(13):
         for a in range(d + 1):
             for n in range(1, d + 2):
-                s = differential(n, Multidegree(a, d - a))
+                degree = Multidegree(a, d - a)
+                s, cols = differential(n, degree), column_count(n, degree)
                 rows = list(s.d_rows)
-                assert gf2.rank(rows, s.n_cols) == gf2.rank_naive(rows, s.n_cols)
-                assert s.rank == gf2.rank_naive(rows, s.n_cols)
+                assert gf2.rank(rows, cols) == gf2.rank_naive(rows, cols)
+                assert s.rank == gf2.rank_naive(rows, cols)
 
 
 def test_rank_rejects_rows_wider_than_n_cols():
@@ -221,7 +244,7 @@ def test_gf2_span():
     assert span.add(0b101)
     assert span.add(0b011)
     assert not span.add(0b110)
-    assert 0b110 in span and 0b001 not in span
+    assert span.reduce(0b110) == 0 and span.reduce(0b001) != 0
     assert len(span) == 2
 
 
@@ -289,9 +312,11 @@ def test_paraboloid_report():
     table = homology_table(6)
     rep = paraboloid_report(table.entries)
     assert rep.fitted_constant > 0
-    phi = (1 + 5**0.5) / 2
-    for xi, eta in rep.points:
-        assert abs(eta) < rep.fitted_constant * xi**rep.theta_target * (1 + 1e-9)
+    # every nonzero entry lies under the fitted envelope C xi^theta
+    for (_, a, b), dim in table.entries.items():
+        xi, eta = weight_coords_float((a, b))
+        if dim and xi > 0:
+            assert abs(eta) < rep.fitted_constant * xi**THETA * (1 + 1e-9)
 
 
 def test_homology_table_runtime_guard():

@@ -40,7 +40,7 @@ def test_script_runs(argv, header):
     [
         # folds W_1..W_29, past the monomial limit
         ("growth_report.py", "--max-n", "28"),
-        # free Lie rows of 2^30 bits, past the monomial limit
+        # free_dims refuses tail rows past the monomial limit (degree 25 on)
         ("presentation_scan.py", "--max-degree", "30"),
         ("presentation_scan.py", "--max-degree", "0"),
         ("presentation_scan.py", "--shifts", "-1"),

@@ -185,17 +185,22 @@ def _named(tree, skip=None) -> set[str]:
     return names
 
 
+def _source_trees() -> dict[Path, ast.Module]:
+    """The parsed modules of the package, the scripts and the benchmark,
+    without their tests."""
+    return {
+        path: ast.parse(path.read_text(), str(path))
+        for folder in (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+        for path in sorted(folder.glob("*.py"))
+        if not path.name.startswith("test_")
+    }
+
+
 def test_package_holds_only_what_runs():
     # every top-level name of the package is named outside its own
     # definition by the package, the scripts or the benchmark; a name only
     # tests reach is dead code unless it is a labelled oracle
-    sources = [
-        path
-        for folder in (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
-        for path in sorted(folder.glob("*.py"))
-        if not path.name.startswith("test_")
-    ]
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    trees = _source_trees()
     named = {path: _named(tree) for path, tree in trees.items()}
     unnamed = set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -204,3 +209,50 @@ def test_package_holds_only_what_runs():
             if name not in elsewhere and name not in _named(trees[path], skip=stmt):
                 unnamed.add(f"{path.stem}.{name}")
     assert unnamed == ORACLES
+
+
+def _members(cls: ast.ClassDef) -> list[tuple[str, object]]:
+    """(name, defining statement) for each method and annotated field of the
+    class; dunders such as ``__len__`` are protocol, not API."""
+    out = []
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((stmt.name, stmt))
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            out.append((stmt.target.id, stmt))
+    return [(name, stmt) for name, stmt in out if not name.startswith("__")]
+
+
+def _read(tree, skip=None) -> set[str]:
+    """Attributes read (``x.name``) and string constants (each dotted part)
+    of the tree, outside the statement ``skip``."""
+    inside = set(map(id, ast.walk(skip))) if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_class_members_are_read():
+    # every method and annotated field of a top-level class of the package
+    # is read as an attribute, or named in a string, outside its own
+    # definition by the package, the scripts or the benchmark; a member that
+    # is only set, or only tests read, is dead.  The classes fiblie exports
+    # are public API, so their members stay.
+    trees = _source_trees()
+    read = {path: _read(tree) for path, tree in trees.items()}
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        elsewhere = set().union(*(r for p, r in read.items() if p != path))
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef) or cls.name in fiblie.__all__:
+                continue
+            for name, stmt in _members(cls):
+                if name not in elsewhere and name not in _read(trees[path], skip=stmt):
+                    unread.add(f"{path.stem}.{cls.name}.{name}")
+    assert unread == set()
