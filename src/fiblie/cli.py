@@ -221,7 +221,7 @@ def _cmd_figures(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(verify_mod.CRITERIA) if args.suite == "all" else [args.suite]
-    results = verify_mod.run_suites(names)
+    results = verify_mod.run_suites(names, args.seed)
     failed = sum(not res.ok for res in results)
     if args.format == "json":
         records = [
@@ -342,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is not None:
-        verify_mod.set_seed(args.seed)
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -1,6 +1,12 @@
 """Named verification suites: one check per acceptance criterion, shared by
 the CLI ``verify`` subcommand and the acceptance test module.  A check takes
-no arguments and returns ``(ok, detail)``; ``run_suites`` times it.
+the seed of the randomized suites and returns ``(ok, detail)``.
+
+``run_suites`` runs the suites in spawned worker processes, one per usable
+CPU, and times each suite in its worker; one suite, or one usable CPU, runs
+in the calling process.  Spawn re-imports ``__main__`` in every worker, so a
+script that calls ``run_suites`` with more than one suite keeps its top-level
+code under ``if __name__ == "__main__":``.
 
 Every check is exact unless stated otherwise; the only floating-point
 gates are the bounds with an irrational constant (the growth sandwich, the
@@ -11,6 +17,8 @@ assert.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import random
 import time
 from collections import Counter
@@ -26,6 +34,7 @@ from . import series as series_mod
 from .core import (
     Element,
     InputError,
+    LIMITS,
     Monomial,
     ZERO,
     bracket,
@@ -61,7 +70,7 @@ WITNESS_C = 13 / 2 ** (1 + math.log(LAMBDA_FLOAT**2 + 1, LAMBDA_FLOAT))  # ~ 1.0
 
 
 def set_seed(seed: int) -> None:
-    """Seed used by the randomized suites (CLI --seed)."""
+    """Seed ``run_suites`` gives the randomized suites when it is given none."""
     global _DEFAULT_SEED
     _DEFAULT_SEED = seed
 
@@ -83,7 +92,7 @@ def _monomials_upto(n: int, kind: basis_mod.Kind = "lie") -> list[Monomial]:
 # --- criterion 1: basis counts ------------------------------------------------
 
 
-def criterion_basis_counts() -> tuple[bool, str]:
+def criterion_basis_counts(seed: int) -> tuple[bool, str]:
     # gr's set-bit walk over each monomial against the subset-sum fold
     for n in range(3, 15):
         walked = Counter(gr(m) for m in basis_mod.enumerate_W(n))
@@ -100,7 +109,7 @@ def criterion_basis_counts() -> tuple[bool, str]:
 # --- criterion 2: recursive construction --------------------------------------
 
 
-def criterion_recursive_basis() -> tuple[bool, str]:
+def criterion_recursive_basis(seed: int) -> tuple[bool, str]:
     for n in range(3, 21):
         built = basis_mod.build_W_recursive(n)
         # 2^w distinct tails below 2^w are all of W_{n+1}'s tails
@@ -113,7 +122,7 @@ def criterion_recursive_basis() -> tuple[bool, str]:
 # --- criterion 3: relations ---------------------------------------------------
 
 
-def criterion_relations() -> tuple[bool, str]:
+def criterion_relations(seed: int) -> tuple[bool, str]:
     if not pres_mod.relation_shifts_check(10):
         return False, "a relation or shift failed to vanish"
     return True, "three relations, v_1^4, and all shifts through k = 10 vanish"
@@ -127,9 +136,9 @@ def _random_element(rng: random.Random, pool: list[Monomial]) -> Element:
     return element(rng.sample(pool, k))
 
 
-def criterion_lie_laws() -> tuple[bool, str]:
+def criterion_lie_laws(seed: int) -> tuple[bool, str]:
     pool = _monomials_upto(8, "restricted")
-    rng = random.Random(_DEFAULT_SEED)
+    rng = random.Random(seed)
     for _ in range(10_000):
         e = _random_element(rng, pool)
         if bracket(e, e) != ZERO:
@@ -153,7 +162,7 @@ def criterion_lie_laws() -> tuple[bool, str]:
 # --- criterion 5: nillity -----------------------------------------------------
 
 
-def criterion_nillity() -> tuple[bool, str]:
+def criterion_nillity(seed: int) -> tuple[bool, str]:
     checked = 0
     for size in (1, 2, 3):
         for combo in combinations(_monomials_upto(6), size):
@@ -169,7 +178,7 @@ def criterion_nillity() -> tuple[bool, str]:
         return False, f"nil index of v_1 is {v1.index}, expected exactly 2"
     # nil_index refuses an element still nonzero at its bound m - n + 2
     pool8 = _monomials_upto(8)
-    rng = random.Random(_DEFAULT_SEED + 5)
+    rng = random.Random(seed + 5)
     for _ in range(500):
         e = element(rng.sample(pool8, rng.choice((2, 3))))
         if e:
@@ -180,7 +189,7 @@ def criterion_nillity() -> tuple[bool, str]:
 # --- criterion 6: Hilbert recursion -------------------------------------------
 
 
-def criterion_hilbert_recursion() -> tuple[bool, str]:
+def criterion_hilbert_recursion(seed: int) -> tuple[bool, str]:
     for n in range(2, 21):
         rec = series_mod.hilbert_recursive(n, 40)
         enum = series_mod.hilbert_enumerated(n, "lie", 40)
@@ -192,7 +201,7 @@ def criterion_hilbert_recursion() -> tuple[bool, str]:
 # --- criterion 7: Euler inversion ---------------------------------------------
 
 
-def criterion_euler_inversion() -> tuple[bool, str]:
+def criterion_euler_inversion(seed: int) -> tuple[bool, str]:
     bad = series_mod.euler_inverse_mismatch(40)
     if bad is not None:
         return False, f"E * H(U) differs from 1 first at {bad}"
@@ -202,7 +211,7 @@ def criterion_euler_inversion() -> tuple[bool, str]:
 # --- criterion 8: growth ------------------------------------------------------
 
 
-def criterion_growth() -> tuple[bool, str]:
+def criterion_growth(seed: int) -> tuple[bool, str]:
     # exact counts at lambda-power thresholds
     for n in range(3, 21):
         x = lambda_power(n)
@@ -246,7 +255,7 @@ def criterion_growth() -> tuple[bool, str]:
 # --- criterion 9: geometry ----------------------------------------------------
 
 
-def criterion_geometry() -> tuple[bool, str]:
+def criterion_geometry(seed: int) -> tuple[bool, str]:
     # strip and rectangles, exhaustive and exact through level 24
     for n in range(1, 25):
         if level_strip_violations(n, "restricted"):
@@ -278,7 +287,7 @@ def criterion_geometry() -> tuple[bool, str]:
         for m in sign_split(_monomials_upto(8, "restricted"))[0]
         if (weight(m).swt * 6 - GoldenInt(1, 0)).sign() >= 0  # keeps N <= 6
     ]
-    rng = random.Random(_DEFAULT_SEED + 9)
+    rng = random.Random(seed + 9)
     for _ in range(25):
         gens = [element([m]) for m in rng.sample(pool_plus, rng.choice((1, 2, 3)))]
         n_bound = local_nilpotency_bound([m for g in gens for m in g])
@@ -316,7 +325,7 @@ def criterion_geometry() -> tuple[bool, str]:
 # --- criterion 10: homology ---------------------------------------------------
 
 
-def criterion_homology() -> tuple[bool, str]:
+def criterion_homology(seed: int) -> tuple[bool, str]:
     euler = series_mod.euler_product(10)
     first_h2: int | None = None
     h2_total = 0
@@ -351,7 +360,7 @@ def criterion_homology() -> tuple[bool, str]:
 # --- criterion 11: presentation -----------------------------------------------
 
 
-def criterion_presentation() -> tuple[bool, str]:
+def criterion_presentation(seed: int) -> tuple[bool, str]:
     report = pres_mod.presentation_report(7)
     if not report.matches_through(7):
         triples = {
@@ -367,7 +376,7 @@ def criterion_presentation() -> tuple[bool, str]:
 # --- criterion 12: diagnostics (no hard thresholds) ----------------------------
 
 
-def criterion_diagnostics() -> tuple[bool, str]:
+def criterion_diagnostics(seed: int) -> tuple[bool, str]:
     growth = series_mod.enveloping_growth_report(120)
     if not growth.witness_ok():
         return False, (
@@ -401,7 +410,7 @@ def criterion_diagnostics() -> tuple[bool, str]:
 
 
 # suite key -> (printed name, check, diagnostic flag)
-CRITERIA: dict[str, tuple[str, Callable[[], tuple[bool, str]], bool]] = {
+CRITERIA: dict[str, tuple[str, Callable[[int], tuple[bool, str]], bool]] = {
     "basis": ("01-basis-counts", criterion_basis_counts, False),
     "recursion": ("02-recursive-basis", criterion_recursive_basis, False),
     "relations": ("03-relations", criterion_relations, False),
@@ -417,15 +426,50 @@ CRITERIA: dict[str, tuple[str, Callable[[], tuple[bool, str]], bool]] = {
 }
 
 
-def run_suites(names: Iterable[str] | None = None) -> list[CheckResult]:
-    """Run the named suites (all by default) in order, timing each."""
+def _run_job(job: tuple[str, int, int, int]) -> CheckResult:
+    """Run one suite under the job's seed and limits, timing its check.
+
+    A spawned worker starts from a fresh import, so the caller's limits
+    travel in the job; in the calling process they are already in force.
+    """
+    name, seed, index_ceiling, monomial_limit = job
+    LIMITS.index_ceiling, LIMITS.monomial_limit = index_ceiling, monomial_limit
+    label, check, diagnostic = CRITERIA[name]
+    start = time.perf_counter()
+    ok, detail = check(seed)
+    return CheckResult(label, ok, detail, time.perf_counter() - start, diagnostic)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_suites(
+    names: Iterable[str] | None = None, seed: int | None = None
+) -> list[CheckResult]:
+    """Run the named suites (all by default) and return their results in
+    the order named.  ``seed`` feeds the randomized suites; by default it is
+    the one ``set_seed`` set (20240 unless set).
+
+    The suites run in ``min(usable CPUs, len(names))`` spawned worker
+    processes under the caller's ``LIMITS``, each timed in its worker; one
+    suite or one usable CPU runs in this process.  The ``FibLieError`` of the
+    first failing suite reaches the caller with its type and message, as in
+    this process, and no worker outlives the call.  Spawn re-imports
+    ``__main__`` in every worker, so a script that runs several suites keeps
+    its top-level code under ``if __name__ == "__main__":``.
+    """
     selected = list(CRITERIA) if names is None else list(names)
-    results = []
     for name in selected:
         if name not in CRITERIA:
             raise InputError(f"unknown suite {name!r}; choose from {sorted(CRITERIA)}")
-        label, check, diagnostic = CRITERIA[name]
-        start = time.perf_counter()
-        ok, detail = check()
-        results.append(CheckResult(label, ok, detail, time.perf_counter() - start, diagnostic))
-    return results
+    seed = _DEFAULT_SEED if seed is None else seed
+    jobs = [(name, seed, LIMITS.index_ceiling, LIMITS.monomial_limit) for name in selected]
+    workers = min(_usable_cpus(), len(jobs))
+    if workers <= 1:
+        return [_run_job(job) for job in jobs]
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        # imap raises the error of the first failing suite in the order named
+        return list(pool.imap(_run_job, jobs, chunksize=1))

@@ -9,10 +9,12 @@ criterion 12, which reports diagnostics without hard thresholds.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from fiblie import verify
-from fiblie.core import InputError
+from fiblie.core import LIMITS, InputError, MonomialLimitError
 
 
 def _run(name: str, limit: float | None = None) -> None:
@@ -99,3 +101,33 @@ def test_criterion_12_diagnostics():
 def test_unknown_suite_is_an_input_error():
     with pytest.raises(InputError, match="unknown suite 'nope'"):
         verify.run_suites(["nope"])
+
+
+def _fields(results: list[verify.CheckResult]) -> list[tuple]:
+    return [(r.name, r.ok, r.detail, r.diagnostic) for r in results]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_workers_match_the_single_suite_runs(seed):
+    names = ["relations", "nil", "hilbert", "euler", "presentation"]
+    alone = [verify.run_suites([name], seed=seed)[0] for name in names]
+    assert _fields(verify.run_suites(names, seed=seed)) == _fields(alone)
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_raise_the_in_process_error(monkeypatch):
+    # a spawned worker starts from a fresh import: the limits travel in its job
+    monkeypatch.setattr(LIMITS, "monomial_limit", 5)
+    with pytest.raises(MonomialLimitError) as alone:
+        verify.run_suites(["nil"])
+    with pytest.raises(MonomialLimitError) as pooled:
+        verify.run_suites(["relations", "nil"])
+    message = "6 monomials in an intermediate element exceed the monomial limit 5"
+    assert str(alone.value) == str(pooled.value) == message
+    assert type(pooled.value) is MonomialLimitError
+    # with two failing suites, the first named fails the run, as in process
+    with pytest.raises(MonomialLimitError, match="8 possible multidegrees of W_6"):
+        verify.run_suites(["basis", "nil"])
+    with pytest.raises(MonomialLimitError, match="6 monomials"):
+        verify.run_suites(["nil", "basis"])
+    assert multiprocessing.active_children() == []

@@ -27,7 +27,7 @@ def test_pinned_answers():
     start = time.perf_counter()
     found = answers.answers()
     elapsed = time.perf_counter() - start
-    assert verify._DEFAULT_SEED == seed  # the seeded runs restore the default
+    assert verify._DEFAULT_SEED == seed  # --seed holds for its own command only
     pinned = json.loads(answers.ANSWERS.read_text())
     assert [a["argv"] for a in found] == [p["argv"] for p in pinned]
     for got, want in zip(found, pinned):

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import fiblie
+from fiblie import verify
 from fiblie.basis import colour, enumerate_W_upto
 from fiblie.cli import main
 from fiblie.figures import figure1
@@ -173,8 +174,10 @@ def test_euler_csv():
 
 
 def test_verify_json_records():
-    code, out = run_cli("verify", "relations", "--format", "json")
+    seed = verify._DEFAULT_SEED
+    code, out = run_cli("verify", "relations", "--format", "json", "--seed", "1")
     assert code == 0
+    assert verify._DEFAULT_SEED == seed  # --seed holds for its own command only
     (record,) = json.loads(out)
     assert record["suite"] == "relations" and record["name"] == "03-relations"
     assert record["ok"] is True and record["diagnostic"] is False
