@@ -2,7 +2,9 @@
 """Pinned answers: digests of the CLI's output on a fixed list of small commands.
 
 Each command runs in process through ``fiblie.cli.main``; its answer is the
-sha256 of stdout, the sha256 of stderr and the exit code.  The records of
+sha256 of stdout, the sha256 of stderr and the exit code.  The list ends
+with every request the CLI refuses with exit code 2 in ``tests/test_cli.py``,
+so the wording of each refusal is pinned too.  The records of
 ``verify --format json`` drop their ``seconds`` first, the one field that
 changes from run to run.  The answers live in ``tests/answers.json``, which
 ``tests/test_answers.py`` checks.
@@ -18,6 +20,7 @@ import hashlib
 import io
 import json
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -26,6 +29,52 @@ from fiblie import cli
 ANSWERS = Path(__file__).resolve().parents[1] / "tests" / "answers.json"
 
 SAMPLE = "[v1,v2,v3^3]+t0*t2*v7"
+
+# requests the CLI refuses with exit code 2 and one "error: " line on stderr
+# (``tests/test_cli.py`` also runs each in its own process)
+REFUSALS: tuple[tuple[str, ...], ...] = (
+    ("homology", "--max-total-degree", "3", "--n", "-1"),
+    ("nil", "--element", "0"),
+    ("nil", "--element", "t5*v2"),
+    ("nil-scan", "--min", "0"),
+    ("basis", "--max-n", "0"),
+    ("presentation", "--max-degree", "0"),
+    ("hilbert", "--method", "recursive", "--upto", "1"),
+    ("envelope", "--growth", "--degree", "5"),
+    ("euler", "--degree", "-1"),
+    ("hilbert", "--degree", "-1"),
+    ("envelope", "--degree", "-1"),
+    ("hilbert", "--upto", "-3"),
+    ("homology", "--max-total-degree", "-1"),
+    ("presentation", "--max-degree", "40"),
+    ("euler", "--degree", "100000"),
+    ("euler", "--degree", "1000000000"),
+    ("hilbert", "--method", "recursive", "--degree", "1000000000"),
+    ("envelope", "--growth", "--degree", "1000000000"),
+    ("nil", "--element", "v1", "--monomial-limit", "0"),
+    ("homology", "--max-total-degree", "2000000"),
+    ("envelope", "--degree", "100000"),
+    ("hilbert", "--degree", "800000"),
+    ("presentation", "--max-degree", "25"),
+    ("presentation", "--max-degree", "1000000000"),
+    ("eval", "v" + "1" * 5000),
+    ("eval", "v1^" + "1" * 5000),
+    ("eval", "[v1," * 400 + "v2" + "]" * 400),
+    ("eval", "t0*t0*v0"),
+    ("figures", "--which", "2", "--max-n", "40"),
+    ("figures", "--which", "3", "--max-n", "40"),
+    ("basis", "--max-n", "40", "--format", "json"),
+    ("strip", "--max-n", "40", "--format", "json"),
+    ("figures", "--which", "1", "--max-n", "40"),
+    ("figures", "--which", "1", "--max-n", "29"),
+    ("figures", "--which", "1", "--max-n", "50000"),
+    ("hilbert", "--degree", "317812"),
+    ("hilbert", "--upto", "100000", "--degree", "1" + "0" * 1000),
+    ("hilbert", "--method", "recursive", "--degree", "400000"),
+    ("euler", "--degree", "9" * 2500),
+    ("envelope", "--degree", "9" * 2500),
+    ("homology", "--max-total-degree", "9" * 2500),
+)
 
 COMMANDS: tuple[tuple[str, ...], ...] = (
     ("hilbert",),
@@ -52,6 +101,7 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
         for suite in ("laws", "nil", "geometry")
     ),
     ("verify", "--format", "json", "--seed", "1"),
+    *REFUSALS,
 )
 
 
@@ -60,10 +110,25 @@ def _sha256(text: str) -> str:
 
 
 def answer(argv: tuple[str, ...]) -> dict:
-    """stdout and stderr digests and the exit code of one in-process run."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(list(argv))
+    """stdout and stderr digests and the exit code of one in-process run.
+
+    The command runs on a thread of its own, which starts as few frames deep
+    as a fresh process does: the refusal of a deeply nested expression names
+    the position where Python's recursion limit stopped the parser, so it
+    depends on the depth the command starts at.
+    """
+    out, err, codes = io.StringIO(), io.StringIO(), []
+
+    def run() -> None:
+        with redirect_stdout(out), redirect_stderr(err):
+            codes.append(cli.main(list(argv)))
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join()
+    if not codes:
+        raise RuntimeError(f"{list(argv)} raised; its traceback is above")
+    code = codes[0]
     stdout = out.getvalue()
     if argv[0] == "verify":
         records = [{k: v for k, v in r.items() if k != "seconds"} for r in json.loads(stdout)]

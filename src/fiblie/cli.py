@@ -151,14 +151,12 @@ def _cmd_homology(args) -> int:
     table = homology_mod.homology_table(frontier, ns)
     rows = [[n, a, b, d] for (n, a, b), d in sorted(table.entries.items())]
     _emit_rows(["n", "a", "b", "dim"], rows, args.format, sys.stdout)
+    if ns is not None:  # the Euler sum needs every n the table reads
+        print("euler-crosscheck: skipped (--n)", file=sys.stderr)
+        return 0
     euler = series_mod.euler_product(frontier)
-    ok = True
-    for d in range(frontier + 1):
-        for a in range(d + 1):
-            if not homology_mod.euler_crosscheck(
-                homology_mod.Multidegree(a, d - a), euler
-            ):
-                ok = False
+    slices = ((a, d - a) for d in range(frontier + 1) for a in range(d + 1))
+    ok = all(homology_mod.euler_crosscheck(degree, euler) for degree in slices)
     print(f"euler-crosscheck: {'pass' if ok else 'FAIL'}", file=sys.stderr)
     return 0 if ok else 1
 

@@ -10,7 +10,7 @@ Floats appear only in growth-exponent diagnostics.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, count, takewhile
@@ -109,8 +109,6 @@ class GoldenInt:
         return f"{self.a}+{self.b}*L"
 
 
-GOLDEN_ZERO = GoldenInt(0, 0)
-GOLDEN_ONE = GoldenInt(1, 0)
 LAMBDA = GoldenInt(0, 1)
 
 
@@ -195,21 +193,23 @@ def sign_split(
 
 
 def local_nilpotency_bound(gens: Sequence[Monomial]) -> int:
-    """ceil(1/mu) for mu = min positive superweight of the generators,
-    found by exact integer search on GoldenInt signs."""
+    """ceil(1/mu) for mu = min positive superweight of the generators: the
+    least n with n*mu - 1 >= 0, on exact GoldenInt signs.  That sign only
+    grows with n, so doubling finds an n past the bound and bisection the
+    least."""
     if not gens:
         raise InputError("need at least one generator")
-    mus = [weight(m).swt for m in gens]
-    for mu in mus:
-        if mu.sign() <= 0:
-            raise InputError("generators must come from the positive side")
-    mu = min(mus)
-    acc = GOLDEN_ZERO
-    for n in range(1, 10**6 + 1):
-        acc = acc + mu
-        if (acc - GOLDEN_ONE).sign() >= 0:
-            return n
-    raise FibLieError("nilpotency bound search exceeded 10^6 steps")
+    mu = min(weight(m).swt for m in gens)
+    if mu.sign() <= 0:
+        raise InputError("generators must come from the positive side")
+
+    def reached(n: int) -> bool:
+        return golden_sign(n * mu.a - 1, n * mu.b) >= 0
+
+    top = 1
+    while not reached(top):
+        top *= 2
+    return bisect_left(range(top + 1), True, key=reached)
 
 
 # --- the levels a request folds, and per-level scans over each fold ---------

@@ -13,17 +13,16 @@ no table maps monomials to positions.  A wedge is held as its key: the
 indices of its factors as the bits of one int, the same key in every slice
 that holds it.  A term of d_n is the rest's key with one bit set, and
 brackets are cached on index pairs; ``monomial_at`` decodes each bit of
-a key into its ``Monomial`` factor.  A slice holds its keys, its rows over
-the keys one wedge degree down, and its rank: the rank is taken once, when
-the slice is built, and serves both dim H_n and dim H_{n-1}.  The Euler
-cross-check needs no rank at all, since the alternating sum of dim H_n
-reduces to that of the chain counts.
+a key into its ``Monomial`` factor.  Only the rank of d_n is cached; its
+rows are built on request, for ``dd_is_zero``.  The Euler cross-check sums
+the table's own dimensions, so it also tests that the homology vanishes at
+every n the table skips below the homology strip.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,33 +118,20 @@ def chain_basis(n: int, degree: Multidegree) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ChainSlice:
-    basis: tuple[int, ...]  # wedge keys; ``monomial_at`` decodes each bit
-    d_rows: tuple[int, ...]  # over the keys of chain_basis(n - 1, degree)
-    rank: int
-
-
 @lru_cache(maxsize=None)
 def _bracket_pair(i: int, j: int) -> tuple[int, ...]:
     """Key bits of the bracket of the monomials at indices i and j."""
     return tuple(1 << index_of(m) for m in bracket_monomials(monomial_at(i), monomial_at(j)))
 
 
-@lru_cache(maxsize=32)
-def differential(n: int, degree: Multidegree) -> ChainSlice:
-    """Matrix of d_n on the (n, degree) slice, and its rank; d_1 = d_0 = 0.
-
-    The bracket of two factors is a sum of basis monomials, each a key bit,
-    so the term of d_n for a factor pair is the rest's key with one bit
-    added, and its column is read from the target's keys.  The table, the
-    criteria and ``dd_is_zero`` read the slices of one multidegree
-    together, so a small cache serves them.
-    """
-    degree = Multidegree(*degree)
+def d_rows(n: int, degree: Multidegree) -> list[int]:
+    """Rows of d_n on the slice, one per key of ``chain_basis(n, degree)``,
+    over the keys one wedge degree down; d_1 = d_0 = 0.  The bracket of two
+    factors is a sum of key bits, so the term of a factor pair is the rest's
+    key with one bit added, and its column is read from the target's keys."""
     rows_basis = chain_basis(n, degree)
-    if n <= 1 or not rows_basis:
-        return ChainSlice(rows_basis, tuple(0 for _ in rows_basis), 0)
+    if n <= 1:
+        return [0] * len(rows_basis)
     target = chain_basis(n - 1, degree)
     col_of = dict(zip(target, range(len(target))))
     rows = []
@@ -161,43 +147,33 @@ def differential(n: int, degree: Multidegree) -> ChainSlice:
                         if not rest & bit:
                             row ^= 1 << col_of[rest | bit]
         rows.append(row)
-    return ChainSlice(rows_basis, tuple(rows), gf2.rank(rows, len(target)))
+    return rows
+
+
+@lru_cache(maxsize=32)
+def differential(n: int, degree: Multidegree) -> int:
+    """Rank of d_n on the slice.  The table reads each rank twice, at H_{n-1}
+    and then at H_n, so a small cache of ints serves it."""
+    if n <= 1 or not chain_basis(n, degree):
+        return 0
+    return gf2.rank(d_rows(n, degree), len(chain_basis(n - 1, degree)))
 
 
 def homology_dim(n: int, degree: Multidegree) -> int:
     """dim Ker d_n - rank d_{n+1} on the slice."""
-    degree = Multidegree(*degree)
-    d_n = differential(n, degree)
-    return len(d_n.basis) - d_n.rank - differential(n + 1, degree).rank
+    return len(chain_basis(n, degree)) - differential(n, degree) - differential(n + 1, degree)
 
 
 def dd_is_zero(n: int, degree: Multidegree) -> bool:
     """d_n . d_{n+1} = 0 as matrices on the slice."""
-    degree = Multidegree(*degree)
-    d_up = differential(n + 1, degree)
-    d_n = differential(n, degree)
-    for row in d_up.d_rows:
+    d_n = d_rows(n, degree)
+    for row in d_rows(n + 1, degree):
         composed = 0
         for i in set_bits(row):
-            composed ^= d_n.d_rows[i]
+            composed ^= d_n[i]
         if composed:
             return False
     return True
-
-
-def euler_crosscheck(degree: Multidegree, euler: series.LatticeSeries) -> bool:
-    """The slice's alternating homology sum equals the Euler coefficient."""
-    a, b = degree
-    # dim H_n = c_n - rank d_n - rank d_{n+1} and d_0 = d_1 = d_{a+b+1} = 0,
-    # so the ranks cancel and the sum of (-1)^n dim H_n is that of (-1)^n c_n
-    return euler[(a, b)] == sum(
-        (-1) ** n * len(chain_basis(n, Multidegree(a, b))) for n in range(a + b + 1)
-    )
-
-
-@dataclass
-class HomologyTable:
-    entries: dict[tuple[int, int, int], int]
 
 
 def inside_homology_strip(n: int, a: int, b: int) -> bool:
@@ -206,28 +182,49 @@ def inside_homology_strip(n: int, a: int, b: int) -> bool:
     return golden_sign(b + n, 2 * n - a) > 0 and golden_sign(n - b, a + n) > 0
 
 
+def table_ns(a: int, b: int) -> list[int]:
+    """The n the table reads at (a, b): 0, then every n from the first n >= 1
+    inside the homology strip up to a + b.  Both strip inequalities grow
+    with n, so bisection finds that first n."""
+    below = bisect_left(range(1, a + b + 1), True, key=lambda n: inside_homology_strip(n, a, b))
+    return [0, *range(below + 1, a + b + 1)]
+
+
+def euler_crosscheck(degree: Multidegree, euler: series.LatticeSeries) -> bool:
+    """E(a, b) equals the table's own sum of (-1)^n dim H_n over ``table_ns``,
+    which holds exactly when the complex is exact at every n the table skips.
+    With dim H_n = c_n - rank d_n - rank d_{n+1} and d_0 = d_1 = d_{a+b+1} = 0,
+    the ranks over 0 and the run first..a+b telescope to that of d_first."""
+    a, b = degree
+    expected = euler[(a, b)]  # refused past the series' bound before any work
+    ns = table_ns(a, b)
+    total = sum((-1) ** n * len(chain_basis(n, degree)) for n in ns)
+    if len(ns) > 1:
+        total -= (-1) ** ns[1] * differential(ns[1], degree)
+    return expected == total
+
+
+@dataclass
+class HomologyTable:
+    entries: dict[tuple[int, int, int], int]
+
+
 def homology_table(frontier: int, n_values: tuple[int, ...] | None = None) -> HomologyTable:
-    """dim H_{n,(a,b)} for a+b <= frontier, scanning the homology strip."""
+    """dim H_{n,(a,b)} for a+b <= frontier at the n of ``table_ns``, or at
+    those of them in ``n_values``."""
     if frontier < 0:
         raise InputError("the total-degree frontier must be >= 0")
     series.check_triangle(frontier, frontier)  # one slice set per (a, b), a + b <= frontier
+    if n_values is not None and any(n < 0 for n in n_values):
+        raise InputError("need n >= 0 and a nonnegative multidegree")
     entries: dict[tuple[int, int, int], int] = {}
     for d in range(frontier + 1):
-        ns = [n for n in (n_values if n_values is not None else range(d + 1)) if n <= d]
-        top = max(ns, default=0)
         for a in range(d + 1):
-            b = d - a
-            # both strip inequalities grow with n, so the strip holds from the
-            # first n >= 1 inside it on
-            first = 1
-            while first <= top and not inside_homology_strip(first, a, b):
-                first += 1
-            for n in ns:
-                if 0 < n < first:
-                    continue
-                h = homology_dim(n, Multidegree(a, b))
-                if h:
-                    entries[(n, a, b)] = h
+            for n in table_ns(a, d - a):
+                if n_values is None or n in n_values:
+                    h = homology_dim(n, Multidegree(a, d - a))
+                    if h:
+                        entries[(n, a, d - a)] = h
     return HomologyTable(entries)
 
 

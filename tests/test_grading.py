@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from fiblie.core import (
 )
 from fiblie.expr import eval_text
 from fiblie.grading import (
-    GOLDEN_ONE,
     GoldenInt,
     LAMBDA,
     LAMBDA_FLOAT,
@@ -47,6 +47,8 @@ from fiblie.grading import (
     weight_coords_float,
     weight_growth_levels,
 )
+
+ONE = GoldenInt(1, 0)
 
 golden_ints = st.builds(
     GoldenInt, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)
@@ -186,6 +188,30 @@ def test_local_nilpotency_bound():
         local_nilpotency_bound([])
 
 
+def step_nilpotency_bound(mu: GoldenInt) -> int:
+    """Test oracle: add mu until the sum reaches 1, one exact sign per step."""
+    acc, n = GoldenInt(0, 0), 0
+    while (acc - ONE).sign() < 0:
+        acc, n = acc + mu, n + 1
+    return n
+
+
+def test_local_nilpotency_bound_matches_the_step_search():
+    plus, _ = sign_split([m for level in enumerate_W_upto(12) for m in level])
+    assert len(plus) == 342
+    for m in plus:
+        assert local_nilpotency_bound([m]) == step_nilpotency_bound(weight(m).swt)
+    assert local_nilpotency_bound(plus) == step_nilpotency_bound(min(weight(m).swt for m in plus))
+
+
+def test_local_nilpotency_bound_of_deep_pivots():
+    # the step search takes 710,647 steps at v_28 and about 1.9 million at v_30
+    start = time.perf_counter()
+    assert local_nilpotency_bound([monomial(28)]) == 710647
+    assert local_nilpotency_bound([monomial(30)]) == 1860498
+    assert time.perf_counter() - start < 0.1
+
+
 def weight_growth(x: GoldenInt, kind: str = "lie") -> int:
     """Test oracle: the scalar twin of count_weights_at_most, one exact
     GoldenInt comparison per basis monomial."""
@@ -213,7 +239,7 @@ def test_weight_counts_match_scalar():
     # the thresholds lambda^n are attained weights, so `<` for `<=` shows
     thresholds = [lambda_power(5), GoldenInt(7, 3)]
     thresholds += [lambda_power(n) for n in range(13)]
-    thresholds += [lambda_power(n) - GOLDEN_ONE for n in range(13)]
+    thresholds += [lambda_power(n) - ONE for n in range(13)]
     thresholds += [GoldenInt(t, 0) for t in range(101)]
     for x in thresholds:
         assert count_weights_at_most(weight_growth_levels(x), x) == weight_growth(x), x
@@ -230,12 +256,12 @@ def test_weight_table_matches_the_threshold_scan():
     levels = weight_growth_levels(lambda_power(20))
     table = WeightTable(levels)
     for n in range(21):
-        for x in (lambda_power(n), lambda_power(n) - GOLDEN_ONE):
+        for x in (lambda_power(n), lambda_power(n) - ONE):
             assert table.count(x) == count_weights_at_most(levels, x), x
     # the scalar oracle through level 12: wt(W_13) > lambda^12 bounds x
     table = WeightTable(range(1, 13))
     thresholds = [lambda_power(n) for n in range(13)]
-    thresholds += [lambda_power(n) - GOLDEN_ONE for n in range(13)]
+    thresholds += [lambda_power(n) - ONE for n in range(13)]
     thresholds += [GoldenInt(t, 0) for t in range(101)] + [GoldenInt(7, 3)]
     for x in thresholds:
         assert table.count(x) == weight_growth(x), x

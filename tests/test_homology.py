@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from fiblie import gf2
+from fiblie import gf2, homology
 from fiblie.basis import enumerate_W, enumerate_W_upto
 from fiblie.core import (
     ZERO,
@@ -32,6 +32,7 @@ from fiblie.homology import (
     _bracket_pair,
     _pool,
     chain_basis,
+    d_rows,
     dd_is_zero,
     differential,
     euler_crosscheck,
@@ -41,6 +42,7 @@ from fiblie.homology import (
     inside_homology_strip,
     monomial_at,
     paraboloid_report,
+    table_ns,
 )
 from fiblie.series import THETA, euler_product, levels_for_degree
 
@@ -117,15 +119,14 @@ def test_chain_basis_matches_backtracking_oracle():
 
 
 def test_differential_examples():
-    d2 = differential(2, Multidegree(1, 1))
-    assert d2.d_rows == (1,)  # v_1 ^ v_2 -> v_3
-    d1 = differential(1, Multidegree(1, 1))
-    assert d1.d_rows == (0,)
+    assert d_rows(2, Multidegree(1, 1)) == [1]  # v_1 ^ v_2 -> v_3
+    assert differential(2, Multidegree(1, 1)) == 1
+    assert d_rows(1, Multidegree(1, 1)) == [0]
     # [v_1, t_0 v_4] = 0: the action v_1(t_0) vanishes and t_0^2 kills the rest
     assert bracket(element([monomial(1)]), element([monomial(4, [0])])) == ZERO
-    d2b = differential(2, Multidegree(3, 1))
-    assert decoded(d2b.basis) == ((monomial(1), monomial(4, [0])),)
-    assert d2b.d_rows == (0,)
+    assert decoded(chain_basis(2, Multidegree(3, 1))) == ((monomial(1), monomial(4, [0])),)
+    assert d_rows(2, Multidegree(3, 1)) == [0]
+    assert differential(2, Multidegree(3, 1)) == 0
 
 
 def differential_oracle(n, degree):
@@ -159,8 +160,8 @@ def test_differential_matches_tuple_oracle():
         for a in range(d + 1):
             degree = Multidegree(a, d - a)
             for n in range(d + 2):
-                s = differential(n, degree)
-                found = (decoded(s.basis), s.d_rows, column_count(n, degree))
+                rows = tuple(d_rows(n, degree))
+                found = (decoded(chain_basis(n, degree)), rows, column_count(n, degree))
                 assert found == differential_oracle(n, degree)
 
 
@@ -197,14 +198,44 @@ def homology_euler_slice(degree):
 
 
 def test_euler_crosscheck_matches_homology_oracle():
-    # the chain counts the cross-check sums and the homology dimensions give
-    # the same alternating sum, the Euler coefficient
+    # the cross-check's telescoped sum over the table's n and the alternating
+    # sum of every homology dimension agree with the Euler coefficient
     euler = euler_product(14)
     for d in range(15):
         for a in range(d + 1):
             degree = Multidegree(a, d - a)
             assert euler_crosscheck(degree, euler)
             assert homology_euler_slice(degree) == euler[degree]
+
+
+def test_euler_crosscheck_fails_when_the_table_skips_homology(monkeypatch):
+    # the check sums the table's own dimensions, so hiding the lowest
+    # nonzero H_n (n > 0) of a slice from the table must fail it there
+    euler = euler_product(20)
+    caught = 0
+    for d in range(21):
+        for a in range(d + 1):
+            degree = Multidegree(a, d - a)
+            nonzero = [n for n in range(1, d + 1) if homology_dim(n, degree)]
+            if not nonzero:
+                continue
+            assert euler_crosscheck(degree, euler)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    homology,
+                    "table_ns",
+                    lambda a, b: [n for n in table_ns(a, b) if n != nonzero[0]],
+                )
+                assert not euler_crosscheck(degree, euler)
+            caught += 1
+    assert caught == 66
+
+
+def test_homology_table_refuses_a_negative_n():
+    with pytest.raises(InputError, match="need n >= 0 and a nonnegative multidegree"):
+        homology_table(3, (-1,))
+    with pytest.raises(InputError, match="need n >= 0 and a nonnegative multidegree"):
+        homology_table(3, (2, -1))
 
 
 def test_euler_crosscheck_refuses_a_slice_past_the_series_bound():
@@ -225,10 +256,9 @@ def test_rank_oracle_agreement():
         for a in range(d + 1):
             for n in range(1, d + 2):
                 degree = Multidegree(a, d - a)
-                s, cols = differential(n, degree), column_count(n, degree)
-                rows = list(s.d_rows)
+                rows, cols = d_rows(n, degree), column_count(n, degree)
                 assert gf2.rank(rows, cols) == gf2.rank_naive(rows, cols)
-                assert s.rank == gf2.rank_naive(rows, cols)
+                assert differential(n, degree) == gf2.rank_naive(rows, cols)
 
 
 def test_rank_rejects_rows_wider_than_n_cols():
@@ -250,11 +280,11 @@ def test_gf2_span():
 
 def test_h2_dims_per_total_degree():
     per_degree = Counter()
-    for (_, a, b), h in homology_table(60, (2,)).entries.items():
+    for (_, a, b), h in homology_table(80, (2,)).entries.items():
         per_degree[a + b] += h
     assert dict(per_degree) == {
         4: 1, 5: 2, 8: 3, 9: 1, 12: 2, 13: 4, 19: 2, 20: 2,
-        21: 2, 30: 2, 32: 2, 33: 2, 48: 2, 51: 2, 53: 2,
+        21: 2, 30: 2, 32: 2, 33: 2, 48: 2, 51: 2, 53: 2, 77: 2,
     }
 
 
