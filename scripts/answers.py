@@ -9,8 +9,15 @@ so the wording of each refusal is pinned too.  The records of
 changes from run to run.  The answers live in ``tests/answers.json``, which
 ``tests/test_answers.py`` checks.
 
+``--check`` runs the large commands instead, about a minute in all, against
+``tests/answers_large.json``: the nil scan to m = 14, the homology table to
+total degree 36, the Euler product to degree 800 and the presentation to
+degree 24.
+
     PYTHONPATH=src python3 scripts/answers.py            # compare; exit 1 on a difference
     PYTHONPATH=src python3 scripts/answers.py --update   # rewrite tests/answers.json
+    PYTHONPATH=src python3 scripts/answers.py --check    # compare the large commands
+    PYTHONPATH=src python3 scripts/answers.py --check --update
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from pathlib import Path
 from fiblie import cli
 
 ANSWERS = Path(__file__).resolve().parents[1] / "tests" / "answers.json"
+LARGE_ANSWERS = ANSWERS.with_name("answers_large.json")
 
 SAMPLE = "[v1,v2,v3^3]+t0*t2*v7"
 
@@ -74,6 +82,7 @@ REFUSALS: tuple[tuple[str, ...], ...] = (
     ("euler", "--degree", "9" * 2500),
     ("envelope", "--degree", "9" * 2500),
     ("homology", "--max-total-degree", "9" * 2500),
+    ("nil-scan", "--min", "120", "--max", "130"),
 )
 
 COMMANDS: tuple[tuple[str, ...], ...] = (
@@ -102,6 +111,13 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ),
     ("verify", "--format", "json", "--seed", "1"),
     *REFUSALS,
+)
+
+LARGE: tuple[tuple[str, ...], ...] = (
+    ("nil-scan", "--min", "1", "--max", "14"),
+    ("homology", "--max-total-degree", "36"),
+    ("euler", "--degree", "800"),
+    ("presentation", "--max-degree", "24"),
 )
 
 
@@ -136,19 +152,23 @@ def answer(argv: tuple[str, ...]) -> dict:
     return {"stdout": _sha256(stdout), "stderr": _sha256(err.getvalue()), "exit": code}
 
 
-def answers() -> list[dict]:
-    return [{"argv": list(argv), **answer(argv)} for argv in COMMANDS]
+def answers(commands: tuple[tuple[str, ...], ...] = COMMANDS) -> list[dict]:
+    return [{"argv": list(argv), **answer(argv)} for argv in commands]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--update", action="store_true", help=f"rewrite {ANSWERS.name}")
+    parser.add_argument("--update", action="store_true", help="rewrite the pinned file")
+    parser.add_argument(
+        "--check", action="store_true", help=f"run the large commands, pinned in {LARGE_ANSWERS.name}"
+    )
     args = parser.parse_args()
-    found = answers()
+    commands, path = (LARGE, LARGE_ANSWERS) if args.check else (COMMANDS, ANSWERS)
+    found = answers(commands)
     if args.update:
-        ANSWERS.write_text("[\n" + ",\n".join(map(json.dumps, found)) + "\n]\n")
+        path.write_text("[\n" + ",\n".join(map(json.dumps, found)) + "\n]\n")
         return 0
-    pinned = json.loads(ANSWERS.read_text())
+    pinned = json.loads(path.read_text())
     differ = [a["argv"] for a, p in zip(found, pinned) if a != p]
     if len(found) != len(pinned):
         differ.append(f"{len(found)} commands against {len(pinned)} pinned")
