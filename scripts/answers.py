@@ -27,7 +27,6 @@ import hashlib
 import io
 import json
 import sys
-import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -126,25 +125,10 @@ def _sha256(text: str) -> str:
 
 
 def answer(argv: tuple[str, ...]) -> dict:
-    """stdout and stderr digests and the exit code of one in-process run.
-
-    The command runs on a thread of its own, which starts as few frames deep
-    as a fresh process does: the refusal of a deeply nested expression names
-    the position where Python's recursion limit stopped the parser, so it
-    depends on the depth the command starts at.
-    """
-    out, err, codes = io.StringIO(), io.StringIO(), []
-
-    def run() -> None:
-        with redirect_stdout(out), redirect_stderr(err):
-            codes.append(cli.main(list(argv)))
-
-    worker = threading.Thread(target=run)
-    worker.start()
-    worker.join()
-    if not codes:
-        raise RuntimeError(f"{list(argv)} raised; its traceback is above")
-    code = codes[0]
+    """stdout and stderr digests and the exit code of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
     stdout = out.getvalue()
     if argv[0] == "verify":
         records = [{k: v for k, v in r.items() if k != "seconds"} for r in json.loads(stdout)]

@@ -14,6 +14,11 @@ p-th powers exist).  A bracket argument after the first that is exactly
 ``x^k`` means ``ad(x)^k u`` for any k >= 1, computed as the product of
 ``ad(x^[2^j])`` over the set bits j of k by the restricted identity
 ``ad(x)^2 = ad(x^[2])``, so about log2 k brackets.
+
+Brackets nest at most ``MAX_DEPTH`` deep.  Each level costs the parser two
+Python frames, so the deepest admitted text stays well inside the default
+recursion limit, and a text nested deeper is refused at the same bracket
+whatever the caller's stack depth.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ class ParseError(FibLieError):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
 
+
+MAX_DEPTH = 300
 
 _TOKEN = re.compile(r"([tv]?\d+|[\[\],+*^])|(\S)")
 
@@ -87,6 +94,7 @@ class _Parser:
             self.tokens.append((m.group(1), m.start()))
         self.tokens.append(("", len(text)))  # end of input
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -104,15 +112,17 @@ class _Parser:
             raise ParseError(f"expected {symbol!r}, found {tok!r}", pos)
 
     def expr(self) -> Term:
-        term = self.term()
+        # a term is read here, not in a method of its own, so that one level
+        # of brackets costs two frames: expr and bracket
+        term = self.bracket() if self.peek() == "[" else self.power()
         while self.peek() == "+":
             self.take()
-            term = _value(term) + _value(self.term())
+            nxt = self.bracket() if self.peek() == "[" else self.power()
+            term = _value(term) + _value(nxt)
         return term
 
-    def term(self) -> Term:
-        if self.peek() == "[":
-            return self.bracket()
+    def power(self) -> Term:
+        """atom, or atom "^" INT."""
         x = self.atom()
         if self.peek() != "^":
             return x
@@ -124,6 +134,9 @@ class _Parser:
 
     def bracket(self) -> Element:
         _, start = self.take()  # "["
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"brackets nested more than {MAX_DEPTH} deep", start)
+        self.depth += 1
         acc = self.expr()
         args = 1
         while self.peek() == ",":
@@ -131,6 +144,7 @@ class _Parser:
             acc = _ad(_value(acc), self.expr())
             args += 1
         self.expect("]")
+        self.depth -= 1
         if args < 2:
             raise ParseError("bracket needs at least two arguments", start)
         return acc
@@ -159,11 +173,7 @@ def eval_text(text: str) -> Element:
     if text.strip() == "0":
         return ZERO
     parser = _Parser(text)
-    try:
-        term = parser.expr()
-    except RecursionError:
-        pos = parser.tokens[parser.i][1]
-        raise ParseError("expression nested too deeply", pos) from None
+    term = parser.expr()
     tok, pos = parser.tokens[parser.i]
     if tok:
         raise ParseError(f"trailing input {tok!r}", pos)

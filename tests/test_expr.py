@@ -20,7 +20,7 @@ from fiblie.core import (
     square,
     v,
 )
-from fiblie.expr import ParseError, eval_text
+from fiblie.expr import MAX_DEPTH, ParseError, eval_text
 
 
 def test_examples():
@@ -175,6 +175,21 @@ def test_long_numbers_and_deep_nesting_are_parse_errors():
         text = f"[v1,{text}+v2]"
         value = bracket(v(1), value + v(2))
     assert eval_text(text) == value != ZERO
+
+
+def test_deep_nesting_is_refused_at_the_same_bracket_from_any_stack_depth():
+    deepest = "[v1," * MAX_DEPTH + "v2" + "]" * MAX_DEPTH
+    deeper = "[v1," * 400 + "v2" + "]" * 400
+
+    def at_depth(frames):
+        if frames:
+            return at_depth(frames - 1)
+        with pytest.raises(ParseError) as err:
+            eval_text(deeper)
+        return eval_text(deepest), err.value.pos, str(err.value)
+
+    refused = (ZERO, 4 * MAX_DEPTH, f"brackets nested more than {MAX_DEPTH} deep (at position 1200)")
+    assert at_depth(0) == at_depth(200) == refused
 
 
 @settings(max_examples=400, deadline=None)
