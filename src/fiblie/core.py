@@ -30,8 +30,12 @@ Element.  Iteration over an Element is unordered; ``sorted(e)`` is the
 canonical order.  Index masks are capped at ``LIMITS.index_ceiling``;
 exceeding the cap raises rather than truncating.
 
-Squares and the ring action group an element by pivot, e = sum_n R_n v_n,
-so their work is products in R of whole ring elements (``ring_mul``).
+Squares and the ring action group an element by pivot, e = sum_n R_n v_n
+(``PivotGroups``: pivot -> tail set of R_n), so their work is products in
+R of whole ring elements (``ring_mul``).  Squaring works on pivot groups
+and gives pivot groups; an Element is built only at the API boundary, so
+a loop of squarings (``power_2k``, ``nil.nil_index``) groups once and
+builds no ``Monomial`` between squarings.
 Small products test every pair of tails.  Large ones, the bulk of
 ``nil_index`` on v_1 + ... + v_m, run as a subset convolution over GF(2):
 both operands are shifted down to the window of t-indices their tails
@@ -209,11 +213,25 @@ def _commutator_tail(i: int, j: int) -> int:
     return ((1 << (j - i - 1)) - 1) << (i - 1)
 
 
-def _pivot_groups(e: Element) -> dict[int, list[int]]:
-    """e = sum_n R_n v_n as pivot -> tail masks of R_n."""
-    groups: dict[int, list[int]] = {}
+class PivotGroups(dict[int, set[int]]):
+    """e = sum_n R_n v_n as pivot n -> the set of tail masks of R_n; no R_n
+    is empty, so the zero element has no pivots.  ``len`` counts monomials,
+    as it does for an Element."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return sum(map(len, self.values()))
+
+    def element(self) -> Element:
+        return Element(_monomial((n, tl)) for n, tails in self.items() for tl in tails)
+
+
+def pivot_groups(e: Element) -> PivotGroups:
+    """The pivot groups of e."""
+    groups = PivotGroups()
     for n, tl in e:
-        groups.setdefault(n, []).append(tl)
+        groups.setdefault(n, set()).add(tl)
     return groups
 
 
@@ -225,7 +243,7 @@ def _act(n: int, r: Iterable[int]) -> set[int]:
     return acc
 
 
-def _apply_groups(groups: dict[int, list[int]], r: Iterable[int]) -> set[int]:
+def _apply_groups(groups: PivotGroups, r: Iterable[int]) -> set[int]:
     # e(r) = sum_n R_n v_n(r); v_n(r) = 0 once n exceeds every t-index of r
     acc: set[int] = set()
     top = max(r, default=0).bit_length() - 1
@@ -237,7 +255,7 @@ def _apply_groups(groups: dict[int, list[int]], r: Iterable[int]) -> set[int]:
 
 def apply(e: Element, r: RingElement) -> RingElement:
     """Apply the derivation e to the ring element r."""
-    return frozenset(_apply_groups(_pivot_groups(e), r))
+    return frozenset(_apply_groups(pivot_groups(e), r))
 
 
 # ring_mul's choice of kernel, from timing both on every call of
@@ -419,14 +437,16 @@ def bracket(e1: Element, e2: Element) -> Element:
     return Element(acc)
 
 
-def square(e: Element) -> Element:
+def square(e: Element | PivotGroups) -> Element | PivotGroups:
     """p-th power (p = 2) through the pivot grouping e = sum_n R_n v_n:
 
         e^2 = sum_m e(R_m) v_m + sum_{n<m} R_n R_m [v_n, v_m] + sum_{1 in R_n} v_n^2
 
-    so each v_n(R_m) is computed once per pivot pair.
+    so each v_n(R_m) is computed once per pivot pair.  Pivot groups give
+    pivot groups; an Element is grouped on the way in and rebuilt on the
+    way out.
     """
-    groups = _pivot_groups(e)
+    groups = e if isinstance(e, PivotGroups) else pivot_groups(e)
     acc: defaultdict[int, set[int]] = defaultdict(set)
     for m, tails in groups.items():
         acc[m] ^= _apply_groups(groups, tails)
@@ -448,7 +468,8 @@ def square(e: Element) -> Element:
             rb = [b for b in rm if not b & pmask]
             if ra and rb:
                 acc[m + 1] ^= {q | pmask for q in ring_mul(ra, rb)}
-    return Element(Monomial(p, tl) for p, tails in acc.items() for tl in tails)
+    out = PivotGroups((p, tails) for p, tails in acc.items() if tails)
+    return out if isinstance(e, PivotGroups) else out.element()
 
 
 def monomial_cap(limit: int | None) -> int:
@@ -474,10 +495,11 @@ def power_2k(e: Element, k: int, limit: int | None = None) -> Element:
     if k < 0:
         raise InputError("exponent count must be >= 0")
     cap = monomial_cap(limit)
+    power = pivot_groups(e)
     for _ in range(k):
-        e = square(e)
-        check_cap(len(e), "monomials in an intermediate element", cap)
-    return e
+        power = square(power)
+        check_cap(len(power), "monomials in an intermediate element", cap)
+    return power.element()
 
 
 def tau(e: Element, k: int = 1) -> Element:
