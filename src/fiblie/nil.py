@@ -92,9 +92,9 @@ def conjecture_scan(n_range: tuple[int, int], m_max: int) -> list[ScanRow]:
     for n in range(n_range[0], n_range[1] + 1):
         for m in range(n, m_max + 1):
             report = by_length.get(m - n)
-            if report is None or 2 * m - n + 3 >= LIMITS.index_ceiling:
+            if report is None or m + (m - n + 2) + 1 >= LIMITS.index_ceiling:
                 report = nil_index(pivot_interval(n, m))
-                by_length.setdefault(m - n, report)
+                by_length[m - n] = report
             rows.append(
                 ScanRow(
                     n,
