@@ -9,7 +9,7 @@ so the wording of each refusal is pinned too.  The records of
 changes from run to run.  The answers live in ``tests/answers.json``, which
 ``tests/test_answers.py`` checks.
 
-``--check`` runs the large commands instead, about a minute in all, against
+``--check`` runs the large commands instead, about 30 s in all, against
 ``tests/answers_large.json``: the nil scan to m = 14, the homology table to
 total degree 36, the Euler product to degree 800 and the presentation to
 degree 24.
