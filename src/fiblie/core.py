@@ -32,16 +32,18 @@ exceeding the cap raises rather than truncating.
 
 Squares and the ring action group an element by pivot, e = sum_n R_n v_n
 (``PivotGroups``: pivot -> tail set of R_n), so their work is products in
-R of whole ring elements (``ring_mul``).  Squaring works on pivot groups
-and gives pivot groups; an Element is built only at the API boundary, so
-a loop of squarings (``power_2k``, ``nil.nil_index``) groups once and
-builds no ``Monomial`` between squarings.
+R of whole ring elements (``ring_mul``).
 Small products test every pair of tails.  Large ones, the bulk of
 ``nil_index`` on v_1 + ... + v_m, run as a subset convolution over GF(2):
 both operands are shifted down to the window of t-indices their tails
 span, held per rank as one packed int of 2^w bits for a window of w
 indices, and multiplied through the ranked zeta transform.  The pair count
 and w pick the kernel, and w is capped, which bounds the packed ints.
+
+Squaring works on pivot groups and gives pivot groups; an Element is built
+only at the API boundary, so a loop of squarings (``power_2k``,
+``nil.nil_index``) groups once and builds no ``Monomial`` between
+squarings.
 """
 
 from __future__ import annotations
