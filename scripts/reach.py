@@ -14,9 +14,12 @@ For each size it records the wall time, the child's peak RSS (from
 finish within the budget (the child is killed), that exits 2, or that fails
 otherwise, and names the reason: time, the monomial cap, memory, a refusal
 or an error.  A table goes to stdout; ``--output`` also writes the runs as
-JSON with the CPU count and the Python version.
+JSON with the CPU count and the Python version.  ``--monomial-limit N``
+passes ``--monomial-limit N`` to every ``nil`` child and is recorded in the
+JSON; the other ladders' commands take no such flag, so they refuse it.
 
     python3 scripts/reach.py --workload homology --budget 60 --output BENCH_reach.json
+    python3 scripts/reach.py --workload nil --monomial-limit 4000000
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ LADDERS = {
 }
 
 
-def child_argv(workload: str, size: int) -> list[str]:
+def child_argv(workload: str, size: int, monomial_limit: int | None = None) -> list[str]:
     if workload == "nil":
-        return ["nil", "--element", "+".join(f"v{i}" for i in range(1, size + 1))]
+        argv = ["nil", "--element", "+".join(f"v{i}" for i in range(1, size + 1))]
+        return argv if monomial_limit is None else [*argv, "--monomial-limit", str(monomial_limit)]
     flag = {"homology": "--max-total-degree", "presentation": "--max-degree", "euler": "--degree"}
     return [workload, flag[workload], str(size)]
 
@@ -106,10 +110,10 @@ def stop_reason(code: int, last_line: str, killed: bool) -> str | None:
     return "error"
 
 
-def reach(workload: str, budget: float, sizes: list[int]) -> dict:
+def reach(workload: str, budget: float, sizes: list[int], monomial_limit: int | None = None) -> dict:
     runs = []
     for size in sizes:
-        run = {"size": size, **run_child(child_argv(workload, size), budget)}
+        run = {"size": size, **run_child(child_argv(workload, size, monomial_limit), budget)}
         runs.append(run)
         print(
             f"{size:>6}  {run['seconds']:8.2f} s  {run['peak_rss_mib']:7.1f} MiB  exit {run['exit']}",
@@ -122,6 +126,7 @@ def reach(workload: str, budget: float, sizes: list[int]) -> dict:
     return {
         "workload": workload,
         "budget_s": budget,
+        "monomial_limit": monomial_limit,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "reach": max(finished, default=None),
@@ -137,9 +142,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--budget", type=float, default=60.0, help="seconds per run")
     parser.add_argument("--sizes", help="comma-separated sizes, in place of the default ladder")
     parser.add_argument("--output", help="write the runs as JSON to this file")
+    parser.add_argument("--monomial-limit", type=int, help="passed to each child of the nil ladder")
     args = parser.parse_args(argv)
     if args.budget <= 0:
         parser.error("--budget must be > 0")
+    if args.monomial_limit is not None and args.workload != "nil":
+        parser.error(f"--monomial-limit applies to the nil ladder only, not {args.workload}")
     sizes = list(LADDERS[args.workload])
     if args.sizes:
         try:
@@ -147,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError:
             parser.error(f"--sizes takes comma-separated integers, got {args.sizes!r}")
     print(f"  size      wall       peak RSS      ({args.workload}, budget {args.budget:g} s)")
-    result = reach(args.workload, args.budget, sizes)
+    result = reach(args.workload, args.budget, sizes, args.monomial_limit)
     print(f"reach {result['reach']}; stopped: {result['reason']}")
     if args.output:
         Path(args.output).write_text(json.dumps(result, indent=2) + "\n")

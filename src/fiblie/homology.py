@@ -7,6 +7,16 @@ total degree: its wedge basis draws only on monomials with multidegree
 componentwise at most (a,b).  In characteristic 2 all differential signs
 are 1 and repeated wedge factors vanish.
 
+The monomials of a slice, its pool, are filtered from one list per total
+degree d: every basis monomial of total degree at most d, with its index
+and multidegree.  So the walk over the levels of W runs once per total
+degree, not once per slice.  Any n distinct monomials of the pool have
+total degree at least the sum of the n smallest total degrees in it, so a
+slice holds no wedge longer than the longest prefix of its pool's sorted
+total degrees that sums to at most a + b.  ``chain_basis`` answers every
+longer n with no wedge at once, and ``table_ns`` stops at that length:
+every d_n past it is 0.
+
 Every basis monomial has one canonical index, ``_offset(n) + S`` for
 t^S v_n, which ascends in ``Monomial`` order and decodes by bit length, so
 no table maps monomials to positions.  A wedge is held as its key: the
@@ -25,6 +35,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from . import gf2, series
 from .basis import enumerate_W
@@ -56,18 +67,18 @@ def monomial_at(i: int) -> Monomial:
     return Monomial(n, i - _offset(n))
 
 
-@lru_cache(maxsize=None)
-def _pool(degree: Multidegree) -> tuple[tuple[int, tuple[int, int]], ...]:
-    """Indices of the basis monomials usable in wedges of this multidegree,
-    ascending, with their multidegrees.
+@lru_cache(maxsize=4)
+def _monomials(total: int) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """Indices of the basis monomials of total degree 1..total, ascending,
+    with their multidegrees: one list that every pool of that total degree
+    filters.  The table walks total degrees upwards, so a few entries serve.
 
     Gr of a tail mask is Gr of the mask without its lowest bit plus Gr of
     that bit, so each mask costs one addition.
     """
-    a, b = degree
     tails = [(0, 0)]
     out = []
-    for n in series.levels_for_degree(a + b):
+    for n in series.levels_for_degree(total):
         masks = enumerate_W(n).masks
         for mask in range(len(tails), masks.stop):
             low = mask & -mask
@@ -79,9 +90,26 @@ def _pool(degree: Multidegree) -> tuple[tuple[int, tuple[int, int]], ...]:
         for mask in masks:
             ta, tb = tails[mask]
             ma, mb = pa + ta, pb + tb
-            if 0 <= ma <= a and 0 <= mb <= b and (ma, mb) != (0, 0):
+            if 0 <= ma and 0 <= mb and 0 < ma + mb <= total:
                 out.append((first + mask, (ma, mb)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _pool(degree: Multidegree) -> tuple[int, tuple[tuple[int, tuple[int, int]], ...]]:
+    """The length of the slice's longest wedge, and the indices of the basis
+    monomials usable in its wedges, ascending, with their multidegrees: the
+    entries of ``_monomials(a + b)`` componentwise at most (a, b).
+
+    Any n distinct monomials of the pool have total degree at least the sum
+    of the n smallest total degrees in it, so no n-wedge fits once that sum
+    passes a + b: the longest wedge is the number of prefix sums of the
+    sorted total degrees that are at most a + b.
+    """
+    a, b = degree
+    pool = tuple(entry for entry in _monomials(a + b) if entry[1][0] <= a and entry[1][1] <= b)
+    sums = list(accumulate(sorted(ma + mb for _, (ma, mb) in pool)))
+    return bisect_right(sums, a + b), pool
 
 
 def _low_bit(key: int) -> int:
@@ -99,14 +127,17 @@ def chain_basis(n: int, degree: Multidegree) -> tuple[int, ...]:
     so the wedges come out in lexicographic order of their factors, and the
     rests after i are the suffix of their tuple whose lowest bit exceeds
     ``1 << i``.  The recursion keys the cache by a plain pair, which hashes
-    and compares equal to the ``Multidegree``.
+    and compares equal to the ``Multidegree``.  An n past the slice's
+    longest wedge (``_pool``) has no wedge and is answered without recursing.
     """
     a, b = degree
     if a < 0 or b < 0 or n < 0:
         raise InputError("need n >= 0 and a nonnegative multidegree")
     if n == 0:
         return (0,) if (a, b) == (0, 0) else ()
-    pool = _pool(degree)
+    longest, pool = _pool(degree)
+    if n > longest:
+        return ()
     if n == 1:
         return tuple(1 << i for i, md in pool if md == degree)
     out: list[int] = []
@@ -184,17 +215,20 @@ def inside_homology_strip(n: int, a: int, b: int) -> bool:
 
 def table_ns(a: int, b: int) -> list[int]:
     """The n the table reads at (a, b): 0, then every n from the first n >= 1
-    inside the homology strip up to a + b.  Both strip inequalities grow
-    with n, so bisection finds that first n."""
-    below = bisect_left(range(1, a + b + 1), True, key=lambda n: inside_homology_strip(n, a, b))
-    return [0, *range(below + 1, a + b + 1)]
+    inside the homology strip up to the slice's longest wedge, past which
+    every chain space is empty.  Both strip inequalities grow with n, so
+    bisection finds that first n."""
+    longest = _pool(Multidegree(a, b))[0]
+    below = bisect_left(range(1, longest + 1), True, key=lambda n: inside_homology_strip(n, a, b))
+    return [0, *range(below + 1, longest + 1)]
 
 
 def euler_crosscheck(degree: Multidegree, euler: series.LatticeSeries) -> bool:
     """E(a, b) equals the table's own sum of (-1)^n dim H_n over ``table_ns``,
     which holds exactly when the complex is exact at every n the table skips.
-    With dim H_n = c_n - rank d_n - rank d_{n+1} and d_0 = d_1 = d_{a+b+1} = 0,
-    the ranks over 0 and the run first..a+b telescope to that of d_first."""
+    With dim H_n = c_n - rank d_n - rank d_{n+1}, d_0 = d_1 = 0, and d = 0 past
+    the longest wedge, where ``table_ns`` stops, the ranks over 0 and the
+    run first..longest telescope to that of d_first."""
     a, b = degree
     expected = euler[(a, b)]  # refused past the series' bound before any work
     ns = table_ns(a, b)

@@ -30,6 +30,7 @@ from fiblie.grading import (
 from fiblie.homology import (
     Multidegree,
     _bracket_pair,
+    _monomials,
     _pool,
     chain_basis,
     d_rows,
@@ -116,6 +117,18 @@ def test_chain_basis_matches_backtracking_oracle():
             degree = Multidegree(a, d - a)
             for n in range(d + 1):
                 assert decoded(chain_basis(n, degree)) == backtracking_chain_basis(n, degree)
+
+
+def test_wedge_length_bound_cuts_only_empty_chain_spaces():
+    # every n-wedge the oracle finds is at most the slice's longest wedge,
+    # and chain_basis is empty from there up to a + b + 1
+    for d in range(17):
+        for a in range(d + 1):
+            degree = Multidegree(a, d - a)
+            longest = _pool(degree)[0]
+            for n in range(longest + 1, d + 2):
+                assert not backtracking_chain_basis(n, degree)
+                assert chain_basis(n, degree) == ()
 
 
 def test_differential_examples():
@@ -352,7 +365,7 @@ def test_paraboloid_report():
 def test_homology_table_runtime_guard():
     # wedges by recursion on the chain_basis cache; the backtracking search
     # needs about 20 s here
-    for cached in (_pool, chain_basis, _bracket_pair, differential):
+    for cached in (_monomials, _pool, chain_basis, _bracket_pair, differential):
         cached.cache_clear()  # a cold run, not the slices earlier tests built
     start = time.perf_counter()
     table = homology_table(24)

@@ -91,3 +91,22 @@ def test_reach_stops_at_the_budget_and_at_the_cap(tmp_path):
     result = json.loads(out.read_text())
     assert (result["reach"], result["stopped_at"], result["reason"]) == (3, 30, "monomial cap")
     assert result["runs"][-1]["exit"] == 2
+
+
+def test_reach_passes_the_monomial_limit_to_the_nil_ladder_only(tmp_path):
+    # v1+v2+v3 stays within 20 monomials; v1+...+v5 passes them and exits 2
+    out = tmp_path / "reach.json"
+    proc = run_script(
+        ("reach.py", "--workload", "nil", "--budget", "20", "--sizes", "3,5",
+         "--monomial-limit", "20", "--output", str(out))
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["monomial_limit"] == 20
+    assert [r["argv"][-2:] for r in result["runs"]] == [["--monomial-limit", "20"]] * 2
+    assert (result["reach"], result["stopped_at"], result["reason"]) == (3, 5, "monomial cap")
+    # the other ladders' commands take no --monomial-limit
+    proc = run_script(("reach.py", "--workload", "homology", "--monomial-limit", "20"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--monomial-limit applies to the nil ladder only" in proc.stderr
