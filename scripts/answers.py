@@ -46,7 +46,6 @@ REFUSALS: tuple[tuple[str, ...], ...] = (
     ("nil-scan", "--min", "0"),
     ("basis", "--max-n", "0"),
     ("presentation", "--max-degree", "0"),
-    ("hilbert", "--method", "recursive", "--upto", "1"),
     ("envelope", "--growth", "--degree", "5"),
     ("euler", "--degree", "-1"),
     ("hilbert", "--degree", "-1"),
@@ -56,7 +55,6 @@ REFUSALS: tuple[tuple[str, ...], ...] = (
     ("presentation", "--max-degree", "40"),
     ("euler", "--degree", "100000"),
     ("euler", "--degree", "1000000000"),
-    ("hilbert", "--method", "recursive", "--degree", "1000000000"),
     ("envelope", "--growth", "--degree", "1000000000"),
     ("nil", "--element", "v1", "--monomial-limit", "0"),
     ("homology", "--max-total-degree", "2000000"),
@@ -77,7 +75,6 @@ REFUSALS: tuple[tuple[str, ...], ...] = (
     ("figures", "--which", "1", "--max-n", "50000"),
     ("hilbert", "--degree", "317812"),
     ("hilbert", "--upto", "100000", "--degree", "1" + "0" * 1000),
-    ("hilbert", "--method", "recursive", "--degree", "400000"),
     ("euler", "--degree", "9" * 2500),
     ("envelope", "--degree", "9" * 2500),
     ("homology", "--max-total-degree", "9" * 2500),
@@ -88,7 +85,7 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("hilbert",),
     ("hilbert", "--format", "json"),
     ("hilbert", "--kind", "restricted"),
-    ("hilbert", "--method", "recursive", "--upto", "12"),
+    ("hilbert", "--upto", "12"),
     ("euler", "--degree", "80"),
     ("envelope", "--degree", "40"),
     ("envelope", "--degree", "120", "--growth"),

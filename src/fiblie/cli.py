@@ -20,7 +20,7 @@ from . import expr, figures, homology as homology_mod, nil as nil_mod
 from . import presentation as pres_mod
 from . import series as series_mod
 from . import verify as verify_mod
-from .core import FibLieError, InputError, bracket, format_element, format_ring_monomial
+from .core import FibLieError, bracket, format_element, format_ring_monomial
 from .grading import gr, weight
 
 
@@ -110,13 +110,7 @@ def _cmd_nil_scan(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    if args.method == "recursive":
-        if args.kind != "lie":
-            raise InputError("the functional recursion gives the Lie series only")
-        # below degree 1 no level is needed, and the recursion starts at W_{<=2}
-        upto = args.upto or max(series_mod.levels_for_degree(args.degree), default=2)
-        h = series_mod.hilbert_recursive(upto, args.degree)
-    elif args.upto:
+    if args.upto:
         h = series_mod.hilbert_enumerated(args.upto, args.kind, args.degree)
     else:
         h = series_mod.hilbert_lie(args.degree, args.kind)
@@ -147,11 +141,10 @@ def _cmd_envelope(args) -> int:
 
 def _cmd_homology(args) -> int:
     frontier = args.max_total_degree
-    ns = (args.n,) if args.n is not None else None
-    table = homology_mod.homology_table(frontier, ns)
+    table = homology_mod.homology_table(frontier, args.n)
     rows = [[n, a, b, d] for (n, a, b), d in sorted(table.entries.items())]
     _emit_rows(["n", "a", "b", "dim"], rows, args.format, sys.stdout)
-    if ns is not None:  # the Euler sum needs every n the table reads
+    if args.n is not None:  # the Euler sum needs every n the table reads
         print("euler-crosscheck: skipped (--n)", file=sys.stderr)
         return 0
     euler = series_mod.euler_product(frontier)
@@ -287,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=40)
     p.add_argument("--upto", type=int, default=0, help="restrict to W_{<=n}")
     p.add_argument("--kind", choices=("lie", "restricted"), default="lie")
-    p.add_argument("--method", choices=("enumerated", "recursive"), default="enumerated")
     add_format(p)
     p.set_defaults(fn=_cmd_hilbert)
 

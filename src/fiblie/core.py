@@ -51,7 +51,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from operator import or_
 from typing import Iterable, Iterator, Literal, NamedTuple
 
@@ -270,10 +270,6 @@ _CONV_PAIRS_PER_SET = 3
 # of both operands, the masks, the product); one at w = 22 peaked at 50 MiB
 # under tracemalloc, 8 MiB of it the result.
 _CONV_MAX_WIDTH = 22
-# The masks of one width serve every narrower one, so those of width 12 are
-# built once and kept: 25 ints of 512 bytes.  Building them per call would
-# add 16% to the convolutions of conjecture_scan((1, 2), 8).
-_MASK_WIDTH = 12
 
 _BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
@@ -317,9 +313,11 @@ def _build_masks(w: int) -> tuple[list[int], list[int]]:
     return low, pop
 
 
-@lru_cache(maxsize=1)
-def _narrow_masks() -> tuple[list[int], list[int]]:
-    return _build_masks(_MASK_WIDTH)
+# The masks of one width serve every narrower one, so those of width 12 are
+# built once, at import: 25 ints of 512 bytes.  Building them per call would
+# add 16% to the convolutions of conjecture_scan((1, 2), 8).
+_MASK_WIDTH = 12
+_NARROW_MASKS = _build_masks(_MASK_WIDTH)
 
 
 def _zeta(f: int, low: list[int], w: int) -> int:
@@ -360,7 +358,7 @@ def _subset_convolution(
     kept on the sets of rank k; over GF(2) Moebius is zeta.  No set has
     rank above w.
     """
-    low, pop = _narrow_masks() if w <= _MASK_WIDTH else _build_masks(w)
+    low, pop = _NARROW_MASKS if w <= _MASK_WIDTH else _build_masks(w)
     rz = _ranked_zetas(r, z, w, low, pop)
     sz = _ranked_zetas(s, z, w, low, pop)
     if not rz or not sz:
@@ -492,15 +490,14 @@ def check_cap(count: int, what: str, limit: int | None = None) -> None:
         raise MonomialLimitError(f"{shown} {what} exceed the monomial limit {cap}")
 
 
-def power_2k(e: Element, k: int, limit: int | None = None) -> Element:
+def power_2k(e: Element, k: int) -> Element:
     """e^(2^k) by iterated squaring; k = 0 is the identity."""
     if k < 0:
         raise InputError("exponent count must be >= 0")
-    cap = monomial_cap(limit)
     power = pivot_groups(e)
     for _ in range(k):
         power = square(power)
-        check_cap(len(power), "monomials in an intermediate element", cap)
+        check_cap(len(power), "monomials in an intermediate element")
     return power.element()
 
 

@@ -243,22 +243,22 @@ class HomologyTable:
     entries: dict[tuple[int, int, int], int]
 
 
-def homology_table(frontier: int, n_values: tuple[int, ...] | None = None) -> HomologyTable:
-    """dim H_{n,(a,b)} for a+b <= frontier at the n of ``table_ns``, or at
-    those of them in ``n_values``."""
+def homology_table(frontier: int, n: int | None = None) -> HomologyTable:
+    """dim H_{k,(a,b)} for a+b <= frontier at every k of ``table_ns``, or at
+    k = n only when n is given."""
     if frontier < 0:
         raise InputError("the total-degree frontier must be >= 0")
     series.check_triangle(frontier, frontier)  # one slice set per (a, b), a + b <= frontier
-    if n_values is not None and any(n < 0 for n in n_values):
+    if n is not None and n < 0:
         raise InputError("need n >= 0 and a nonnegative multidegree")
     entries: dict[tuple[int, int, int], int] = {}
     for d in range(frontier + 1):
         for a in range(d + 1):
-            for n in table_ns(a, d - a):
-                if n_values is None or n in n_values:
-                    h = homology_dim(n, Multidegree(a, d - a))
+            for k in table_ns(a, d - a):
+                if n is None or k == n:
+                    h = homology_dim(k, Multidegree(a, d - a))
                     if h:
-                        entries[(n, a, d - a)] = h
+                        entries[(k, a, d - a)] = h
     return HomologyTable(entries)
 
 

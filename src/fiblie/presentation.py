@@ -34,7 +34,6 @@ from .core import (
     Element,
     FibLieError,
     InputError,
-    MonomialLimitError,
     bracket,
     check_cap,
     power_2k,
@@ -75,9 +74,13 @@ def lyndon_words(alphabet: int, max_len: int) -> list[Word]:
     polynomial is a row of alphabet^max_len bits, held to ``LIMITS.monomial_limit``."""
     if max_len < 1:
         raise InputError(f"word length cap must be >= 1, got {max_len}")
-    cap = LIMITS.monomial_limit  # the length test spares forming a huge power
-    if max_len > cap.bit_length() or alphabet**max_len > cap:
-        raise MonomialLimitError(f"{alphabet}^{max_len}-bit rows exceed the cap {cap}")
+    # 2^past bits already exceed the cap, so no power past that is formed
+    past = LIMITS.monomial_limit.bit_length()
+    short = max_len < past
+    check_cap(
+        alphabet**max_len if short else 1 << past,
+        f"{'' if short else 'or more '}bits of a degree-{max_len} row",
+    )
     out: list[Word] = []
     w = [0]
     while w:

@@ -185,7 +185,9 @@ def hilbert_lie(bound: int = 40, kind: Kind = "lie") -> LatticeSeries:
 
 def hilbert_recursive(upto: int, bound: int = 40) -> LatticeSeries:
     """H(W_{<=n}) from the functional recursion
-    H(W_{<=n+1}, x, y) = H(W_{<=n}, y, xy)(1 + x/y) - x^2 starting at x + y.
+    H(W_{<=n+1}, x, y) = H(W_{<=n}, y, xy)(1 + x/y) - x^2 starting at x + y:
+    the labelled oracle of ``hilbert_enumerated``, which ``fiblie verify
+    hilbert`` and the tests hold it against; the CLI prints the enumeration.
 
     The substitution (x,y) -> (y,xy) is the lattice map (a,b) -> (b,a+b);
     multiplying by x/y shifts (a,b) -> (a+1,b-1).  Intermediate terms may
@@ -415,6 +417,7 @@ def euler_eval_check(degree: int = 400) -> list[EulerEvalResult]:
     """
     e_series = euler_product_1var(degree)
     s_exact = hilbert_one_var(degree)
+    log_hu_at = {x: _envelope_log_upper(x, s_exact) for x in (0.8, 0.85, 0.9, 0.95)}
     results = []
     top = len(e_series) - 1
     for t in (Fraction(1, 2), Fraction(3, 5), Fraction(7, 10)):
@@ -424,10 +427,9 @@ def euler_eval_check(degree: int = 400) -> list[EulerEvalResult]:
             Fraction(sum(c * p**n * q ** (top - n) for n, c in enumerate(e_series) if c), q**top)
         )
         best_tail = math.inf
-        for x in (0.8, 0.85, 0.9, 0.95):
+        for x, log_hu in log_hu_at.items():
             if x <= float(t):
                 continue
-            log_hu = _envelope_log_upper(x, s_exact)
             ratio = float(t) / x
             log_tail = log_hu + (degree + 1) * math.log(ratio) - math.log(1 - ratio)
             if log_tail < 600:

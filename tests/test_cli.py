@@ -95,21 +95,6 @@ def test_nil_scan_schema():
         assert int(r["index"]) <= int(r["bound"])
 
 
-def test_hilbert_recursive_matches_enumerated():
-    # degree 0 needs no level at all: both routes print the header only
-    for args in (("--degree", "12", "--upto", "12"), ("--degree", "0")):
-        rec_code, rec = run_cli("hilbert", *args, "--method", "recursive")
-        enum_code, enum = run_cli("hilbert", *args)
-        assert rec_code == enum_code == 0 and rec == enum
-
-
-def test_hilbert_recursive_rejects_the_restricted_kind():
-    code, out = run_cli(
-        "hilbert", "--degree", "4", "--method", "recursive", "--kind", "restricted"
-    )
-    assert code == 2 and out == ""
-
-
 def test_presentation_exit_code():
     code, out = run_cli("presentation", "--max-degree", "7")
     assert code == 0

@@ -16,6 +16,7 @@ from fiblie.core import (
     Element,
     IndexCeilingError,
     InputError,
+    LIMITS,
     Monomial,
     MonomialLimitError,
     RING_ZERO,
@@ -139,12 +140,10 @@ def test_power_examples():
     assert power_2k(v(1), 1) == eval_text("t0*v3")
 
 
-def test_power_cap():
+def test_power_cap(monkeypatch):
+    monkeypatch.setattr(LIMITS, "monomial_limit", 2)
     with pytest.raises(MonomialLimitError):
-        power_2k(element(W8[:20]), 3, limit=2)
-    for limit in (0, -5):
-        with pytest.raises(InputError):
-            power_2k(v(1), 1, limit=limit)
+        power_2k(element(W8[:20]), 3)
 
 
 def test_tau_examples():

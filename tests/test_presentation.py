@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -169,9 +170,13 @@ def test_row_width_is_held_to_the_monomial_limit(monkeypatch):
         for build in (free_dims, lambda d: quotient_dims(RELATION_TREES, d)):
             with pytest.raises(MonomialLimitError):
                 build(d)
-    # a Lyndon polynomial is still a 2^d-bit row
+    # a Lyndon polynomial is still a 2^d-bit row, refused before any word
     with pytest.raises(MonomialLimitError):
         free_lie(20)
+    start = time.perf_counter()
+    with pytest.raises(MonomialLimitError):
+        lyndon_words(2, 10**9)
+    assert time.perf_counter() - start < 0.5
     monkeypatch.setattr(LIMITS, "monomial_limit", 1 << 6)
     # 2 dim F_8 = 60 fits in 64 bits, 2 dim F_9 = 112 does not
     assert list(quotient_dims(RELATION_TREES, 9).values()) == [2, 1, 2, 2, 2, 2, 4, 5, 8]

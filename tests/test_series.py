@@ -83,6 +83,10 @@ def test_hilbert_recursive_examples():
     h = hilbert_recursive(15, 40)
     for n in range(1, 9):
         assert h[tuple(gr_pivot_pair(n))] >= 1
+    # through degree 12 with W_{<=12}, and at degree 0, which no level reaches
+    assert hilbert_recursive(12, 12) == hilbert_enumerated(12, "lie", 12)
+    assert hilbert_recursive(2, 0) == hilbert_lie(0)
+    assert hilbert_lie(0).coeffs == {}
 
 
 def hilbert_recursive_full_loop(upto: int, bound: int) -> LatticeSeries:
