@@ -46,6 +46,7 @@ REFUSALS: tuple[tuple[str, ...], ...] = (
     ("nil-scan", "--min", "0"),
     ("basis", "--max-n", "0"),
     ("presentation", "--max-degree", "0"),
+    ("hilbert", "--upto", "-1"),
     ("envelope", "--growth", "--degree", "5"),
     ("euler", "--degree", "-1"),
     ("hilbert", "--degree", "-1"),
@@ -55,6 +56,7 @@ REFUSALS: tuple[tuple[str, ...], ...] = (
     ("presentation", "--max-degree", "40"),
     ("euler", "--degree", "100000"),
     ("euler", "--degree", "1000000000"),
+    ("hilbert", "--degree", "1000000000"),
     ("envelope", "--growth", "--degree", "1000000000"),
     ("nil", "--element", "v1", "--monomial-limit", "0"),
     ("homology", "--max-total-degree", "2000000"),
@@ -75,6 +77,7 @@ REFUSALS: tuple[tuple[str, ...], ...] = (
     ("figures", "--which", "1", "--max-n", "50000"),
     ("hilbert", "--degree", "317812"),
     ("hilbert", "--upto", "100000", "--degree", "1" + "0" * 1000),
+    ("hilbert", "--kind", "restricted", "--degree", "400000"),
     ("euler", "--degree", "9" * 2500),
     ("envelope", "--degree", "9" * 2500),
     ("homology", "--max-total-degree", "9" * 2500),

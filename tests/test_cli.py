@@ -21,6 +21,7 @@ from fiblie.basis import colour, enumerate_W_upto
 from fiblie.cli import main
 from fiblie.figures import figure1
 from fiblie.grading import gr
+from fiblie.series import hilbert_recursive
 from test_answers import load_answers_script
 
 
@@ -93,6 +94,19 @@ def test_nil_scan_schema():
     assert {r["n"] for r in rows} == {"1", "2", "3"}
     for r in rows:
         assert int(r["index"]) <= int(r["bound"])
+
+
+def test_hilbert_recursive_matches_enumerated():
+    # the CLI enumerates; the functional recursion is its oracle.  Degree 0
+    # needs no level at all: both give the header only
+    for args, upto in ((("--degree", "12", "--upto", "12"), 12), (("--degree", "0"), 2)):
+        h = hilbert_recursive(upto, int(args[1]))
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["a", "b", "coefficient"])
+        writer.writerows([a, b, c] for (a, b), c in h.items_sorted())
+        code, out = run_cli("hilbert", *args)
+        assert code == 0 and out == expected.getvalue()
 
 
 def test_presentation_exit_code():
