@@ -243,11 +243,17 @@ def levels_while(holds: Callable[[int], bool]) -> list[int]:
     return check_levels(takewhile(holds, count(1)))
 
 
-@lru_cache(maxsize=32)
 def level_multidegree_counts(n: int) -> Mapping[tuple[int, int], int]:
     """Multidegree distribution of W_n (subset-sum fold over tail factors);
-    W_n has F_n - 1 distinct multidegrees for n >= 3."""
+    W_n has F_n - 1 distinct multidegrees for n >= 3.  The level is held to
+    the current limits before the cache is read, so a fold cached under a
+    higher limit is refused as a fresh one would be."""
     check_levels((n,))
+    return _fold_level(n)
+
+
+@lru_cache(maxsize=32)
+def _fold_level(n: int) -> Mapping[tuple[int, int], int]:
     dd: dict[tuple[int, int], int] = {tuple(gr_pivot(n)): 1}
     for j in range(basis_mod.tail_width(n)):
         ta, tb = gr_tail(j)

@@ -2,11 +2,14 @@
 the CLI ``verify`` subcommand and the acceptance test module.  A check takes
 the seed of the randomized suites and returns ``(ok, detail)``.
 
-``run_suites`` runs the suites in spawned worker processes, one per usable
-CPU, and times each suite in its worker; one suite, or one usable CPU, runs
-in the calling process.  Spawn re-imports ``__main__`` in every worker, so a
-script that calls ``run_suites`` with more than one suite keeps its top-level
-code under ``if __name__ == "__main__":``.
+``run_suites`` runs the suites in worker processes, one per usable CPU,
+and times each suite in its worker; one suite, or one usable CPU, runs in
+the calling process.  The workers are forked where the platform offers fork,
+so they start as copies of the caller with fiblie imported; forking is safe
+because the package starts no threads.  Where only spawn exists, as on
+Windows, each worker re-imports ``__main__``, so there a script that calls
+``run_suites`` with more than one suite keeps its top-level code under
+``if __name__ == "__main__":``.
 
 Every check is exact unless stated otherwise; the only floating-point
 gates are the bounds with an irrational constant (the growth sandwich, the
@@ -427,7 +430,8 @@ def _run_job(job: tuple[str, int, int, int]) -> CheckResult:
     """Run one suite under the job's seed and limits, timing its check.
 
     A spawned worker starts from a fresh import, so the caller's limits
-    travel in the job; in the calling process they are already in force.
+    travel in the job; in a forked worker and in the calling process they
+    are already in force.
     """
     name, seed, index_ceiling, monomial_limit = job
     LIMITS.index_ceiling, LIMITS.monomial_limit = index_ceiling, monomial_limit
@@ -450,13 +454,15 @@ def run_suites(
     the order named.  ``seed`` feeds the randomized suites; by default it is
     the one ``set_seed`` set (20240 unless set).
 
-    The suites run in ``min(usable CPUs, len(names))`` spawned worker
-    processes under the caller's ``LIMITS``, each timed in its worker; one
-    suite or one usable CPU runs in this process.  The ``FibLieError`` of the
-    first failing suite reaches the caller with its type and message, as in
-    this process, and no worker outlives the call.  Spawn re-imports
-    ``__main__`` in every worker, so a script that runs several suites keeps
-    its top-level code under ``if __name__ == "__main__":``.
+    The suites run in ``min(usable CPUs, len(names))`` worker processes
+    under the caller's ``LIMITS``, each timed in its worker; one suite or one
+    usable CPU runs in this process.  The workers are forked where the
+    platform offers fork and spawned where it does not.  The ``FibLieError``
+    of the first failing suite reaches the caller with its type and message,
+    as in this process, and no worker outlives the call.  Spawn re-imports
+    ``__main__`` in every worker, so where it is used a script that runs
+    several suites keeps its top-level code under
+    ``if __name__ == "__main__":``.
     """
     selected = list(CRITERIA) if names is None else list(names)
     for name in selected:
@@ -467,6 +473,7 @@ def run_suites(
     workers = min(_usable_cpus(), len(jobs))
     if workers <= 1:
         return [_run_job(job) for job in jobs]
-    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    with multiprocessing.get_context(method).Pool(workers) as pool:
         # imap raises the error of the first failing suite in the order named
         return list(pool.imap(_run_job, jobs, chunksize=1))

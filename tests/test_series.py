@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from fiblie.core import LIMITS, InputError, MonomialLimitError
-from fiblie.grading import GoldenInt, LAMBDA, gr, lambda_power, weight_growth_levels
+from fiblie.grading import GoldenInt, LAMBDA, _fold_level, gr, lambda_power, weight_growth_levels
 from fiblie.basis import enumerate_W_upto
 from fiblie.series import (
     LatticeSeries,
@@ -386,7 +386,7 @@ def test_deep_requests_are_refused_before_any_fold():
     # levels 1..29 together fold into F_31 - 1 > 10^6 multidegrees: each
     # level walk is refused at level 29, and euler_product at its triangle,
     # before level 1 is folded
-    level_multidegree_counts.cache_clear()
+    _fold_level.cache_clear()
     for build in (
         lambda: levels_for_degree(10**9),
         lambda: weight_growth_levels(lambda_power(40)),
@@ -395,7 +395,7 @@ def test_deep_requests_are_refused_before_any_fold():
     ):
         with pytest.raises(MonomialLimitError):
             build()
-        assert level_multidegree_counts.cache_info().currsize == 0
+        assert _fold_level.cache_info().currsize == 0
 
 
 def test_hilbert_request_is_held_to_the_monomial_limit(monkeypatch):

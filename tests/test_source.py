@@ -78,6 +78,23 @@ def test_package_imports_only_stdlib_at_module_level():
     assert found == []
 
 
+def test_package_starts_no_threads():
+    # run_suites forks its workers, and a fork copies only the calling
+    # thread: that is safe only while the package starts no threads
+    threads = {"threading", "_thread", "concurrent"}
+
+    def imports_threads(node) -> bool:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            return False
+        return any(name.split(".")[0] in threads for name in names)
+
+    assert _nodes(imports_threads) == []
+
+
 def _is_unbounded_cache(node) -> bool:
     # lru_cache(maxsize=None), lru_cache(None) or functools.cache
     if _name(node) == "cache":
