@@ -39,7 +39,7 @@ from itertools import accumulate
 
 from . import gf2, series
 from .basis import enumerate_W
-from .core import InputError, Monomial, bracket_monomials, set_bits
+from .core import InputError, Monomial, bracket_monomials, check_cap, set_bits
 from .grading import (
     Multidegree,
     golden_sign,
@@ -74,11 +74,18 @@ def _monomials(total: int) -> tuple[tuple[int, tuple[int, int]], ...]:
     filters.  The table walks total degrees upwards, so a few entries serve.
 
     Gr of a tail mask is Gr of the mask without its lowest bit plus Gr of
-    that bit, so each mask costs one addition.
+    that bit, so each mask costs one addition.  The walk visits every
+    monomial of the levels, so their count is held to the monomial limit
+    before it starts.
     """
+    levels = series.levels_for_degree(total)
+    check_cap(
+        sum(enumerate_W(n).size for n in levels),
+        f"basis monomials of W_1..W_{max(levels, default=1)}",
+    )
     tails = [(0, 0)]
     out = []
-    for n in series.levels_for_degree(total):
+    for n in levels:
         masks = enumerate_W(n).masks
         for mask in range(len(tails), masks.stop):
             low = mask & -mask
@@ -90,7 +97,7 @@ def _monomials(total: int) -> tuple[tuple[int, tuple[int, int]], ...]:
         for mask in masks:
             ta, tb = tails[mask]
             ma, mb = pa + ta, pb + tb
-            if 0 <= ma and 0 <= mb and 0 < ma + mb <= total:
+            if ma + mb <= total:
                 out.append((first + mask, (ma, mb)))
     return tuple(out)
 

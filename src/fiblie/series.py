@@ -217,9 +217,9 @@ def hilbert_recursive(upto: int, bound: int = 40) -> LatticeSeries:
     return result
 
 
-def hilbert_one_var(bound: int, kind: Kind = "lie") -> list[int]:
+def hilbert_one_var(bound: int) -> list[int]:
     """One-variable Hilbert series: the dimension in each total degree 0..bound."""
-    return hilbert_lie(bound, kind).one_var()
+    return hilbert_lie(bound).one_var()
 
 
 # --- the enveloping-series operator and the Euler characteristic ------------

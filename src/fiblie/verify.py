@@ -2,14 +2,11 @@
 the CLI ``verify`` subcommand and the acceptance test module.  A check takes
 the seed of the randomized suites and returns ``(ok, detail)``.
 
-``run_suites`` runs the suites in worker processes, one per usable CPU,
-and times each suite in its worker; one suite, or one usable CPU, runs in
-the calling process.  The workers are forked where the platform offers fork,
-so they start as copies of the caller with fiblie imported; forking is safe
-because the package starts no threads.  Where only spawn exists, as on
-Windows, each worker re-imports ``__main__``, so there a script that calls
-``run_suites`` with more than one suite keeps its top-level code under
-``if __name__ == "__main__":``.
+``run_suites`` runs the suites in forked worker processes, one per usable
+CPU, and times each suite in its worker.  A forked worker starts as a copy
+of the caller, with fiblie imported and ``LIMITS`` in force; forking is safe
+because the package starts no threads.  One suite, one usable CPU, or a
+platform without fork (Windows) runs the suites in the calling process.
 
 Every check is exact unless stated otherwise; the only floating-point
 gates are the bounds with an irrational constant (the growth sandwich, the
@@ -37,7 +34,6 @@ from . import series as series_mod
 from .core import (
     Element,
     InputError,
-    LIMITS,
     Monomial,
     ZERO,
     bracket,
@@ -426,15 +422,10 @@ CRITERIA: dict[str, tuple[str, Callable[[int], tuple[bool, str]], bool]] = {
 }
 
 
-def _run_job(job: tuple[str, int, int, int]) -> CheckResult:
-    """Run one suite under the job's seed and limits, timing its check.
-
-    A spawned worker starts from a fresh import, so the caller's limits
-    travel in the job; in a forked worker and in the calling process they
-    are already in force.
-    """
-    name, seed, index_ceiling, monomial_limit = job
-    LIMITS.index_ceiling, LIMITS.monomial_limit = index_ceiling, monomial_limit
+def _run_job(job: tuple[str, int]) -> CheckResult:
+    """Run one suite under the job's seed, timing its check; the caller's
+    ``LIMITS`` are in force, in this process or in a forked worker."""
+    name, seed = job
     label, check, diagnostic = CRITERIA[name]
     start = time.perf_counter()
     ok, detail = check(seed)
@@ -454,26 +445,22 @@ def run_suites(
     the order named.  ``seed`` feeds the randomized suites; by default it is
     the one ``set_seed`` set (20240 unless set).
 
-    The suites run in ``min(usable CPUs, len(names))`` worker processes
-    under the caller's ``LIMITS``, each timed in its worker; one suite or one
-    usable CPU runs in this process.  The workers are forked where the
-    platform offers fork and spawned where it does not.  The ``FibLieError``
-    of the first failing suite reaches the caller with its type and message,
-    as in this process, and no worker outlives the call.  Spawn re-imports
-    ``__main__`` in every worker, so where it is used a script that runs
-    several suites keeps its top-level code under
-    ``if __name__ == "__main__":``.
+    The suites run in ``min(usable CPUs, len(names))`` forked worker
+    processes, which inherit the caller's ``LIMITS``, each timed in its
+    worker; one suite, one usable CPU, or a platform without fork runs them
+    in this process.  The ``FibLieError`` of the first failing suite reaches
+    the caller with its type and message, as in this process, and no worker
+    outlives the call.
     """
     selected = list(CRITERIA) if names is None else list(names)
     for name in selected:
         if name not in CRITERIA:
             raise InputError(f"unknown suite {name!r}; choose from {sorted(CRITERIA)}")
     seed = _DEFAULT_SEED if seed is None else seed
-    jobs = [(name, seed, LIMITS.index_ceiling, LIMITS.monomial_limit) for name in selected]
+    jobs = [(name, seed) for name in selected]
     workers = min(_usable_cpus(), len(jobs))
-    if workers <= 1:
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [_run_job(job) for job in jobs]
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    with multiprocessing.get_context(method).Pool(workers) as pool:
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
         # imap raises the error of the first failing suite in the order named
         return list(pool.imap(_run_job, jobs, chunksize=1))

@@ -120,23 +120,20 @@ def test_workers_match_the_single_suite_runs(seed):
     _check_workers_match_the_single_suite_runs(seed)
 
 
-def test_spawned_workers_match_the_single_suite_runs(monkeypatch):
-    # the pool of a platform without fork, such as Windows
-    methods = []
-    get_context = multiprocessing.get_context
+def test_without_fork_the_suites_run_in_process(monkeypatch):
+    # a platform without fork, such as Windows, makes no pool
+    contexts = []
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(
-        multiprocessing, "get_context", lambda method: methods.append(method) or get_context(method)
-    )
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *args: contexts.append(args))
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     _check_workers_match_the_single_suite_runs(1)
-    assert methods == ["spawn"]
+    assert contexts == []
 
 
 def test_workers_raise_the_in_process_error(monkeypatch):
-    # a forked worker inherits the caller's caches and a spawned one imports
-    # afresh; either way the limits in force decide, so folds cached under
-    # the default limits are refused as in a fresh process
+    # a forked worker inherits the caller's caches and limits; the limits in
+    # force decide, so folds cached under the default limits are refused as
+    # in a fresh process
     for n in range(1, 11):
         level_multidegree_counts(n)
     monkeypatch.setattr(LIMITS, "monomial_limit", 5)

@@ -11,8 +11,10 @@ import pytest
 from fiblie import gf2, homology
 from fiblie.basis import enumerate_W, enumerate_W_upto
 from fiblie.core import (
+    LIMITS,
     ZERO,
     InputError,
+    MonomialLimitError,
     bracket,
     bracket_monomials,
     element,
@@ -247,6 +249,25 @@ def test_euler_crosscheck_fails_when_the_table_skips_homology(monkeypatch):
 def test_homology_table_refuses_a_negative_n():
     with pytest.raises(InputError, match="need n >= 0 and a nonnegative multidegree"):
         homology_table(3, -1)
+
+
+def test_monomial_list_is_held_to_the_monomial_limit(monkeypatch):
+    # the walk holds every monomial of its levels, 2^(n-3) at level n, and
+    # they outnumber the multidegrees (at most F_n) that the levels' own
+    # guard counts: W_1..W_22 hold 2^20 + 1 monomials in 46367 multidegrees
+    with pytest.raises(MonomialLimitError) as refused:
+        homology_dim(1, Multidegree(10000, 7711))
+    assert str(refused.value) == (
+        "1048577 basis monomials of W_1..W_22 exceed the monomial limit 1000000"
+    )
+    # W_1..W_10 reach total degree 40: 257 monomials, 143 multidegrees
+    _monomials.cache_clear()
+    monkeypatch.setattr(LIMITS, "monomial_limit", 200)
+    with pytest.raises(MonomialLimitError) as refused:
+        _monomials(40)
+    assert str(refused.value) == "257 basis monomials of W_1..W_10 exceed the monomial limit 200"
+    monkeypatch.setattr(LIMITS, "monomial_limit", 257)
+    assert len(_monomials(40)) == 157  # those of total degree 40 or less
 
 
 def test_euler_crosscheck_refuses_a_slice_past_the_series_bound():

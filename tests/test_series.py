@@ -426,17 +426,16 @@ def test_one_var_specialization():
 
 
 def test_hilbert_one_var_is_the_projection():
-    for kind in ("lie", "restricted"):
-        for bound in range(1, 31):
-            assert hilbert_one_var(bound, kind) == hilbert_lie(bound, kind).one_var()
+    for bound in range(1, 31):
+        assert hilbert_one_var(bound) == hilbert_lie(bound).one_var()
     # degree 2: v_3 = [v_1, v_2], v_1^2 = t_0 v_3 and v_2^2 = t_1 v_4
-    assert hilbert_one_var(2, "restricted")[2] == 3
+    assert hilbert_lie(2, "restricted").one_var()[2] == 3
 
 
 def test_one_var_series_are_coefficient_lists_through_the_bound():
-    for kind in ("lie", "restricted"):
-        for bound in range(41):
-            assert len(hilbert_one_var(bound, kind)) == bound + 1
+    for bound in range(41):
+        assert len(hilbert_one_var(bound)) == bound + 1
+        assert len(hilbert_lie(bound, "restricted").one_var()) == bound + 1
     assert euler_product_1var(0) == [1] and e_operator_1var([0]) == [1]
 
 

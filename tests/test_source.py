@@ -78,21 +78,33 @@ def test_package_imports_only_stdlib_at_module_level():
     assert found == []
 
 
+def _imported(node) -> set[str]:
+    """The top-level modules an absolute import statement names."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return {node.module.split(".")[0]}
+    return set()
+
+
 def test_package_starts_no_threads():
     # run_suites forks its workers, and a fork copies only the calling
     # thread: that is safe only while the package starts no threads
     threads = {"threading", "_thread", "concurrent"}
+    assert _nodes(lambda node: _imported(node) & threads) == []
 
-    def imports_threads(node) -> bool:
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module]
-        else:
-            return False
-        return any(name.split(".")[0] in threads for name in names)
 
-    assert _nodes(imports_threads) == []
+def test_only_verify_makes_processes_and_only_by_fork():
+    # run_suites forks its pool, or runs the suites in process where the
+    # platform has no fork; no module names another start method
+    importers = _nodes(lambda node: "multiprocessing" in _imported(node))
+    assert {entry.split(":")[0] for entry in importers} == {"verify.py"}
+    methods = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "spawn" in path.read_text() or "forkserver" in path.read_text()
+    ]
+    assert methods == []
 
 
 def _is_unbounded_cache(node) -> bool:
