@@ -78,15 +78,12 @@ def _monomials(total: int) -> tuple[tuple[int, tuple[int, int]], ...]:
     monomial of the levels, so their count is held to the monomial limit
     before it starts.
     """
-    levels = series.levels_for_degree(total)
-    check_cap(
-        sum(enumerate_W(n).size for n in levels),
-        f"basis monomials of W_1..W_{max(levels, default=1)}",
-    )
+    levels = [enumerate_W(n) for n in series.levels_for_degree(total)]
+    check_cap(sum(level.size for level in levels), f"basis monomials of W_1..W_{len(levels)}")
     tails = [(0, 0)]
     out = []
-    for n in levels:
-        masks = enumerate_W(n).masks
+    for level in levels:
+        n, masks = level.n, level.masks
         for mask in range(len(tails), masks.stop):
             low = mask & -mask
             ra, rb = tails[mask ^ low]
