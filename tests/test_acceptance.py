@@ -14,7 +14,7 @@ import multiprocessing
 import pytest
 
 from fiblie import verify
-from fiblie.core import LIMITS, InputError, MonomialLimitError
+from fiblie.core import LIMITS, Element, InputError, MonomialLimitError, bracket_monomials, v
 from fiblie.grading import level_multidegree_counts
 
 
@@ -29,7 +29,9 @@ def _run(name: str, limit: float | None = None) -> None:
 
 
 def test_criterion_01_basis_counts():
-    """|W_n| = 2^(n-3) for n = 3..24, |W~_n| = |W_n| + 1; runtime < 5 s."""
+    """gr of each monomial of W_n against the subset-sum fold through level
+    14, and the square v_{n-2}^2 = t_{n-3} v_n that W~_n adds through level
+    24; runtime < 5 s."""
     _run("basis", limit=5.0)
 
 
@@ -44,8 +46,67 @@ def test_criterion_03_relations():
 
 
 def test_criterion_04_lie_laws():
-    """Alternation, Jacobi, restricted identity: 10^4 seeded trials each."""
+    """On the span of W~_1..W~_8: alternation and symmetry on every monomial
+    pair, Jacobi on every triple, [a^2, b] = [a, [a, b]] on every pair, the
+    polarisation (a+b)^2 = a^2 + b^2 + [a, b] on every pair, and the squares
+    of 10^4 seeded 3-monomial elements."""
     _run("laws")
+
+
+# each law of criterion 04 fails on a kernel that breaks it; the patches
+# replace the names verify imported, so they hold in whichever process runs
+# the check
+
+
+def _bracketed_pair() -> tuple:
+    """The first ordered pair of the laws' pool with a nonzero bracket."""
+    pool = verify._monomials_upto(8, "restricted")
+    return next((a, b) for a in pool for b in pool if bracket_monomials(a, b))
+
+
+def _patch_bracket(monkeypatch, corrupt) -> None:
+    """Make verify's bracket_each give corrupt(m1, m2, part) for each part."""
+    real = verify.bracket_each
+
+    def patched(m1, others):
+        others = list(others)
+        for m2, part in zip(others, real(m1, others)):
+            yield corrupt(m1, m2, part)
+
+    monkeypatch.setattr(verify, "bracket_each", patched)
+
+
+def _patch_square(monkeypatch, wrong) -> None:
+    """Make verify's square add v_1 to e^2 wherever wrong(e) holds."""
+    real = verify.square
+    monkeypatch.setattr(verify, "square", lambda e: real(e) + v(1) if wrong(e) else real(e))
+
+
+def test_lie_laws_catch_an_asymmetric_bracket(monkeypatch):
+    a, b = _bracketed_pair()
+    _patch_bracket(monkeypatch, lambda m1, m2, part: part[1:] if (m1, m2) == (a, b) else part)
+    ok, detail = verify.criterion_lie_laws(1)
+    assert not ok and detail.startswith("[a, b] != [b, a]")
+
+
+def test_lie_laws_catch_a_symmetric_corruption_by_jacobi(monkeypatch):
+    a, b = _bracketed_pair()
+    _patch_bracket(monkeypatch, lambda m1, m2, part: part[1:] if {m1, m2} == {a, b} else part)
+    ok, detail = verify.criterion_lie_laws(1)
+    assert not ok and detail.startswith("Jacobi failed")
+
+
+def test_lie_laws_catch_a_wrong_monomial_square(monkeypatch):
+    target = Element({verify._monomials_upto(8, "restricted")[-1]})
+    _patch_square(monkeypatch, lambda e: e == target)
+    ok, detail = verify.criterion_lie_laws(1)
+    assert not ok and detail.startswith("[a^2, b] != [a, [a, b]]")
+
+
+def test_lie_laws_catch_a_wrong_square_of_three_monomials(monkeypatch):
+    _patch_square(monkeypatch, lambda e: len(e) == 3)
+    ok, detail = verify.criterion_lie_laws(1)
+    assert not ok and detail.startswith("e^2 != ")
 
 
 def test_criterion_05_nillity():

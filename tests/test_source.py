@@ -107,6 +107,25 @@ def test_only_verify_makes_processes_and_only_by_fork():
     assert methods == []
 
 
+def _random_call(node) -> str | None:
+    """The function a call takes from the random module by attribute, or None."""
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+        return None
+    module = node.func.value
+    return node.func.attr if isinstance(module, ast.Name) and module.id == "random" else None
+
+
+def test_randomized_checks_take_an_explicit_seed():
+    # every random.Random(...) is given its seed, and nothing draws from the
+    # random module's shared generator, whose state no caller hands in
+    unseeded = _nodes(
+        lambda node: _random_call(node) == "Random" and not (node.args or node.keywords)
+    )
+    shared = _nodes(lambda node: _random_call(node) not in (None, "Random"))
+    imported = _nodes(lambda node: isinstance(node, ast.ImportFrom) and node.module == "random")
+    assert (unseeded, shared, imported) == ([], [], [])
+
+
 def _is_unbounded_cache(node) -> bool:
     # lru_cache(maxsize=None), lru_cache(None) or functools.cache
     if _name(node) == "cache":
