@@ -372,6 +372,7 @@ def _subset_convolution(
                 h ^= f & g
         if h:
             out |= _zeta(h, low, w) & pop[k]
+    # bytes, not set_bits(out): with set_bits nil_index(v_1+...+v_15) ran 5-12% slower
     data = out.to_bytes(((1 << w) + 7) >> 3, "little")
     tails = []
     for hit in _NONZERO_BYTE.finditer(data):
@@ -491,11 +492,13 @@ def check_cap(count: int, what: str, limit: int | None = None) -> None:
 
 
 def power_2k(e: Element, k: int) -> Element:
-    """e^(2^k) by iterated squaring; k = 0 is the identity."""
+    """e^(2^k) by iterated squaring, stopping at zero; k = 0 is the identity."""
     if k < 0:
         raise InputError("exponent count must be >= 0")
     power = pivot_groups(e)
     for _ in range(k):
+        if not power:
+            break
         power = square(power)
         check_cap(len(power), "monomials in an intermediate element")
     return power.element()

@@ -28,20 +28,21 @@ class ZeroSignError(FibLieError):
 LAMBDA_FLOAT = (1 + 5**0.5) / 2
 LOG_LAMBDA_2 = math.log(2) / math.log(LAMBDA_FLOAT)  # ~ 1.44042
 
-_FIB: list[int] = [0, 1]
 
-
+@lru_cache(maxsize=256)
 def fib(k: int) -> int:
-    """Fibonacci numbers with F_1 = F_2 = 1, extended to F_-1 = 1, F_-2 = -1."""
+    """Fibonacci numbers with F_1 = F_2 = 1, extended to F_-1 = 1, F_-2 = -1.
+
+    By doubling from m = k // 2: F_(2m) = F_m (2 F_(m+1) - F_m) and
+    F_(2m+1) = F_m^2 + F_(m+1)^2, so F_k takes O(log k) products and visits
+    at most three indices per halving, which the bounded cache holds."""
     if k < -2:
         raise InputError("fib extended down to index -2 only")
-    if k == -1:
-        return 1
-    if k == -2:
-        return -1
-    while len(_FIB) <= k:
-        _FIB.append(_FIB[-1] + _FIB[-2])
-    return _FIB[k]
+    if k <= 2:
+        return (-1, 1, 0, 1, 1)[k + 2]
+    m = k // 2
+    f, g = fib(m), fib(m + 1)
+    return f * f + g * g if k % 2 else f * (2 * g - f)
 
 
 def golden_sign(a: int, b: int) -> int:
@@ -225,9 +226,8 @@ def check_levels(levels: Iterable[int]) -> list[int]:
     F_n for W_n) pass the monomial limit.  A level past the limit on its own
     is refused without forming its F_n."""
     cap = monomial_cap(None)
-    while _FIB[-1] <= cap:
-        fib(len(_FIB))
-    past = max(bisect_right(_FIB, cap), 1)  # F_n passes the limit from n = past on
+    # F_n passes the limit from n = past on; F_(2 bits + 2) > 2^bits > cap
+    past = max(bisect_right(range(2 * cap.bit_length() + 3), cap, key=fib), 1)
     held: list[int] = []
     total = 0
     for n in levels:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -138,6 +139,13 @@ def test_power_examples():
     assert power_2k(v(1), 2) == ZERO
     assert power_2k(v(1), 0) == v(1)
     assert power_2k(v(1), 1) == eval_text("t0*v3")
+
+
+def test_power_stops_at_zero():
+    # v_1^4 = 0, so no squaring past the second is made
+    start = time.perf_counter()
+    assert power_2k(v(1), 10**9) == ZERO
+    assert time.perf_counter() - start < 1.0
 
 
 def test_power_cap(monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,10 +291,43 @@ def test_check_levels_sums_the_folds_in_order(monkeypatch):
 
 
 def test_check_levels_refuses_a_deep_level_without_its_fibonacci(monkeypatch):
-    monkeypatch.setattr(grading, "_FIB", [0, 1])
+    asked = []
+
+    def recorder(k):
+        asked.append(k)
+        return fib(k)
+
+    monkeypatch.setattr(grading, "fib", recorder)
     with pytest.raises(MonomialLimitError, match="or more possible multidegrees of W_1000000"):
         check_levels([10**6])
-    assert len(grading._FIB) < 100
+    assert asked and max(asked) < 100
+
+
+def test_fib_matches_the_recurrence():
+    a, b = 0, 1
+    for k in range(5001):
+        assert fib(k) == a
+        a, b = b, a + b
+    assert (fib(-1), fib(-2)) == (1, -1)
+    with pytest.raises(FibLieError):
+        fib(-3)
+
+
+def test_deep_pivot_grading_builds_no_fibonacci_list():
+    # gr and weight of v_n need F_(n-3) .. F_(n-1) only, not F_0 .. F_n
+    fib.cache_clear()
+    tracemalloc.start()
+    try:
+        gr(Monomial(30_000, 0))
+        weight(Monomial(30_000, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    start = time.perf_counter()
+    assert gr(Monomial(10**6, 0)) == (fib(10**6 - 2), fib(10**6 - 1))
+    assert weight(Monomial(10**6, 0)).wt == lambda_power(10**6)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_square_multidegree_matches_the_pivot_square():
