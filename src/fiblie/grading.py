@@ -13,11 +13,20 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, count, takewhile
+from itertools import accumulate, count, takewhile
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .core import FibLieError, InputError, Monomial, check_cap, monomial_cap, set_bits
+from .core import (
+    LIMITS,
+    FibLieError,
+    IndexCeilingError,
+    InputError,
+    Monomial,
+    check_cap,
+    monomial_cap,
+    set_bits,
+)
 from . import basis as basis_mod
 
 
@@ -213,11 +222,11 @@ def local_nilpotency_bound(gens: Sequence[Monomial]) -> int:
     return bisect_left(range(top + 1), True, key=reached)
 
 
-# --- the levels a request folds, and per-level scans over each fold ---------
+# --- the levels a request folds --------------------------------------------
 #
 # wt = b + (a+b)*lambda and swt = (a+2b) - (a+b)*lambda depend on a monomial
-# only through its multidegree (a, b), so each scan tests every distinct
-# multidegree of W_n once and weighs it by its count.
+# only through its multidegree (a, b), so a whole series folds W_n into its
+# distinct multidegrees and weighs each by its count.
 
 
 def check_levels(levels: Iterable[int]) -> list[int]:
@@ -265,36 +274,6 @@ def _fold_level(n: int) -> Mapping[tuple[int, int], int]:
     return MappingProxyType(dd)
 
 
-def level_strip_violations(n: int, kind: basis_mod.Kind = "lie") -> int:
-    """Count of level-n basis monomials outside -lambda < swt < 1 (exact)."""
-    counts = level_multidegree_counts(n).items()
-    if kind == "restricted" and n >= 3:
-        counts = chain(counts, [(square_multidegree(n), 1)])
-    return sum(c for (a, b), c in counts if not _in_strip(a, b))
-
-
-def level_rectangle_violations(n: int) -> int:
-    """Count of W_n monomials outside lambda^(n-1) < wt <= lambda^n (exact)."""
-    lo = lambda_power(n - 1)
-    hi = lambda_power(n)
-    return sum(
-        c
-        for (a, b), c in level_multidegree_counts(n).items()
-        if golden_sign(b - lo.a, a + b - lo.b) <= 0
-        or golden_sign(b - hi.a, a + b - hi.b) > 0
-    )
-
-
-def count_weights_at_most(levels: Sequence[int], x: GoldenInt) -> int:
-    """Exhaustive exact count of W-monomials with wt <= x over given levels."""
-    return sum(
-        c
-        for n in levels
-        for (a, b), c in level_multidegree_counts(n).items()
-        if golden_sign(b - x.a, a + b - x.b) <= 0
-    )
-
-
 class WeightTable:
     """Exact counts of W-monomials with wt <= x over given levels, for many
     thresholds x: the distinct weights b + (a+b)*lambda sorted in
@@ -318,3 +297,83 @@ class WeightTable:
 def weight_growth_levels(x: GoldenInt) -> list[int]:
     """Levels that can contain W-monomials of weight <= x."""
     return levels_while(lambda n: (lambda_power(n - 1) - x).sign() < 0)
+
+
+# --- exact counts over one level's tails, by a digit DP ----------------------
+#
+# Level n holds t^S v_n for S within its w = n - 3 tail indices 0..w-1, and
+# wt(t^S v_n) = lambda^n - sum_{j in S} lambda^j; swt is the same sum in the
+# conjugate mu = 1 - lambda.  So each count below is a count of subsets of
+# distinct powers whose sum clears a threshold, taken over exact remainders
+# without forming a monomial or a multidegree (Klarner, Fibonacci Quart. 4
+# (1966)).
+
+
+def _lambda_tail(n: int) -> list[GoldenInt]:
+    """lambda^(w-1), ..., lambda^0 for the w tail indices of level n.  The DP
+    holds no monomials, so ``LIMITS.index_ceiling`` is its only limit."""
+    w = basis_mod.tail_width(n)
+    if w > LIMITS.index_ceiling:
+        raise IndexCeilingError(f"t-index {w - 1} exceeds ceiling {LIMITS.index_ceiling}")
+    return [lambda_power(j) for j in reversed(range(w))]
+
+
+def _subsets_at_least(terms: Sequence[GoldenInt], r: GoldenInt) -> int:
+    """Number of subsets of ``terms`` whose sum is >= r, exact.
+
+    The terms are taken in order, largest magnitude first, with a dict from
+    each remainder r - (sum taken) to its multiplicity.  A remainder at or
+    below the least sum the terms left can make (their negative ones) counts
+    all their subsets at once, and one above the greatest (their positive
+    ones) counts none, so only a few remainders stay live."""
+    w = len(terms)
+    low = [GoldenInt()] * (w + 1)
+    high = [GoldenInt()] * (w + 1)
+    for i in reversed(range(w)):
+        t = terms[i]
+        if t.sign() > 0:
+            low[i], high[i] = low[i + 1], high[i + 1] + t
+        else:
+            low[i], high[i] = low[i + 1] + t, high[i + 1]
+    total = 0
+    live = {r: 1}
+    for i in range(w + 1):
+        rest: dict[GoldenInt, int] = {}
+        for rem, c in live.items():
+            if rem <= low[i]:
+                total += c << (w - i)
+            elif rem <= high[i]:  # so i < w, as low[w] = high[w] = 0
+                for left in (rem, rem - terms[i]):
+                    rest[left] = rest.get(left, 0) + c
+        live = rest
+    return total
+
+
+def level_strip_violations(n: int, kind: basis_mod.Kind = "lie") -> int:
+    """Count of level-n basis monomials outside -lambda < swt < 1 (exact).
+
+    swt(t^S v_n) = mu^n - sum_S mu^j is >= 1 when the sum of the -mu^j is
+    >= 1 - mu^n, and <= -lambda when the sum of the mu^j is >= mu^n + lambda;
+    the restricted level adds the one multidegree of its pivot square."""
+    mu = [t.conj() for t in reversed(_lambda_tail(n))]
+    top = lambda_power(n).conj()
+    out = _subsets_at_least([-t for t in mu], GoldenInt(1) - top)
+    out += _subsets_at_least(mu, top + LAMBDA)
+    if kind == "restricted" and n >= 3:
+        out += not _in_strip(*square_multidegree(n))
+    return out
+
+
+def level_rectangle_violations(n: int) -> int:
+    """Count of W_n monomials outside lambda^(n-1) < wt <= lambda^n (exact):
+    those with wt <= lambda^(n-1), plus 2^w minus those with wt <= lambda^n."""
+    tail = _lambda_tail(n)
+    top = lambda_power(n)
+    below = _subsets_at_least(tail, top - lambda_power(n - 1))
+    return below + (1 << len(tail)) - _subsets_at_least(tail, GoldenInt())
+
+
+def count_weights_at_most(levels: Sequence[int], x: GoldenInt) -> int:
+    """Exact count of W-monomials with wt <= x over the given levels: at level
+    n, the tails S whose lambda^j sum to at least lambda^n - x."""
+    return sum(_subsets_at_least(_lambda_tail(n), lambda_power(n) - x) for n in levels)

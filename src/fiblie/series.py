@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from types import MappingProxyType
+from typing import Mapping
 
 from .basis import Kind
 from .core import FibLieError, InputError, check_cap
@@ -26,23 +28,24 @@ class SupportError(FibLieError):
     """A series left the admissible lattice quadrant."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatticeSeries:
     """Integer coefficients on N0^2, truncated at total degree ``bound``: zeros
-    and terms past the bound are dropped, and a term off N0^2 is refused."""
+    and terms past the bound are dropped, and a term off N0^2 is refused.
+    The value is frozen and ``coeffs`` a read-only mapping, so the check made
+    here holds for as long as the series lives."""
 
-    coeffs: dict[tuple[int, int], int] = field(default_factory=dict)
+    coeffs: Mapping[tuple[int, int], int] = field(default_factory=dict)
     bound: int = 0
 
     def __post_init__(self) -> None:
         if self.bound < 0:
             raise InputError(f"truncation degree must be >= 0, got {self.bound}")
-        self.coeffs = {
-            k: c for k, c in self.coeffs.items() if c != 0 and k[0] + k[1] <= self.bound
-        }
-        for a, b in self.coeffs:
+        coeffs = {k: c for k, c in self.coeffs.items() if c != 0 and k[0] + k[1] <= self.bound}
+        for a, b in coeffs:
             if a < 0 or b < 0:
                 raise SupportError(f"coefficient at ({a},{b}) outside N0^2")
+        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         """The coefficient at key; past the bound the series holds no answer."""

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 import tracemalloc
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from fiblie.core import (
     LIMITS,
     ZERO,
     FibLieError,
+    IndexCeilingError,
     Monomial,
     MonomialLimitError,
     bracket,
@@ -24,6 +27,7 @@ from fiblie.core import (
     monomial,
 )
 from fiblie.expr import eval_text
+from fiblie.verify import criterion_geometry
 from fiblie.grading import (
     GoldenInt,
     LAMBDA,
@@ -343,6 +347,97 @@ def test_level_scans_match_scalar_counts():
         lo, hi = lambda_power(n - 1), lambda_power(n)
         outside = sum(not lo < weight(m).wt <= hi for m in enumerate_W(n))
         assert level_rectangle_violations(n) == outside
+
+
+def folded(levels, outside) -> int:
+    """Test oracle: the fold-based scans that the digit DP replaced.  Each
+    distinct multidegree (a, b) of each level is tested once with
+    ``outside(a, b)`` and weighed by its count."""
+    return sum(
+        c for n in levels for (a, b), c in level_multidegree_counts(n).items() if outside(a, b)
+    )
+
+
+def wt_at_most(x):
+    return lambda a, b: golden_sign(b - x.a, a + b - x.b) <= 0
+
+
+def test_level_counts_match_the_fold_oracle():
+    for n in range(1, 25):
+        lie = folded([n], lambda a, b: not grading._in_strip(a, b))
+        square = n >= 3 and not grading._in_strip(*square_multidegree(n))
+        assert level_strip_violations(n, "lie") == lie, n
+        assert level_strip_violations(n, "restricted") == lie + square, n
+        lo, hi = lambda_power(n - 1), lambda_power(n)
+        outside = folded([n], lambda a, b: not lo < GoldenInt(b, a + b) <= hi)
+        assert level_rectangle_violations(n) == outside, n
+        # lambda^n is attained at level n, so `<` for `<=` shows
+        for x in (hi, hi - ONE, lo, lo + LAMBDA):
+            assert count_weights_at_most([n], x) == folded([n], wt_at_most(x)), (n, x)
+
+
+def test_weight_counts_match_the_fold_oracle_at_seeded_thresholds():
+    rng = random.Random(20240)
+    levels = range(1, 15)
+    for _ in range(300):
+        x = GoldenInt(rng.randrange(-300, 1500), rng.randrange(-300, 300))
+        assert count_weights_at_most(levels, x) == folded(levels, wt_at_most(x)), x
+
+
+def test_subset_count_matches_brute_force():
+    # the DP kernel on mixed signs, in any order: every subset summed exactly
+    rng = random.Random(7)
+    powers = [lambda_power(j) for j in range(8)]
+    powers += [p.conj() for p in powers]
+    powers += [-p for p in powers]
+    for _ in range(300):
+        terms = rng.sample(powers, rng.randrange(0, 9))
+        r = GoldenInt(rng.randrange(-20, 21), rng.randrange(-12, 13))
+        subsets = chain.from_iterable(combinations(terms, k) for k in range(len(terms) + 1))
+        expected = sum(sum(s, GoldenInt()) >= r for s in subsets)
+        assert grading._subsets_at_least(terms, r) == expected, (terms, r)
+
+
+def test_levels_without_a_tail():
+    # W_1, W_2, W_3 are v_1, v_2, v_3: swt = mu, mu^2, mu^3 lie in the strip
+    for n in (1, 2, 3):
+        for kind in ("lie", "restricted"):
+            assert level_strip_violations(n, kind) == 0
+        assert level_rectangle_violations(n) == 0
+        assert count_weights_at_most([n], lambda_power(n)) == 1
+        assert count_weights_at_most([n], lambda_power(n) - ONE) == 0
+    assert count_weights_at_most([1, 2, 3], lambda_power(3)) == 3
+
+
+def test_deep_level_counts_by_closed_form():
+    # W_120 holds 2^117 monomials, all in the strip and the rectangle
+    n = 120
+    start = time.perf_counter()
+    for kind in ("lie", "restricted"):
+        assert level_strip_violations(n, kind) == 0
+    assert level_rectangle_violations(n) == 0
+    assert count_weights_at_most([n], lambda_power(n)) == 1 << (n - 3)
+    assert count_weights_at_most([n], lambda_power(n - 1)) == 0
+    assert time.perf_counter() - start < 0.1
+
+
+def test_level_counts_stop_at_the_index_ceiling():
+    # tail indices 0..n-4, so level ceiling + 3 is the deepest one admitted
+    top = LIMITS.index_ceiling + 3
+    assert level_rectangle_violations(top) == 0
+    for count in (
+        lambda n: level_strip_violations(n, "restricted"),
+        level_rectangle_violations,
+        lambda n: count_weights_at_most([n], lambda_power(n)),
+    ):
+        with pytest.raises(IndexCeilingError):
+            count(top + 1)
+
+
+def test_geometry_criterion_folds_no_level():
+    grading._fold_level.cache_clear()
+    assert criterion_geometry(1)[0]
+    assert grading._fold_level.cache_info().currsize == 0
 
 
 def test_level_stratification():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -365,6 +366,18 @@ def test_product_rejects_off_quadrant_factor():
         with pytest.raises(SupportError):
             series({key: 1}, 4)
     assert series({(-1, 2): 0, (3, -1): 1}, 1).coeffs == {}  # zeros and terms past the bound
+
+
+def test_series_is_frozen_after_the_quadrant_check():
+    # mutation would bypass the check made at construction
+    s = series({(1, 0): 1}, 4)
+    with pytest.raises(TypeError):
+        s.coeffs[(-1, 2)] = 1
+    for field, value in (("coeffs", {(-1, 2): 1}), ("bound", -1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, field, value)
+    assert s.coeffs == {(1, 0): 1} and s.one_var() == [0, 1, 0, 0, 0]
+    assert (s * s).coeffs == {(2, 0): 1}
 
 
 def test_dense_triangle_is_held_to_the_monomial_limit(monkeypatch):
