@@ -39,12 +39,16 @@ class LatticeSeries:
     bound: int = 0
 
     def __post_init__(self) -> None:
-        if self.bound < 0:
-            raise InputError(f"truncation degree must be >= 0, got {self.bound}")
-        coeffs = {k: c for k, c in self.coeffs.items() if c != 0 and k[0] + k[1] <= self.bound}
-        for a, b in coeffs:
-            if a < 0 or b < 0:
-                raise SupportError(f"coefficient at ({a},{b}) outside N0^2")
+        bound = self.bound
+        if bound < 0:
+            raise InputError(f"truncation degree must be >= 0, got {bound}")
+        coeffs = {}
+        for key, c in self.coeffs.items():
+            a, b = key
+            if c and a + b <= bound:
+                if a < 0 or b < 0:
+                    raise SupportError(f"coefficient at ({a},{b}) outside N0^2")
+                coeffs[key] = c
         object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
 
     def __getitem__(self, key: tuple[int, int]) -> int:
@@ -56,10 +60,12 @@ class LatticeSeries:
     def __mul__(self, other: "LatticeSeries") -> "LatticeSeries":
         """The product through the smaller bound.
 
-        Each pair of packed rows d1 + d2 <= bound (see ``_unpack``) is one
-        integer product, so no pair past the bound is ever formed.  A cell
-        sums at most min(len) pairs, so a slot of bits(max|x|) +
-        bits(max|y|) + bits(min(len)) + 1 bits holds it.
+        Each pair of trimmed rows d1 + d2 <= bound (see ``_trimmed_rows``) is
+        one integer product, so no pair past the bound is ever formed.  Rows
+        that start at slots z1 and z2 multiply to a row that starts at slot
+        z1 + z2, so the product is shifted back by z1 + z2 slots as it is
+        added to row d1 + d2.  A cell sums at most min(len) pairs, so a slot
+        of bits(max|x|) + bits(max|y|) + bits(min(len)) + 1 bits holds it.
         """
         bound = min(self.bound, other.bound)
         check_triangle(bound, bound)
@@ -70,15 +76,18 @@ class LatticeSeries:
             + max(map(abs, other.coeffs.values())).bit_length()
             + min(len(self.coeffs), len(other.coeffs)).bit_length()
         )
-        right = [(d, row) for d, row in enumerate(_pack(other, bound, width)) if row]
+        right = _trimmed_rows(other, bound, width)
         out = [0] * (bound + 1)
-        for d1, row1 in enumerate(_pack(self, bound, width)):
-            if row1:
-                for d2, row2 in right:
-                    if d1 + d2 > bound:
-                        break
+        for d1, z1, row1 in _trimmed_rows(self, bound, width):
+            for d2, z2, row2 in right:
+                if d1 + d2 > bound:
+                    break
+                # x << 0 copies a big int
+                if z1 + z2:
+                    out[d1 + d2] += (row1 * row2) << (z1 + z2)
+                else:
                     out[d1 + d2] += row1 * row2
-        return _unpack(out, width, bound)
+        return _unpack(out, [0] * (bound + 1), width, bound)
 
     def one_var(self) -> list[int]:
         """Coefficients by total degree a + b, for degrees 0..bound."""
@@ -102,31 +111,45 @@ def _slot_width(bits: int) -> int:
     return (bits // 8 + 1) * 8
 
 
-def _pack(s: LatticeSeries, bound: int, width: int) -> list[int]:
-    """The terms of ``s`` (in N0^2) through the bound as packed rows."""
+def _trimmed_rows(s: LatticeSeries, bound: int, width: int) -> list[tuple[int, int, int]]:
+    """The nonzero rows of ``s`` through the bound, in order of total degree,
+    as (d, z width, row): row d packed from its lowest nonzero slot z, so
+    that row is the sum of c_(a, d-a) 2^((a - z) width) over its cells.  A
+    cell below the row's lowest slot so far shifts the row up to it first."""
     rows = [0] * (bound + 1)
+    low = [bound + 1] * (bound + 1)  # above every slot a <= bound
     for (a, b), c in s.coeffs.items():
-        if a + b <= bound:
-            rows[a + b] += c << (a * width)
-    return rows
+        d = a + b
+        if d <= bound:
+            z = low[d]
+            if a >= z:
+                rows[d] += c << ((a - z) * width)
+            else:
+                rows[d] = (rows[d] << ((z - a) * width)) + c
+                low[d] = a
+    return [(d, low[d] * width, row) for d, row in enumerate(rows) if row]
 
 
-def _unpack(rows: list[int], width: int, bound: int) -> LatticeSeries:
-    """The series whose coefficient at (a, d - a) is slot a of rows[d].
+def _unpack(rows: list[int], offsets: list[int], width: int, bound: int) -> LatticeSeries:
+    """The series whose coefficient at (a, d - a) is slot a - offsets[d] of rows[d].
 
-    Row d is the integer sum of c_(a, d-a) 2^(a width) over a <= d, so each
-    slot is signed; with |c| < 2^(width - 1) in every slot, adding
-    2^(width - 1) to each makes every slot a plain byte field.
+    Row d is the integer sum of c_(a, d-a) 2^((a - z) width) over z <= a <= d,
+    z = offsets[d], so each slot is signed; with |c| < 2^(width - 1) in
+    every slot, adding 2^(width - 1) to each makes every slot a plain byte
+    field.  The bit length of the row names its top nonzero slot, so no slot
+    above it is read.
     """
     size, half = width // 8, 1 << (width - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * (bound + 1), "little")
     coeffs: dict[tuple[int, int], int] = {}
-    bias = 0
     for d, row in enumerate(rows):
-        bias |= half << (d * width)
         if row:
-            data = (row + bias).to_bytes((d + 1) * size, "little")
-            for a in range(d + 1):
-                c = int.from_bytes(data[a * size : (a + 1) * size], "little") - half
+            z = offsets[d]
+            # the top nonzero slot k has 2^(k width - 1) < |row| < 2^((k + 1) width - 1)
+            slots = abs(row).bit_length() // width + 1
+            data = (row + (bias >> ((bound + 1 - slots) * width))).to_bytes(slots * size, "little")
+            for i, a in enumerate(range(z, z + slots)):
+                c = int.from_bytes(data[i * size : (i + 1) * size], "little") - half
                 if c:
                     coeffs[(a, d - a)] = c
     return LatticeSeries(coeffs, bound)
@@ -230,33 +253,52 @@ def _factor_product(factors: LatticeSeries, sign: int) -> LatticeSeries:
     The product lives on packed rows (see ``_unpack``), one per total
     degree.  Multiplying by x^f moves row d to row d + |f|, shifted by f_a
     slots.  Each factor f visits the rows d >= |f|: multiplying by
-    (1 - x^f) sweeps downwards, so rows[d] -= rows[d - |f|] reads the old
-    row; dividing by it sweeps upwards, so rows[d] += rows[d - |f|] reads
-    the new one.
+    (1 - x^f) sweeps downwards on offset rows (``_sweep_down``); dividing by
+    it sweeps upwards (``_sweep``) on rows that start at slot 0, since a
+    divisor repeats each factor without limit and so fills every row from
+    slot 0.
 
     Rows are exact integers, so only the final slots must fit.  As the
     counts are >= 0, |coefficient at (a, b)| <= [prod (1 + x^p)^c_p] at
-    (a, b) <= H(U) at (a, b) <= U1 at a + b, where U1 is the one-variable
-    envelope prod 1/(1 - t^|p|)^c_p: the slots are sized by max U1.
+    (a, b) <= X at a + b, where X is the one-variable exterior product
+    prod (1 + t^|p|)^c_p: the slots of a product (sign +1) are sized by
+    max X.  A quotient's coefficients are counts of the envelope, at most
+    U1 at a + b, the one-variable envelope prod 1/(1 - t^|p|)^c_p, so its
+    slots are sized by max U1 >= max X.
     """
     bound = factors.bound
     check_triangle(bound, bound if any(a for a, _ in factors.coeffs) else 0)
-    width = _slot_width(max(e_operator_1var(factors.one_var())).bit_length())
-    rows = _sweep([(a, a + b, c) for (a, b), c in factors.coeffs.items()], sign, width, bound)
-    return _unpack(rows, width, bound)
+    h = factors.one_var()
+    envelope = e_operator_1var(h)
+    cells = [(a, a + b, c) for (a, b), c in factors.coeffs.items()]
+    if sign > 0:
+        width = _slot_width(max(_exterior_1var(h, envelope)).bit_length())
+        rows, offsets = _sweep_down(cells, width, bound)
+    else:
+        width = _slot_width(max(envelope).bit_length())
+        rows, offsets = _sweep([1] + [0] * bound, cells, sign, width), [0] * (bound + 1)
+    return _unpack(rows, offsets, width, bound)
 
 
-def _sweep(factors: list[tuple[int, int, int]], sign: int, width: int, bound: int) -> list[int]:
-    """The packed rows of prod (1 - x^f)^(sign c) over the factors (f_a, |f|, c)."""
-    rows = [1] + [0] * bound
+def _exterior_1var(h: list[int], envelope: list[int]) -> list[int]:
+    """prod over degrees d of (1 + t^d)^h[d], given the envelope
+    prod 1/(1 - t^d)^h[d]: their quotient is prod (1 - t^(2d))^h[d]."""
+    bound = len(h) - 1
+    doubled = [(0, 2 * d, c) for d, c in enumerate(h) if c and 2 * d <= bound]
+    return _sweep(list(envelope), doubled, 1, 0)
+
+
+def _sweep(rows: list[int], factors: list[tuple[int, int, int]], sign: int, width: int) -> list[int]:
+    """The packed rows times prod (1 - x^f)^(sign c) over the factors
+    (f_a, |f|, c), in place.  Every row starts at slot 0; the downward
+    sweep (sign +1) runs here on width-0 rows only, where f_a moves no slot."""
+    bound = len(rows) - 1
     for fa, fd, c in factors:
         shift = fa * width
         for _ in range(c):
-            # four loops, not two: x << 0 copies a big int; two made the growth report 45% slower
-            if sign > 0 and shift:
-                for d in range(bound, fd - 1, -1):
-                    rows[d] -= rows[d - fd] << shift
-            elif sign > 0:
+            # x << 0 copies a big int, so only the shifting loop shifts: shifting
+            # on width-0 rows too made the growth report 45% slower
+            if sign > 0:
                 for d in range(bound, fd - 1, -1):
                     rows[d] -= rows[d - fd]
             elif shift:
@@ -266,6 +308,40 @@ def _sweep(factors: list[tuple[int, int, int]], sign: int, width: int, bound: in
                 for d in range(fd, bound + 1):
                     rows[d] += rows[d - fd]
     return rows
+
+
+def _sweep_down(
+    factors: list[tuple[int, int, int]], width: int, bound: int
+) -> tuple[list[int], list[int]]:
+    """The packed rows of prod (1 - x^f)^c over the factors (f_a, |f|, c) and
+    the slot offset of each row: row d holds its coefficients from slot
+    offsets[d] up, stored shifted down by that many slots.
+
+    Multiplying by (1 - x^f) adds to row d the terms of row d - |f| moved up
+    by f_a slots, so they start at slot offsets[d - |f|] + f_a; when that
+    lies below the row's own offset, the row is first shifted up to it.
+    An offset only records where terms were added, never which cells
+    cancelled, so it is exact for any factors, and every slot below it is 0.
+    """
+    rows = [1] + [0] * bound
+    # bit offsets; an empty row sits above every slot a <= bound
+    offs = [0] + [(bound + 1) * width] * bound
+    for fa, fd, c in factors:
+        shift = fa * width
+        for _ in range(c):
+            for d in range(bound, fd - 1, -1):
+                src = rows[d - fd]
+                if src:
+                    gap = offs[d - fd] + shift - offs[d]
+                    # x << 0 copies a big int
+                    if gap > 0:
+                        rows[d] -= src << gap
+                    elif gap:
+                        rows[d] = (rows[d] << -gap) - src
+                        offs[d] += gap
+                    else:
+                        rows[d] -= src
+    return rows, [off // width for off in offs]
 
 
 def e_operator(h: LatticeSeries) -> LatticeSeries:
@@ -293,7 +369,10 @@ def euler_product(bound: int = 40) -> LatticeSeries:
 
 
 def euler_product_1var(bound: int) -> list[int]:
-    """prod over basis monomials w of (1 - t^|w|), exact through the bound."""
+    """prod over basis monomials w of (1 - t^|w|), exact through the bound:
+    the labelled oracle of ``euler_product(bound).one_var()``, one sweep of
+    width-0 rows over the one-variable Hilbert series, which the tests hold
+    the lattice product against."""
     return _sweep_1var(hilbert_one_var(bound), 1)
 
 
@@ -303,17 +382,21 @@ def _sweep_1var(h: list[int], sign: int) -> list[int]:
         raise InputError("truncation degree must be >= 0, got -1")
     bound = len(h) - 1
     check_triangle(bound, 0)
-    return _sweep([(0, d, c) for d, c in enumerate(h) if c], sign, 0, bound)
+    return _sweep([1] + [0] * bound, [(0, d, c) for d, c in enumerate(h) if c], sign, 0)
 
 
 def euler_inverse_mismatch(bound: int = 40) -> tuple[int, int] | None:
     """First lattice point where E * H(U) differs from 1, or None."""
     product = euler_product(bound) * e_operator(hilbert_lie(bound))
-    for d in range(bound + 1):
-        for a in range(d + 1):
-            if product[(a, d - a)] != (1 if d == 0 else 0):
-                return (a, d - a)
-    return None
+    if product.coeffs == {(0, 0): 1}:
+        return None
+    # some cell differs from 1: the first in order of total degree, then of a
+    return next(
+        (a, d - a)
+        for d in range(bound + 1)
+        for a in range(d + 1)
+        if product[(a, d - a)] != (1 if d == 0 else 0)
+    )
 
 
 def euler_inverse_check(bound: int = 40) -> bool:
@@ -386,7 +469,9 @@ class EulerEvalResult:
 def _hilbert_upper(u: float, s_exact: list[int]) -> float:
     """Upper bound for H(L, u), 0 < u < 1: exact part plus 3k^2 tail."""
     k_max = len(s_exact) - 1
-    exact = sum(c * u**n for n, c in enumerate(s_exact))
+    exact = 0.0
+    for c in reversed(s_exact):
+        exact = exact * u + c
     # sum_{k>K} 3 k^2 u^k <= 3 (K+1)^2 u^{K+1} (1+u)/(1-u)^3
     tail = 3 * (k_max + 1) ** 2 * u ** (k_max + 1) * (1 + u) / (1 - u) ** 3
     return exact + tail
@@ -414,8 +499,8 @@ def euler_eval_check(degree: int = 400) -> list[EulerEvalResult]:
     absorbs float rounding.  Results flag tail_ok=False (check
     skipped) when the bound is not small enough to decide the inequality.
     """
-    e_series = euler_product_1var(degree)
     s_exact = hilbert_one_var(degree)
+    e_series = _sweep_1var(s_exact, 1)
     log_hu_at = {x: _envelope_log_upper(x, s_exact) for x in (0.8, 0.85, 0.9, 0.95)}
     results = []
     top = len(e_series) - 1

@@ -11,15 +11,21 @@ import pytest
 
 from fiblie.core import LIMITS, InputError, MonomialLimitError
 from fiblie.grading import GoldenInt, LAMBDA, _fold_level, gr, lambda_power, weight_growth_levels
+from fiblie import series as series_mod
 from fiblie.basis import enumerate_W_upto
 from fiblie.series import (
     LatticeSeries,
     SupportError,
+    _exterior_1var,
     _factor_product,
+    _slot_width,
+    _sweep_down,
+    _trimmed_rows,
     e_operator,
     e_operator_1var,
     euler_eval_check,
     euler_inverse_check,
+    euler_inverse_mismatch,
     euler_product,
     euler_product_1var,
     enveloping_growth_report,
@@ -300,6 +306,56 @@ def test_factor_product_matches_the_triangle_oracle_on_random_counts():
             assert _factor_product(factors, sign) == triangle_factor_product(factors, sign)
 
 
+def test_offset_rows_lower_an_offset_after_the_row_holds_terms():
+    # (1 - x^2 y) puts row 3's first term at slot 2; (1 - y^3) then adds one
+    # at slot 0, below it: (1 - x^2 y)(1 - y^3) = 1 - x^2 y - y^3 + x^2 y^4
+    rows, offsets = _sweep_down([(2, 3, 1), (0, 3, 1)], 8, 6)
+    assert (offsets[3], rows[3]) == (0, -1 - (1 << 16))
+    assert (offsets[6], rows[6]) == (2, 1)
+    for coeffs in ({(2, 1): 1, (0, 3): 1}, {(3, 0): 2, (1, 1): 1, (0, 2): 3, (2, 2): 1}):
+        factors = LatticeSeries(coeffs, 12)
+        assert _factor_product(factors, 1) == triangle_factor_product(factors, 1)
+
+
+def exterior_1var_brute(h: list[int]) -> list[int]:
+    """Test oracle: prod over degrees d of (1 + t^d)^h[d], one factor at a time."""
+    out = [1] + [0] * (len(h) - 1)
+    for d, c in enumerate(h):
+        for _ in range(c):
+            out = [x + (out[k - d] if k >= d else 0) for k, x in enumerate(out)]
+    return out
+
+
+def test_exterior_width_holds_the_euler_product():
+    for bound in range(61):
+        h = hilbert_one_var(bound)
+        assert _exterior_1var(h, e_operator_1var(h)) == exterior_1var_brute(h)
+    h = hilbert_one_var(200)
+    width = _slot_width(max(_exterior_1var(h, e_operator_1var(h))).bit_length())
+    assert max(map(abs, euler_product(200).coeffs.values())) < 2 ** (width - 1)
+    # narrower than slots sized by the one-variable envelope
+    assert width < _slot_width(max(e_operator_1var(h)).bit_length())
+
+
+def test_euler_product_projects_to_one_variable_and_inverts_the_envelope():
+    for bound in (0, 1, 2, 3, 4, 5, 11, 40, 200):
+        assert euler_product(bound).one_var() == euler_product_1var(bound)
+        assert euler_inverse_check(bound)
+
+
+def test_euler_inverse_mismatch_names_the_first_wrong_cell(monkeypatch):
+    # E' = E + x^p makes E' * H(U) = 1 + x^p H(U): its first cell off 1 is p,
+    # as H(U) is 1 at the origin; a corrupted envelope shows the same way
+    good_e, good_u = euler_product(30), e_operator(hilbert_lie(30))
+    for cell in ((4, 7), (0, 1), (12, 0), (9, 21)):
+        for name, good in (("euler_product", good_e), ("e_operator", good_u)):
+            corrupted = LatticeSeries({**good.coeffs, cell: good[cell] + 1}, 30)
+            with monkeypatch.context() as m:
+                m.setattr(series_mod, name, lambda *args: corrupted)
+                assert euler_inverse_mismatch(30) == cell
+    assert euler_inverse_mismatch(30) is None
+
+
 def test_euler_product_of_degree_400_runs_on_rows():
     # 1.2 s on packed rows and about 7 s cell by cell (2-vCPU VM, Python 3.11)
     start = time.perf_counter()
@@ -325,6 +381,40 @@ def test_product_matches_pair_oracle():
     s = series({(0, 0): 2, (1, 3): -1}, 6)
     assert s * empty == empty * s == empty
     assert s * LatticeSeries({(0, 0): 3}, 0) == LatticeSeries({(0, 0): 6}, 0)
+
+
+def test_trimmed_rows_start_at_their_lowest_cell():
+    # the second cell of row 4 lies below the first: the row is shifted up to it
+    s = series({(0, 0): 1, (3, 0): 5, (3, 1): 2, (1, 3): -1, (5, 2): -2}, 9)
+    assert _trimmed_rows(s, 9, 8) == [
+        (0, 0, 1),
+        (3, 24, 5),
+        (4, 8, (2 << 16) - 1),
+        (7, 40, -2),
+    ]
+    assert _trimmed_rows(s, 5, 8) == _trimmed_rows(s, 9, 8)[:3]
+
+
+def test_trimmed_product_matches_pair_oracle():
+    # rows whose only cell is at a = d, empty rows between, different bounds
+    top = series({(0, 0): 1, (3, 0): 5, (6, 0): -2, (9, 0): 1}, 9)
+    mixed = series({(2, 0): -3, (1, 4): 7, (5, 1): 2, (0, 6): 1, (8, 3): 4}, 12)
+    one = series({(4, 0): 1}, 20)
+    for x in (top, mixed, one):
+        for y in (top, mixed, one):
+            assert x * y == dict_pair_product(x, y) == triangle_product(x, y)
+    rng = random.Random(39)
+    for _ in range(200):
+        # every row starts at a random slot, often at its top slot a = d
+        bound = rng.randint(0, 12)
+        coeffs = {}
+        for _ in range(rng.randint(0, 10)):
+            d = rng.randint(0, bound)
+            a = rng.choice((d, rng.randint(d // 2, d)))
+            coeffs[(a, d - a)] = rng.randint(-9, 9)
+        s = LatticeSeries(coeffs, bound)
+        t = random_quadrant_series(rng)
+        assert s * t == t * s == dict_pair_product(s, t)
 
 
 def test_product_of_wide_coefficients_matches_pair_oracle():
