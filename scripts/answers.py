@@ -12,7 +12,8 @@ changes from run to run.  The answers live in ``tests/answers.json``, which
 ``--check`` runs the large commands instead, about 40 s in all, against
 ``tests/answers_large.json``: the nil scan to m = 14, the nil index of
 v1+...+v15, the homology table to total degree 36, the Euler product to
-degree 800 and the presentation to degree 24.
+degree 800, the enveloping growth report to degree 2000 and the
+presentation to degree 24.
 
     PYTHONPATH=src python3 scripts/answers.py            # compare; exit 1 on a difference
     PYTHONPATH=src python3 scripts/answers.py --update   # rewrite tests/answers.json
@@ -117,6 +118,7 @@ LARGE: tuple[tuple[str, ...], ...] = (
     ("nil", "--element", "+".join(f"v{i}" for i in range(1, 16))),
     ("homology", "--max-total-degree", "36"),
     ("euler", "--degree", "800"),
+    ("envelope", "--growth", "--degree", "2000"),
     ("presentation", "--max-degree", "24"),
 )
 

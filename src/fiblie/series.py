@@ -6,8 +6,7 @@ Truncation is by total degree and the bound travels with the value; a
 product is exact through the smaller of its factors' bounds and carries
 that bound, so precision is never lost silently.  A one-variable series
 is a plain list of coefficients for degrees 0..bound (its bound is
-len - 1): the width-0 rows of the packed lattice sweep.  Coefficients are
-exact Python integers throughout.
+len - 1).  Coefficients are exact Python integers throughout.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -254,59 +254,46 @@ def _factor_product(factors: LatticeSeries, sign: int) -> LatticeSeries:
     degree.  Multiplying by x^f moves row d to row d + |f|, shifted by f_a
     slots.  Each factor f visits the rows d >= |f|: multiplying by
     (1 - x^f) sweeps downwards on offset rows (``_sweep_down``); dividing by
-    it sweeps upwards (``_sweep``) on rows that start at slot 0, since a
+    it sweeps upwards (``_sweep_up``) on rows that start at slot 0, since a
     divisor repeats each factor without limit and so fills every row from
     slot 0.
 
     Rows are exact integers, so only the final slots must fit.  As the
     counts are >= 0, |coefficient at (a, b)| <= [prod (1 + x^p)^c_p] at
     (a, b) <= X at a + b, where X is the one-variable exterior product
-    prod (1 + t^|p|)^c_p: the slots of a product (sign +1) are sized by
-    max X.  A quotient's coefficients are counts of the envelope, at most
-    U1 at a + b, the one-variable envelope prod 1/(1 - t^|p|)^c_p, so its
-    slots are sized by max U1 >= max X.
+    prod (1 + t^|p|)^c_p = prod (1 - t^(2|p|))^c_p / (1 - t^|p|)^c_p: the
+    slots of a product (sign +1) are sized by max X.  A quotient's
+    coefficients are counts of the envelope, at most U1 at a + b, the
+    one-variable envelope prod 1/(1 - t^|p|)^c_p, so its slots are sized by
+    max U1 >= max X.  Both come from ``_product_1var``.
     """
     bound = factors.bound
     check_triangle(bound, bound if any(a for a, _ in factors.coeffs) else 0)
     h = factors.one_var()
-    envelope = e_operator_1var(h)
+    exponents = [-c for c in h]  # U1
+    if sign > 0:
+        for d in range(1, bound // 2 + 1):
+            exponents[2 * d] += h[d]  # X
+    width = _slot_width(max(_product_1var(exponents)).bit_length())
     cells = [(a, a + b, c) for (a, b), c in factors.coeffs.items()]
     if sign > 0:
-        width = _slot_width(max(_exterior_1var(h, envelope)).bit_length())
         rows, offsets = _sweep_down(cells, width, bound)
     else:
-        width = _slot_width(max(envelope).bit_length())
-        rows, offsets = _sweep([1] + [0] * bound, cells, sign, width), [0] * (bound + 1)
+        rows, offsets = _sweep_up(cells, width, bound), [0] * (bound + 1)
     return _unpack(rows, offsets, width, bound)
 
 
-def _exterior_1var(h: list[int], envelope: list[int]) -> list[int]:
-    """prod over degrees d of (1 + t^d)^h[d], given the envelope
-    prod 1/(1 - t^d)^h[d]: their quotient is prod (1 - t^(2d))^h[d]."""
-    bound = len(h) - 1
-    doubled = [(0, 2 * d, c) for d, c in enumerate(h) if c and 2 * d <= bound]
-    return _sweep(list(envelope), doubled, 1, 0)
-
-
-def _sweep(rows: list[int], factors: list[tuple[int, int, int]], sign: int, width: int) -> list[int]:
-    """The packed rows times prod (1 - x^f)^(sign c) over the factors
-    (f_a, |f|, c), in place.  Every row starts at slot 0; the downward
-    sweep (sign +1) runs here on width-0 rows only, where f_a moves no slot."""
-    bound = len(rows) - 1
+def _sweep_up(factors: list[tuple[int, int, int]], width: int, bound: int) -> list[int]:
+    """The packed rows of prod 1/(1 - x^f)^c over the factors (f_a, |f|, c),
+    every row from slot 0.  A factor with f_a = 0 shifts by 0 bits, which
+    copies each row it reads; of the lattice envelope's factors only v_2 at
+    (0, 1), with count 1, has f_a = 0 (checked through degree 1200)."""
+    rows = [1] + [0] * bound
     for fa, fd, c in factors:
         shift = fa * width
         for _ in range(c):
-            # x << 0 copies a big int, so only the shifting loop shifts: shifting
-            # on width-0 rows too made the growth report 45% slower
-            if sign > 0:
-                for d in range(bound, fd - 1, -1):
-                    rows[d] -= rows[d - fd]
-            elif shift:
-                for d in range(fd, bound + 1):
-                    rows[d] += rows[d - fd] << shift
-            else:
-                for d in range(fd, bound + 1):
-                    rows[d] += rows[d - fd]
+            for d in range(fd, bound + 1):
+                rows[d] += rows[d - fd] << shift
     return rows
 
 
@@ -358,7 +345,7 @@ def e_operator_1var(h: list[int]) -> list[int]:
     for d, c in enumerate(h):
         if c < 0 or (d == 0 and c):
             raise InputError(f"E needs counts >= 0 off degree 0, got {c} at degree {d}")
-    return _sweep_1var(h, -1)
+    return _product_1var([-c for c in h])
 
 
 def euler_product(bound: int = 40) -> LatticeSeries:
@@ -368,21 +355,29 @@ def euler_product(bound: int = 40) -> LatticeSeries:
     return _factor_product(hilbert_lie(bound), 1)
 
 
-def euler_product_1var(bound: int) -> list[int]:
-    """prod over basis monomials w of (1 - t^|w|), exact through the bound:
-    the labelled oracle of ``euler_product(bound).one_var()``, one sweep of
-    width-0 rows over the one-variable Hilbert series, which the tests hold
-    the lattice product against."""
-    return _sweep_1var(hilbert_one_var(bound), 1)
+def _product_1var(exponents: list[int]) -> list[int]:
+    """prod over degrees d >= 1 of (1 - t^d)^exponents[d], exact through
+    len(exponents) - 1, by the logarithmic derivative.
 
-
-def _sweep_1var(h: list[int], sign: int) -> list[int]:
-    """prod over degrees d of (1 - t^d)^(sign h[d]) on width-0 rows."""
-    if not h:
+    For P = prod (1 - t^d)^(e_d), t P'/P = sum_d e_d (-d t^d)/(1 - t^d) =
+    sum_k s_k t^k with s_k = -sum over d | k of d e_d, so the coefficient of
+    t^n in t P' = P (t P'/P) reads n P_n = sum_{k=1..n} s_k P_(n-k).  Each
+    division by n is exact: P is a product of integer series with constant
+    term 1, so P_n is an integer.
+    """
+    if not exponents:
         raise InputError("truncation degree must be >= 0, got -1")
-    bound = len(h) - 1
+    bound = len(exponents) - 1
     check_triangle(bound, 0)
-    return _sweep([1] + [0] * bound, [(0, d, c) for d, c in enumerate(h) if c], sign, 0)
+    s = [0] * (bound + 1)
+    for d in range(1, bound + 1):
+        if exponents[d]:
+            for k in range(d, bound + 1, d):
+                s[k] -= d * exponents[d]
+    out = [1] + [0] * bound
+    for n in range(1, bound + 1):
+        out[n] = sum(map(mul, s[n:0:-1], out[:n])) // n
+    return out
 
 
 def euler_inverse_mismatch(bound: int = 40) -> tuple[int, int] | None:
@@ -500,7 +495,7 @@ def euler_eval_check(degree: int = 400) -> list[EulerEvalResult]:
     skipped) when the bound is not small enough to decide the inequality.
     """
     s_exact = hilbert_one_var(degree)
-    e_series = _sweep_1var(s_exact, 1)
+    e_series = _product_1var(s_exact)
     log_hu_at = {x: _envelope_log_upper(x, s_exact) for x in (0.8, 0.85, 0.9, 0.95)}
     results = []
     top = len(e_series) - 1

@@ -16,9 +16,9 @@ from fiblie.basis import enumerate_W_upto
 from fiblie.series import (
     LatticeSeries,
     SupportError,
-    _exterior_1var,
     _factor_product,
     _hilbert_upper,
+    _product_1var,
     _slot_width,
     _sweep_down,
     _trimmed_rows,
@@ -28,7 +28,6 @@ from fiblie.series import (
     euler_inverse_check,
     euler_inverse_mismatch,
     euler_product,
-    euler_product_1var,
     enveloping_growth_report,
     hilbert_enumerated,
     hilbert_lie,
@@ -162,6 +161,8 @@ def test_e_operator_rejects_bad_input():
     for h in ([1, 2, 0, 0, 0], [0, 1, -1], []):
         with pytest.raises(InputError):
             e_operator_1var(h)
+    with pytest.raises(InputError):
+        _product_1var([])
 
 
 def e_operator_exp(h: LatticeSeries) -> LatticeSeries:
@@ -318,24 +319,63 @@ def test_offset_rows_lower_an_offset_after_the_row_holds_terms():
         assert _factor_product(factors, 1) == triangle_factor_product(factors, 1)
 
 
-def exterior_1var_brute(h: list[int]) -> list[int]:
-    """Test oracle: prod over degrees d of (1 + t^d)^h[d], one factor at a time."""
-    out = [1] + [0] * (len(h) - 1)
-    for d, c in enumerate(h):
-        for _ in range(c):
-            out = [x + (out[k - d] if k >= d else 0) for k, x in enumerate(out)]
+def product_1var_brute(exponents: list[int]) -> list[int]:
+    """Test oracle: prod over degrees d >= 1 of (1 - t^d)^exponents[d], one
+    factor (1 - t^d)^(+-1) at a time: a multiplier sweeps downwards, so
+    out[k] -= out[k - d] reads the old value; a divisor sweeps upwards, so
+    out[k] += out[k - d] reads the new one."""
+    out = [1] + [0] * (len(exponents) - 1)
+    for d, e in enumerate(exponents[1:], 1):
+        for _ in range(e):
+            for k in range(len(out) - 1, d - 1, -1):
+                out[k] -= out[k - d]
+        for _ in range(-e):
+            for k in range(d, len(out)):
+                out[k] += out[k - d]
     return out
 
 
-def test_exterior_width_holds_the_euler_product():
+def one_var_exponents(h: list[int]) -> dict[str, list[int]]:
+    """The exponents e of prod (1 - t^d)^(e_d) for the envelope U1, the Euler
+    product E1 and the exterior product X = prod (1 + t^d)^(h_d), since
+    1 + t^d = (1 - t^(2d)) / (1 - t^d)."""
+    exterior = [-c for c in h]
+    for d in range(1, (len(h) - 1) // 2 + 1):
+        exterior[2 * d] += h[d]
+    return {"U1": [-c for c in h], "E1": list(h), "X": exterior}
+
+
+def test_one_var_product_matches_the_naive_product():
     for bound in range(61):
         h = hilbert_one_var(bound)
-        assert _exterior_1var(h, e_operator_1var(h)) == exterior_1var_brute(h)
-    h = hilbert_one_var(200)
-    width = _slot_width(max(_exterior_1var(h, e_operator_1var(h))).bit_length())
+        for exponents in one_var_exponents(h).values():
+            assert _product_1var(exponents) == product_1var_brute(exponents)
+    # the exterior product counts subsets: prod (1 + t^d)^(h_d), one factor at a time
+    h = hilbert_one_var(30)
+    exterior = [1] + [0] * 30
+    for d, c in enumerate(h):
+        for _ in range(c):
+            exterior = [x + (exterior[k - d] if k >= d else 0) for k, x in enumerate(exterior)]
+    assert _product_1var(one_var_exponents(h)["X"]) == exterior
+
+
+def test_one_var_product_matches_the_naive_product_on_random_exponents():
+    rng = random.Random(40)
+    signs = set()
+    for _ in range(200):
+        bound = rng.randint(0, 30)
+        exponents = [0] + [rng.randint(-3, 3) for _ in range(bound)]
+        signs.update(map(lambda e: (e > 0) - (e < 0), exponents[1:]))
+        assert _product_1var(exponents) == product_1var_brute(exponents)
+    assert signs == {-1, 0, 1}
+
+
+def test_exterior_width_holds_the_euler_product():
+    exponents = one_var_exponents(hilbert_one_var(200))
+    width = _slot_width(max(_product_1var(exponents["X"])).bit_length())
     assert max(map(abs, euler_product(200).coeffs.values())) < 2 ** (width - 1)
     # narrower than slots sized by the one-variable envelope
-    assert width < _slot_width(max(e_operator_1var(h)).bit_length())
+    assert width < _slot_width(max(_product_1var(exponents["U1"])).bit_length())
 
 
 def test_euler_inverse_mismatch_names_the_first_wrong_cell(monkeypatch):
@@ -475,7 +515,12 @@ def test_dense_triangle_is_held_to_the_monomial_limit(monkeypatch):
     s = series({(1, 0): 1}, 5)
     assert s * s == series({(2, 0): 1}, 5)
     t = series({(1, 0): 1}, 6)
-    for build in (lambda: e_operator(h6), lambda: t * t, lambda: e_operator_1var(h20 + [1])):
+    for build in (
+        lambda: e_operator(h6),
+        lambda: t * t,
+        lambda: e_operator_1var(h20 + [1]),
+        lambda: _product_1var(h20 + [1]),
+    ):
         with pytest.raises(MonomialLimitError):
             build()
 
@@ -518,7 +563,7 @@ def test_euler_inverse_check():
 
 def test_one_var_specialization():
     for bound in (0, 1, 2, 3, 4, 5, 11, 15, 40, 200):
-        assert euler_product(bound).one_var() == euler_product_1var(bound)
+        assert euler_product(bound).one_var() == _product_1var(hilbert_one_var(bound))
     for bound in range(31):
         assert e_operator_1var(hilbert_one_var(bound)) == e_operator(hilbert_lie(bound)).one_var()
 
@@ -537,12 +582,13 @@ def test_one_var_series_are_coefficient_lists_through_the_bound():
     for bound in range(41):
         assert len(hilbert_one_var(bound)) == bound + 1
         assert len(hilbert_lie(bound, "restricted").one_var()) == bound + 1
-    assert euler_product_1var(0) == [1] and e_operator_1var([0]) == [1]
+    assert _product_1var([0]) == [1] and e_operator_1var([0]) == [1]
 
 
 def test_one_var_euler_product_inverts_the_envelope():
     for bound in range(81):
-        e, h_u = euler_product_1var(bound), e_operator_1var(hilbert_one_var(bound))
+        h = hilbert_one_var(bound)
+        e, h_u = _product_1var(h), e_operator_1var(h)
         assert len(e) == len(h_u) == bound + 1
         product = [sum(e[i] * h_u[d - i] for i in range(d + 1)) for d in range(bound + 1)]
         assert product == [1] + [0] * bound

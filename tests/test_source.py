@@ -262,7 +262,7 @@ def test_package_reads_no_monomials_alias():
 ROOT = Path(__file__).resolve().parents[1]
 
 # second implementations kept as labelled oracles: only tests call them
-ORACLES = {"gf2.rank_naive", "series.euler_product_1var"}
+ORACLES = {"gf2.rank_naive"}
 
 
 def _top_level_names(tree) -> list[tuple[str, object]]:
