@@ -365,7 +365,7 @@ def test_one_var_product_matches_the_naive_product_on_random_exponents():
     for _ in range(200):
         bound = rng.randint(0, 30)
         exponents = [0] + [rng.randint(-3, 3) for _ in range(bound)]
-        signs.update(map(lambda e: (e > 0) - (e < 0), exponents[1:]))
+        signs.update((e > 0) - (e < 0) for e in exponents[1:])
         assert _product_1var(exponents) == product_1var_brute(exponents)
     assert signs == {-1, 0, 1}
 
