@@ -129,7 +129,7 @@ def _cmd_euler(args) -> int:
 def _cmd_envelope(args) -> int:
     if args.growth:
         report = series_mod.enveloping_growth_report(args.degree)
-        rows = [[n, f"{th:.4f}", f"{report.theta_target:.4f}"] for n, th in report.theta_hat]
+        rows = [[n, f"{th:.4f}", f"{series_mod.THETA:.4f}"] for n, th in report.theta_hat]
         _emit_rows(["degree", "theta_hat", "theta_target"], rows, args.format, sys.stdout)
         return 0
     series_mod.check_triangle(args.degree, args.degree)  # E's triangle, before counting

@@ -95,22 +95,23 @@ def _strip_lines(amax: int) -> list[tuple[float, float, float, float, str]]:
 
 
 def figure1(max_n: int, outdir: Path) -> FigureFiles:
-    """Lattice points of W_{<=N} with counts and colour mix.  The counts are
-    the Hilbert series of W_{<=N} through F_N, the degree of v_N and the
-    largest in W_{<=N}.  W_1 = v_1 is green, and for n >= 2 the green part
-    of W_n (no t_{n-4}) has the tails of W_{n-1}, so it is W_{n-1}'s fold
-    moved by Gr(v_n) - Gr(v_{n-1}); blue is the rest."""
+    """Lattice points of W_{<=N} with counts (the Hilbert series of W_{<=N})
+    and colour mix.  W_1 = v_1 is green, and for n >= 2 the green part of
+    W_n (no t_{n-4}) has the tails of W_{n-1}, so it is W_{n-1}'s fold moved
+    by Gr(v_n) - Gr(v_{n-1}); blue is the rest.  So one fold of each level
+    gives its own cells and the green part of the next."""
     if max_n < 1:
         raise InputError("level index must be >= 1")
-    check_levels(range(1, max_n + 1))  # before F_N is formed
-    degree = sum(gr_pivot(max_n))  # F_N
-    cells = sorted(series.hilbert_enumerated(max_n, "lie", degree).coeffs.items())
+    counts: dict[tuple[int, int], int] = {}
     greens = {(1, 0): 1}
-    for n in range(2, max_n + 1):
-        (a0, b0), (a1, b1) = gr_pivot(n - 1), gr_pivot(n)
-        for (a, b), c in level_multidegree_counts(n - 1).items():
-            key = (a + a1 - a0, b + b1 - b0)
-            greens[key] = greens.get(key, 0) + c
+    for n in check_levels(range(1, max_n + 1)):
+        (a0, b0), (a1, b1) = gr_pivot(n), gr_pivot(n + 1)
+        for (a, b), c in level_multidegree_counts(n).items():
+            counts[(a, b)] = counts.get((a, b), 0) + c
+            if n < max_n:
+                key = (a + a1 - a0, b + b1 - b0)
+                greens[key] = greens.get(key, 0) + c
+    cells = sorted(counts.items())
     pivots = {tuple(gr_pivot(n)) for n in range(1, max_n + 1)}  # red cells
     rows = (
         [a, b, c, g, c - g, int((a, b) in pivots), *weight_coords_float((a, b))]

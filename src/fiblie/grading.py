@@ -255,14 +255,9 @@ def levels_while(holds: Callable[[int], bool]) -> list[int]:
 def level_multidegree_counts(n: int) -> Mapping[tuple[int, int], int]:
     """Multidegree distribution of W_n (subset-sum fold over tail factors);
     W_n has F_n - 1 distinct multidegrees for n >= 3.  The level is held to
-    the current limits before the cache is read, so a fold cached under a
-    higher limit is refused as a fresh one would be."""
+    the current limits before it is folded, and nothing keeps the fold once
+    its caller has summed it."""
     check_levels((n,))
-    return _fold_level(n)
-
-
-@lru_cache(maxsize=32)
-def _fold_level(n: int) -> Mapping[tuple[int, int], int]:
     dd: dict[tuple[int, int], int] = {tuple(gr_pivot(n)): 1}
     for j in range(basis_mod.tail_width(n)):
         ta, tb = gr_tail(j)
@@ -282,7 +277,7 @@ class WeightTable:
 
     def __init__(self, levels: Sequence[int]) -> None:
         counts: dict[GoldenInt, int] = {}
-        for n in levels:
+        for n in check_levels(levels):
             for (a, b), c in level_multidegree_counts(n).items():
                 wt = GoldenInt(b, a + b)
                 counts[wt] = counts.get(wt, 0) + c
@@ -295,8 +290,15 @@ class WeightTable:
 
 
 def weight_growth_levels(x: GoldenInt) -> list[int]:
-    """Levels that can contain W-monomials of weight <= x."""
-    return levels_while(lambda n: (lambda_power(n - 1) - x).sign() < 0)
+    """Levels that can contain W-monomials of weight <= x.  The counts over
+    them run on the digit DP below, which folds nothing, so the walk is held
+    only to ``LIMITS.index_ceiling``; ``WeightTable`` holds the levels it
+    folds to ``check_levels``."""
+    levels = []
+    for n in takewhile(lambda n: (lambda_power(n - 1) - x).sign() < 0, count(1)):
+        _tail_width(n)  # refuses a level past the index ceiling
+        levels.append(n)
+    return levels
 
 
 # --- exact counts over one level's tails, by a digit DP ----------------------
@@ -309,13 +311,18 @@ def weight_growth_levels(x: GoldenInt) -> list[int]:
 # (1966)).
 
 
-def _lambda_tail(n: int) -> list[GoldenInt]:
-    """lambda^(w-1), ..., lambda^0 for the w tail indices of level n.  The DP
-    holds no monomials, so ``LIMITS.index_ceiling`` is its only limit."""
+def _tail_width(n: int) -> int:
+    """The w tail indices of level n.  The DP holds no monomials, so
+    ``LIMITS.index_ceiling`` is its only limit."""
     w = basis_mod.tail_width(n)
     if w > LIMITS.index_ceiling:
         raise IndexCeilingError(f"t-index {w - 1} exceeds ceiling {LIMITS.index_ceiling}")
-    return [lambda_power(j) for j in reversed(range(w))]
+    return w
+
+
+def _lambda_tail(n: int) -> list[GoldenInt]:
+    """lambda^(w-1), ..., lambda^0 for the w tail indices of level n."""
+    return [lambda_power(j) for j in reversed(range(_tail_width(n)))]
 
 
 def _subsets_at_least(terms: Sequence[GoldenInt], r: GoldenInt) -> int:

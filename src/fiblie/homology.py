@@ -39,7 +39,7 @@ from itertools import accumulate
 
 from . import gf2, series
 from .basis import enumerate_W
-from .core import InputError, Monomial, bracket_monomials, check_cap, set_bits
+from .core import LIMITS, InputError, Monomial, bracket_monomials, check_cap, set_bits
 from .grading import (
     Multidegree,
     golden_sign,
@@ -67,11 +67,22 @@ def monomial_at(i: int) -> Monomial:
     return Monomial(n, i - _offset(n))
 
 
-@lru_cache(maxsize=4)
 def _monomials(total: int) -> tuple[tuple[int, tuple[int, int]], ...]:
     """Indices of the basis monomials of total degree 1..total, ascending,
     with their multidegrees: one list that every pool of that total degree
-    filters.  The table walks total degrees upwards, so a few entries serve.
+    filters.  The limits in force are read before the cache and key it, so
+    a list is served only under the limits it was checked against; under
+    any others it is checked and walked afresh."""
+    return _monomial_walk(total, (LIMITS.index_ceiling, LIMITS.monomial_limit))
+
+
+@lru_cache(maxsize=4)
+def _monomial_walk(
+    total: int, limits: tuple[int, int]
+) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """The list of ``_monomials`` under ``limits``, the values of ``LIMITS``
+    that the guards below read.  The table walks total degrees upwards, so a
+    few entries serve.
 
     Gr of a tail mask is Gr of the mask without its lowest bit plus Gr of
     that bit, so each mask costs one addition.  The walk visits every

@@ -409,7 +409,6 @@ class EnvelopingGrowthReport:
     bound: int
     gamma: list[int]
     theta_hat: list[tuple[int, float]]
-    theta_target: float
     witness_degree: int
     witness_count: int
     witness_lower_bound: int
@@ -441,7 +440,6 @@ def enveloping_growth_report(bound: int = 120) -> EnvelopingGrowthReport:
         bound=bound,
         gamma=gamma,
         theta_hat=theta_hat,
-        theta_target=THETA,
         witness_degree=witness_degree,
         witness_count=gamma[witness_degree],
         witness_lower_bound=witness_lower,

@@ -15,7 +15,6 @@ import pytest
 
 from fiblie import verify
 from fiblie.core import LIMITS, Element, InputError, MonomialLimitError, bracket_monomials, v
-from fiblie.grading import level_multidegree_counts
 
 
 def _run(name: str, limit: float | None = None) -> None:
@@ -192,11 +191,8 @@ def test_without_fork_the_suites_run_in_process(monkeypatch):
 
 
 def test_workers_raise_the_in_process_error(monkeypatch):
-    # a forked worker inherits the caller's caches and limits; the limits in
-    # force decide, so folds cached under the default limits are refused as
-    # in a fresh process
-    for n in range(1, 11):
-        level_multidegree_counts(n)
+    # a forked worker inherits the caller's limits and refuses as the caller
+    # would; no fold outlives its call, so none is served past a lowered limit
     monkeypatch.setattr(LIMITS, "monomial_limit", 5)
     with pytest.raises(MonomialLimitError) as alone:
         verify.run_suites(["nil"])

@@ -156,16 +156,19 @@ def test_figures_outputs(tmp_path: Path):
         assert len(csv_path.read_text().splitlines()) > 1
 
 
-def test_figure1_cells_match_the_monomial_walk(tmp_path: Path):
-    # oracle: fold every monomial of W_{<=12} into its cell by basis.colour
+@pytest.mark.parametrize("max_n", [1, 2, 3, 4, 12])
+def test_figure1_cells_match_the_monomial_walk(tmp_path: Path, folds, max_n: int):
+    # oracle: fold every monomial of W_{<=N} into its cell by basis.colour;
+    # W_1 and W_2 share total degree 1, and W_2's green part is W_1's fold
     cells = {}
-    for level in enumerate_W_upto(12):
+    for level in enumerate_W_upto(max_n):
         for m in level:
             cell = cells.setdefault(tuple(gr(m)), [0, 0, 0])
             c = colour(m)
             cell[1 if c == "blue" else 0] += 1
             cell[2] |= c == "red"
-    figure1(12, tmp_path)
+    figure1(max_n, tmp_path)
+    assert folds == list(range(1, max_n + 1))  # each level once
     with (tmp_path / "fig1.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     got = {

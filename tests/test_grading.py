@@ -429,15 +429,25 @@ def test_level_counts_stop_at_the_index_ceiling():
         lambda n: level_strip_violations(n, "restricted"),
         level_rectangle_violations,
         lambda n: count_weights_at_most([n], lambda_power(n)),
+        lambda n: weight_growth_levels(lambda_power(n)),
     ):
         with pytest.raises(IndexCeilingError):
             count(top + 1)
+    assert weight_growth_levels(lambda_power(top)) == list(range(1, top + 1))
 
 
-def test_geometry_criterion_folds_no_level():
-    grading._fold_level.cache_clear()
+def test_weight_table_folds_only_levels_within_the_limit(folds):
+    # W_1..W_29 fold into F_31 - 1 > 10^6 multidegrees: refused before W_1
+    with pytest.raises(MonomialLimitError, match="of 29 levels through W_29"):
+        WeightTable(range(1, 30))
+    assert folds == []
+    WeightTable(range(1, 13))
+    assert folds == list(range(1, 13))
+
+
+def test_geometry_criterion_folds_no_level(folds):
     assert criterion_geometry(1)[0]
-    assert grading._fold_level.cache_info().currsize == 0
+    assert folds == []
 
 
 def test_level_stratification():

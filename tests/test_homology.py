@@ -32,6 +32,7 @@ from fiblie.grading import (
 from fiblie.homology import (
     Multidegree,
     _bracket_pair,
+    _monomial_walk,
     _monomials,
     _pool,
     chain_basis,
@@ -260,14 +261,15 @@ def test_monomial_list_is_held_to_the_monomial_limit(monkeypatch):
     assert str(refused.value) == (
         "1048577 basis monomials of W_1..W_22 exceed the monomial limit 1000000"
     )
-    # W_1..W_10 reach total degree 40: 257 monomials, 143 multidegrees
-    _monomials.cache_clear()
+    # W_1..W_10 reach total degree 40: 257 monomials, 143 multidegrees.  The
+    # list cached under the default limit is refused under a lower one
+    assert len(_monomials(40)) == 157  # those of total degree 40 or less
     monkeypatch.setattr(LIMITS, "monomial_limit", 200)
     with pytest.raises(MonomialLimitError) as refused:
         _monomials(40)
     assert str(refused.value) == "257 basis monomials of W_1..W_10 exceed the monomial limit 200"
     monkeypatch.setattr(LIMITS, "monomial_limit", 257)
-    assert len(_monomials(40)) == 157  # those of total degree 40 or less
+    assert len(_monomials(40)) == 157
 
 
 def test_euler_crosscheck_refuses_a_slice_past_the_series_bound():
@@ -384,7 +386,7 @@ def test_paraboloid_report():
 def test_homology_table_runtime_guard():
     # wedges by recursion on the chain_basis cache; the backtracking search
     # needs about 20 s here
-    for cached in (_monomials, _pool, chain_basis, _bracket_pair, differential):
+    for cached in (_monomial_walk, _pool, chain_basis, _bracket_pair, differential):
         cached.cache_clear()  # a cold run, not the slices earlier tests built
     start = time.perf_counter()
     table = homology_table(24)

@@ -38,14 +38,14 @@ def test_script_runs(argv, header):
 @pytest.mark.parametrize(
     "argv",
     [
-        # folds W_1..W_29, past the monomial limit
-        ("growth_report.py", "--max-n", "28"),
+        # walks to W_132, whose tail index 128 is past the index ceiling
+        ("growth_report.py", "--max-n", "131"),
         # free_dims refuses tail rows past the monomial limit (degree 25 on)
         ("presentation_scan.py", "--max-degree", "30"),
         ("presentation_scan.py", "--max-degree", "0"),
         ("presentation_scan.py", "--shifts", "-1"),
     ],
-    ids=["growth_report-max-n-28", "presentation_scan-max-degree-30",
+    ids=["growth_report-max-n-131", "presentation_scan-max-degree-30",
          "presentation_scan-max-degree-0", "presentation_scan-shifts--1"],
 )
 def test_script_refusal_exits_2_without_traceback(argv):

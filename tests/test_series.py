@@ -10,7 +10,14 @@ from fractions import Fraction
 import pytest
 
 from fiblie.core import LIMITS, InputError, MonomialLimitError
-from fiblie.grading import GoldenInt, LAMBDA, _fold_level, gr, lambda_power, weight_growth_levels
+from fiblie.grading import (
+    GoldenInt,
+    LAMBDA,
+    count_weights_at_most,
+    gr,
+    lambda_power,
+    weight_growth_levels,
+)
 from fiblie import series as series_mod
 from fiblie.basis import enumerate_W_upto
 from fiblie.series import (
@@ -525,20 +532,22 @@ def test_dense_triangle_is_held_to_the_monomial_limit(monkeypatch):
             build()
 
 
-def test_deep_requests_are_refused_before_any_fold():
+def test_deep_requests_are_refused_before_any_fold(folds):
     # levels 1..29 together fold into F_31 - 1 > 10^6 multidegrees: each
     # level walk is refused at level 29, and euler_product at its triangle,
     # before level 1 is folded
-    _fold_level.cache_clear()
     for build in (
         lambda: levels_for_degree(10**9),
-        lambda: weight_growth_levels(lambda_power(40)),
         lambda: euler_product(100000),
         lambda: hilbert_lie(800000),
     ):
         with pytest.raises(MonomialLimitError):
             build()
-        assert _fold_level.cache_info().currsize == 0
+    # the weight counts fold nothing, so their walk passes level 29: the
+    # 3 + 2 + 4 + ... + 2^37 monomials of W_1..W_40 all weigh at most lambda^40
+    x = lambda_power(40)
+    assert count_weights_at_most(weight_growth_levels(x), x) == 1 + 2**38
+    assert folds == []
 
 
 def test_hilbert_request_is_held_to_the_monomial_limit(monkeypatch):

@@ -126,38 +126,36 @@ def test_randomized_checks_take_an_explicit_seed():
     assert (unseeded, shared, imported) == ([], [], [])
 
 
-def _is_unbounded_cache(node) -> bool:
-    # lru_cache(maxsize=None), lru_cache(None) or functools.cache
-    if _name(node) == "cache":
-        return True
-    if not isinstance(node, ast.Call) or _name(node.func) != "lru_cache":
-        return False
-    sizes = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
-    return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+def _is_cache(node) -> bool:
+    # lru_cache, lru_cache(...) or functools.cache, bounded or not
+    return _name(node.func if isinstance(node, ast.Call) else node) in ("cache", "lru_cache")
 
 
-def test_unbounded_caches_are_the_known_ones():
-    # an unbounded cache grows for the life of the process; homology's three
-    # are read through cache_info() by the benchmark, as is its bounded
-    # differential cache
+def test_caches_are_the_known_ones():
+    # a module-level cache lives as long as the process, so each one is named
+    # here: fib's few ints, homology's monomial list, and the homology caches
+    # that the benchmark reads through cache_info()
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.FunctionDef) and any(
-                _is_unbounded_cache(d) for d in node.decorator_list
+                _is_cache(d) for d in node.decorator_list
             ):
                 found.add(f"{path.stem}.{node.name}")
             # a cache applied by a call: name = lru_cache(maxsize=None)(function)
             if (
                 isinstance(node, ast.Assign)
                 and isinstance(node.value, ast.Call)
-                and _is_unbounded_cache(node.value.func)
+                and _is_cache(node.value.func)
             ):
                 found.update(f"{path.stem}.{_name(t)}" for t in node.targets)
     assert found == {
+        "grading.fib",
+        "homology._monomial_walk",
         "homology._pool",
         "homology.chain_basis",
         "homology._bracket_pair",
+        "homology.differential",
     }
 
 
